@@ -24,22 +24,20 @@ from .harness.runs import RunConfig, convergence_study, run_problem
 from .integrate import TimeControl
 from .weno import WeightScheme
 
-_FAMILY_DEFANGED_EPS = {"js": 1e-6}
-
 
 def build_scheme(family, p=None, q=None, eps=None):
+    """A scheme of ``family``; without ``eps`` the family's default applies."""
     family = family.lower()
-    if eps is None:
-        eps = _FAMILY_DEFANGED_EPS.get(family, 1e-40)
+    kw = {} if eps is None else {"eps": eps}
     if family == "zr":
-        return WeightScheme.zr(p=2.0 if p is None else p, eps=eps)
+        return WeightScheme.zr(p=2.0 if p is None else p, **kw)
     if family == "zl":
         return WeightScheme.zl(p=1.0 if p is None else p,
-                               q=1.0 if q is None else q, eps=eps)
+                               q=1.0 if q is None else q, **kw)
     if family == "js":
-        return WeightScheme.js(eps=eps)
+        return WeightScheme.js(**kw)
     if family in ("m", "z", "linear"):
-        return WeightScheme(family, eps=eps)
+        return WeightScheme(family, **kw)
     raise ConfigurationError(f"unknown scheme family {family!r}")
 
 
@@ -95,7 +93,6 @@ def make_parser():
                        help="fixed dt = value * dx")
     runp.add_argument("--tfinal", type=float, default=None)
     runp.add_argument("--out", type=str, default=None, help="output directory")
-    runp.add_argument("--seed", type=int, default=0)
     runp.add_argument("--no-reference", action="store_true",
                       help="skip the fine-grid reference computation")
 
@@ -138,7 +135,6 @@ def cmd_run(args):
         dt_scale=args.dt_scale,
         tfinal=args.tfinal,
         out_dir=args.out,
-        seed=args.seed,
         with_reference=not args.no_reference,
     )
     result = run_problem(cfg)

@@ -126,38 +126,32 @@ class _WeightView:
     """Weight-combination lookup by half-integer interface index.
 
     ``offset`` is the array index of interface 1/2 (between cells I_0 and
-    I_1); interface j+1/2 is addressed by the integer j.
+    I_1); interface j+1/2 is addressed by the integer j.  ``combos`` is
+    ``combo_matrix(omega)``.
     """
 
-    def __init__(self, omega, offset):
+    def __init__(self, omega, combos, offset):
         self._omega = omega
+        self._combos = combos
         self._offset = offset
 
-    def _row(self, half):
-        return self._omega[self._offset + half]
-
     def w(self, s, half):
-        return self._row(half)[s]
+        return self._omega[self._offset + half][s]
 
     def A(self, half):
-        r = self._row(half)
-        return r[1] + 2.0 * r[2]
+        return self._combos[self._offset + half][0]
 
     def B(self, half):
-        r = self._row(half)
-        return 5.0 * r[0] + r[1]
+        return self._combos[self._offset + half][1]
 
     def C(self, half):
-        r = self._row(half)
-        return 2.0 * r[1] + 5.0 * r[2]
+        return self._combos[self._offset + half][2]
 
     def D(self, half):
-        r = self._row(half)
-        return 11.0 * r[0] + 5.0 * r[1] + 2.0 * r[2]
+        return self._combos[self._offset + half][3]
 
     def E(self, half):
-        r = self._row(half)
-        return 7.0 * r[0] + r[1]
+        return self._combos[self._offset + half][4]
 
 
 def stage1_error_formulas(view, nu, delta):
@@ -372,13 +366,14 @@ def analyze_step(setup: RiemannSetup):
             measured_by_stage[k] = errors
             rep = reports[k]
             omega = rec.omega_minus[0]
+            combos = combo_matrix(omega)
             rep.weights[label] = omega[iface_sel]
-            rep.combos[label] = combo_matrix(omega[iface_sel])
+            rep.combos[label] = combos[iface_sel]
             rep.fluxes[label] = rec.flux[0][iface_sel]
             rep.solutions[label] = values[cell_sel]
             rep.measured_errors[label] = errors[cell_sel]
 
-            view = _WeightView(omega, i0 + 1)
+            view = _WeightView(omega, combos, i0 + 1)
             if k == 1:
                 formulas = stage1_error_formulas(view, setup.nu, setup.delta)
             elif k == 2:

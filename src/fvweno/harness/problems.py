@@ -24,6 +24,7 @@ from ..mesh import (
     Grid1D,
     Grid2D,
     cell_average_of,
+    gauss_average,
     inflow,
     polygon_indicator_average,
     step_function_average,
@@ -245,16 +246,11 @@ def _euler_riemann_exact(left, right, x0=0.0):
         if t <= 0.0:
             return _euler_shock_tube_ic(left, right, x0)(grid)
 
-        def pointwise(x):
-            rho, u, P = fan.sample((x - x0) / t)
-            return rho, u, P
+        def conserved(xq):
+            rho, u, P = fan.sample((xq.ravel() - x0) / t)
+            return EULER.conserved(rho, u, P).reshape(3, *xq.shape)
 
-        nodes, wts = np.polynomial.legendre.leggauss(5)
-        xq = grid.centers()[:, None] + 0.5 * grid.dx * nodes[None, :]
-        rho, u, P = pointwise(xq.ravel())
-        cons = EULER.conserved(rho, u, P).reshape(3, *xq.shape)
-        values = (cons @ wts) / 2.0
-        return CellField.from_interior(grid, values)
+        return CellField.from_interior(grid, gauss_average(conserved, grid.centers(), grid.dx))
 
     return build
 
@@ -294,11 +290,8 @@ def _shock_entropy_ic(k):
 
     def build(grid):
         centers = grid.centers()
-        nodes, wts = np.polynomial.legendre.leggauss(5)
-        xq = centers[:, None] + 0.5 * grid.dx * nodes[None, :]
-        rho = ((1.0 + 0.2 * np.sin(k * xq)) @ wts) / 2.0
         values = np.zeros((3, grid.n))
-        values[0] = rho
+        values[0] = gauss_average(lambda xq: 1.0 + 0.2 * np.sin(k * xq), centers, grid.dx)
         values[2] = 1.0 / (GAMMA - 1.0)
         mask = centers < -4.0
         values[:, mask] = left[:, None]

@@ -29,7 +29,6 @@ class RunConfig:
     dt_scale: float = None
     tfinal: float = None
     out_dir: str = None
-    seed: int = 0
     with_reference: bool = True
 
     def resolve(self):
@@ -173,7 +172,7 @@ def _fmt(v):
     return f"{v:.17g}"
 
 
-def write_solution_csv(path, field: CellField, kind):
+def write_solution_csv(path, field: CellField):
     grid = field.grid
     with open(path, "w") as f:
         if isinstance(grid, Grid1D):
@@ -200,7 +199,7 @@ def _write_outputs(cfg: RunConfig, result: RunResult, tc, tfinal):
     paths = {}
 
     sol = out / "solution.csv"
-    write_solution_csv(sol, result.final, result.problem.kind)
+    write_solution_csv(sol, result.final)
     paths["solution"] = str(sol)
 
     if result.report is not None:
@@ -209,7 +208,7 @@ def _write_outputs(cfg: RunConfig, result: RunResult, tc, tfinal):
         paths["errors"] = str(err)
     if result.reference is not None:
         ref = out / "reference.csv"
-        write_solution_csv(ref, result.reference, result.problem.kind)
+        write_solution_csv(ref, result.reference)
         paths["reference"] = str(ref)
 
     manifest = out / "manifest.txt"
@@ -222,7 +221,6 @@ def _write_outputs(cfg: RunConfig, result: RunResult, tc, tfinal):
         "time_mode": tc.mode,
         "time_value": f"{tc.value:g}",
         "tfinal": f"{tfinal:g}",
-        "seed": str(cfg.seed),
         "steps": str(result.steps),
         "wall_time_s": f"{result.wall_time:.3f}",
     }

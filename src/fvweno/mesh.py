@@ -15,10 +15,10 @@ import numpy as np
 
 from .errors import ConfigurationError
 
-# Nodes/weights of 5-point Gauss-Legendre, used for cell averages of smooth
-# initial data (exact through degree 9, so initialization error never masks
-# the scheme's convergence order).
-DEFAULT_QUADRATURE_ORDER = 5
+# Nodes/weights of 5-point Gauss-Legendre on [-1, 1], used for cell averages
+# of smooth data (exact through degree 9, so initialization error never
+# masks the scheme's convergence order).
+_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(5)
 
 
 @dataclass(frozen=True)
@@ -91,6 +91,9 @@ class Grid2D:
         return self.ay + (np.arange(lo, hi) + 0.5) * self.dy
 
 
+_KINDS = ("periodic", "outflow", "reflective", "inflow")
+
+
 @dataclass(frozen=True)
 class BoundaryCondition:
     """One side of the domain: periodic, outflow, reflective or inflow.
@@ -105,7 +108,7 @@ class BoundaryCondition:
     profile: Callable | None = None
 
     def __post_init__(self):
-        if self.kind not in ("periodic", "outflow", "reflective", "inflow"):
+        if self.kind not in _KINDS:
             raise ConfigurationError(f"unknown boundary kind {self.kind!r}")
         if self.kind == "inflow" and self.profile is None:
             raise ConfigurationError("inflow boundary requires a profile")
@@ -204,46 +207,42 @@ def _normalize_bc(bc, nsides):
     return _Sides(bc)
 
 
-def _profile_averages(profile, edges_lo, dx, axis_coord=None):
-    """Cell averages of a 1D profile over cells [lo, lo+dx) by 5-pt Gauss."""
-    nodes, wts = np.polynomial.legendre.leggauss(DEFAULT_QUADRATURE_ORDER)
-    xq = edges_lo[:, None] + 0.5 * dx * (nodes[None, :] + 1.0)
-    return (profile(xq) @ wts) / 2.0
+def gauss_average(fn, centers, dx):
+    """Averages of ``fn`` over the cells of width ``dx`` centred at the 1D
+    array ``centers``, by 5-point Gauss-Legendre quadrature.  ``fn`` gets
+    the (n, 5) quadrature nodes and returns values of shape (..., n, 5);
+    the result has shape (..., n).
+    """
+    return (fn(centers[:, None] + 0.5 * dx * _GAUSS_NODES) @ _GAUSS_WEIGHTS) / 2.0
 
 
-def _fill_axis_1d(data, n, g, bc_lo, bc_hi, grid):
-    mom = slice(1, 2)  # momentum row of an Euler field
-    for side, bc in (("lo", bc_lo), ("hi", bc_hi)):
-        if g == 0:
-            continue
-        if bc.kind == "periodic":
-            if side == "lo":
-                data[:, :g] = data[:, n : n + g]
-            else:
-                data[:, n + g :] = data[:, g : 2 * g]
-        elif bc.kind == "outflow":
-            if side == "lo":
-                data[:, :g] = data[:, g : g + 1]
-            else:
-                data[:, n + g :] = data[:, n + g - 1 : n + g]
-        elif bc.kind == "reflective":
-            if data.shape[0] != 3:
+def _fill_axis(v, n, g, sides, supported, where, inflow=None):
+    """Fill the ghosts along axis 1 of ``v`` (g ghosts, n interior cells, g
+    ghosts; ``v`` may be a view of a field) per the (lo, hi) ``sides``.
+
+    ``supported`` holds the kinds besides periodic and outflow that the
+    sides may take; others are rejected, ``where`` naming the sides.  An
+    inflow side fills row 0 of its ghost slice ``s`` with
+    ``inflow(profile, s)``.
+    """
+    for hi, bc in enumerate(sides):
+        kind = bc.kind
+        ghosts = slice(n + g, None) if hi else slice(0, g)
+        if kind == "periodic":
+            v[:, ghosts] = v[:, g : 2 * g] if hi else v[:, n : n + g]
+        elif kind == "outflow":
+            v[:, ghosts] = v[:, n + g - 1 : n + g] if hi else v[:, g : g + 1]
+        elif kind not in supported:
+            raise ConfigurationError(f"{kind!r} boundaries are not supported on {where}")
+        elif kind == "reflective":
+            if v.shape[0] != 3:
                 raise ConfigurationError(
                     "reflective boundaries apply only to 3-component Euler fields"
                 )
-            if side == "lo":
-                data[:, :g] = data[:, g : 2 * g][:, ::-1]
-                data[mom, :g] *= -1.0
-            else:
-                data[:, n + g :] = data[:, n : n + g][:, ::-1]
-                data[mom, n + g :] *= -1.0
-        elif bc.kind == "inflow":
-            if side == "lo":
-                lo_edges = grid.a + (np.arange(-g, 0)) * grid.dx
-                data[0, :g] = _profile_averages(bc.profile, lo_edges, grid.dx)
-            else:
-                lo_edges = grid.b + np.arange(g) * grid.dx
-                data[0, n + g :] = _profile_averages(bc.profile, lo_edges, grid.dx)
+            v[:, ghosts] = (v[:, n : n + g] if hi else v[:, g : 2 * g])[:, ::-1]
+            v[1, ghosts] *= -1.0  # momentum
+        else:
+            v[0, ghosts] = inflow(bc.profile, ghosts)
 
 
 def fill_ghosts(field: CellField, bc) -> CellField:
@@ -255,83 +254,41 @@ def fill_ghosts(field: CellField, bc) -> CellField:
     """
     out = field.copy()
     d = out.data
-    g = field.grid.ghost
-    if isinstance(field.grid, Grid1D):
-        left, right = _normalize_bc(bc, 2)
-        _fill_axis_1d(d, field.grid.n, g, left, right, field.grid)
-        return out
-
     grid = field.grid
-    left, right, bottom, top = _normalize_bc(bc, 4)
-    nx, ny = grid.nx, grid.ny
-    yin = slice(g, g + ny)
-    # x-direction first over interior rows, then y over the full width so the
-    # corner ghosts come out consistent.
-    for side, bc1 in (("lo", left), ("hi", right)):
-        if g == 0:
-            continue
-        if bc1.kind == "periodic":
-            if side == "lo":
-                d[:, :g, yin] = d[:, nx : nx + g, yin]
-            else:
-                d[:, nx + g :, yin] = d[:, g : 2 * g, yin]
-        elif bc1.kind == "outflow":
-            if side == "lo":
-                d[:, :g, yin] = d[:, g : g + 1, yin]
-            else:
-                d[:, nx + g :, yin] = d[:, nx + g - 1 : nx + g, yin]
-        else:
-            raise ConfigurationError(
-                f"{bc1.kind!r} boundaries are not supported on x sides of 2D grids"
-            )
-    for side, bc1 in (("lo", bottom), ("hi", top)):
-        if g == 0:
-            continue
-        if bc1.kind == "periodic":
-            if side == "lo":
-                d[:, :, :g] = d[:, :, ny : ny + g]
-            else:
-                d[:, :, ny + g :] = d[:, :, g : 2 * g]
-        elif bc1.kind == "outflow":
-            if side == "lo":
-                d[:, :, :g] = d[:, :, g : g + 1]
-            else:
-                d[:, :, ny + g :] = d[:, :, ny + g - 1 : ny + g]
-        elif bc1.kind == "inflow":
-            xc = grid.xcenters(ghosts=True)
-            avgs = _x_profile_averages(bc1.profile, xc, grid.dx)
-            if side == "lo":
-                d[0, :, :g] = avgs[:, None]
-            else:
-                d[0, :, ny + g :] = avgs[:, None]
-        else:
-            raise ConfigurationError(
-                f"{bc1.kind!r} boundaries are not supported on y sides of 2D grids"
-            )
+    g = grid.ghost
+    if isinstance(grid, Grid1D):
+        sides = _normalize_bc(bc, 2)
+        if g:
+            _fill_axis(d, grid.n, g, sides, ("reflective", "inflow"), "1D grids",
+                       lambda profile, s: gauss_average(
+                           profile, grid.centers(ghosts=True)[s], grid.dx))
+        return out
+    sides = _normalize_bc(bc, 4)
+    if g:
+        # x first over the interior rows, then y over the full width, so the
+        # corner ghosts come out consistent
+        _fill_axis(d[:, :, g : g + grid.ny], grid.nx, g, sides[:2],
+                   (), "x sides of 2D grids")
+        _fill_axis(d.swapaxes(1, 2), grid.ny, g, sides[2:],
+                   ("inflow",), "y sides of 2D grids",
+                   lambda profile, s: gauss_average(
+                       profile, grid.xcenters(ghosts=True), grid.dx))
     return out
 
 
-def _x_profile_averages(profile, xcenters, dx):
-    nodes, wts = np.polynomial.legendre.leggauss(DEFAULT_QUADRATURE_ORDER)
-    xq = xcenters[:, None] + 0.5 * dx * nodes[None, :]
-    return (profile(xq) @ wts) / 2.0
-
-
-def cell_average_of(fn, grid, quadrature_order=DEFAULT_QUADRATURE_ORDER) -> CellField:
-    """Cell averages of a pointwise function by Gauss-Legendre quadrature.
+def cell_average_of(fn, grid) -> CellField:
+    """Cell averages of a pointwise function by 5-point Gauss-Legendre
+    quadrature.
 
     1D ``fn(x)`` and 2D ``fn(x, y)`` must accept arrays.  Ghost cells are
     left at zero; fill them with :func:`fill_ghosts`.
     """
-    nodes, wts = np.polynomial.legendre.leggauss(quadrature_order)
     if isinstance(grid, Grid1D):
-        xq = grid.centers()[:, None] + 0.5 * grid.dx * nodes[None, :]
-        values = (fn(xq) @ wts) / 2.0
-        return CellField.from_interior(grid, values)
-    xq = grid.xcenters()[:, None] + 0.5 * grid.dx * nodes[None, :]
-    yq = grid.ycenters()[:, None] + 0.5 * grid.dy * nodes[None, :]
+        return CellField.from_interior(grid, gauss_average(fn, grid.centers(), grid.dx))
+    xq = grid.xcenters()[:, None] + 0.5 * grid.dx * _GAUSS_NODES
+    yq = grid.ycenters()[:, None] + 0.5 * grid.dy * _GAUSS_NODES
     vals = fn(xq[:, None, :, None], yq[None, :, None, :])
-    values = np.einsum("ijkl,k,l->ij", vals, wts, wts) / 4.0
+    values = np.einsum("ijkl,k,l->ij", vals, _GAUSS_WEIGHTS, _GAUSS_WEIGHTS) / 4.0
     return CellField.from_interior(grid, values)
 
 

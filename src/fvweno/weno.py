@@ -138,11 +138,6 @@ GAMMA_MINUS = np.array([float(g) for g in GAMMA_MINUS_EXACT])
 SIGMA_PLUS = float(SIGMA_PLUS_EXACT)
 SIGMA_MINUS = float(SIGMA_MINUS_EXACT)
 
-# Column-reversed candidate table: row s applied to the original window
-# equals candidate s of the reflected window, i.e. the right-biased value at
-# the *left* edge x_{i-1/2}.  Pair with weights of the reversed beta triple.
-CAND_EDGE_REV = np.ascontiguousarray(CAND_EDGE[:, ::-1])
-
 GAUSS_NODES = ("minus", "center", "plus")
 # 3-point Gauss-Legendre rule on [-1, 1], ordered to match GAUSS_NODES.
 GAUSS_XI = math.sqrt(3.0 / 5.0)
@@ -312,15 +307,18 @@ def _factor(beta, family, eps, p=1.0, q=1.0):
 
 def _family_weights(beta, d, family, eps=1e-40, p=1.0, q=1.0, mirror=False, axis=-1):
     """Weights of ``family`` for the triples along ``axis`` (0 or -1) of
-    ``beta``; see :func:`nonlinear_weights` for ``mirror``."""
+    ``beta``; see :func:`nonlinear_weights` for ``d`` and ``mirror``."""
     if axis not in (0, -1):
         raise ConfigurationError(f"triples lie along axis 0 or -1, not {axis!r}")
     beta = np.asarray(beta, dtype=float)
     if axis == -1:
         beta = beta.transpose((beta.ndim - 1,) + tuple(range(beta.ndim - 1)))
-    shape = (3, 2) + beta.shape[1:] if mirror else beta.shape
-    # the linear weights along axis 0, broadcasting against the result
-    d = np.asarray(d, dtype=float).reshape((3,) + (1,) * (len(shape) - 1))
+    d = np.asarray(d, dtype=float).T      # linear weights on axis 0, sets on 1
+    if mirror and d.ndim > 1:
+        raise ConfigurationError("mirror=True takes one linear-weight triple")
+    extra = (2,) if mirror else d.shape[1:]
+    shape = (3,) + extra + beta.shape[1:]
+    d = d.reshape(d.shape + (1,) * (len(shape) - d.ndim))   # broadcasting
     if family == "linear":
         omega = np.broadcast_to(d, shape).copy()
     else:
@@ -331,12 +329,12 @@ def _family_weights(beta, d, family, eps=1e-40, p=1.0, q=1.0, mirror=False, axis
             combine(d[:, 0], phi, out=alpha[:, 0])
             combine(d[:, 0], phi[::-1], out=alpha[:, 1])
         else:
-            alpha = combine(d, phi)
+            alpha = combine(d, phi[:, None] if extra else phi)
         omega = _normalize(alpha)
         if family == "m":
             omega = _normalize(henrick_map(omega, d))
     if axis == -1:
-        lead = (1, 0) if mirror else (0,)
+        lead = (1, 0) if extra else (0,)
         omega = omega.transpose(tuple(range(len(lead), omega.ndim)) + lead)
         omega = np.ascontiguousarray(omega)
     return omega
@@ -370,38 +368,57 @@ def nonlinear_weights(beta, scheme: WeightScheme, d=D_EDGE, mirror=False, axis=-
     along ``axis`` of ``beta``: -1 (default), or 0 as the array kernels
     keep them; the weights come back in the same layout.
 
-    With ``mirror=True`` the result also holds the weights of the reflected
-    triples ``beta[..., ::-1]`` (the right-biased reconstruction) on a new
-    axis of length 2, entry 0 for ``beta`` and 1 for its reflection: shape
-    ``(..., 2, 3)`` for ``axis=-1``, ``(3, 2, ...)`` for ``axis=0``.  They
-    are bit for bit what a separate call on the reflected triples returns,
-    from a per-window factor computed once for both.
+    A stack of k triples ``d``, shape (k, 3), puts the weights of each set
+    on a new axis: shape ``(..., k, 3)`` for ``axis=-1``, ``(3, k, ...)``
+    for ``axis=0``.  ``mirror=True`` (one triple ``d``) puts there the
+    weights of ``beta`` and of the reflected ``beta[..., ::-1]`` (the
+    right-biased reconstruction).  One per-window factor serves them all,
+    bit for bit what separate calls return.
     """
     return _family_weights(beta, d, scheme.family, scheme.eps, scheme.p, scheme.q,
                            mirror, axis)
 
 
-def reconstruct_interface(window, scheme: WeightScheme, orientation="left"):
-    """Interface value from one five-cell window.
-
-    ``orientation='left'`` gives the left-biased value at the right edge of
-    the center cell (v-); ``'right'`` reverses the window first and gives
-    the right-biased value at the left edge (v+).
-    """
+def _window(window):
     w = np.asarray(window, dtype=float)
-    if orientation == "right":
-        w = w[..., ::-1]
-    elif orientation != "left":
+    if w.shape[-1:] != (5,):
+        raise ConfigurationError("a window holds five cell averages along its last axis")
+    return w
+
+
+def reconstruct_interface(window, scheme: WeightScheme, orientation="left"):
+    """Interface value from one five-cell window: ``orientation='left'``
+    gives the left-biased value at the right edge of the center cell (v-),
+    ``'right'`` the right-biased value at its left edge (v+).
+    """
+    if orientation not in ("left", "right"):
         raise ConfigurationError(f"unknown orientation {orientation!r}")
-    beta = smoothness_indicators(w)
-    omega = nonlinear_weights(beta, scheme)
-    cand = w @ CAND_EDGE.T
-    return (omega * cand).sum(axis=-1)
+    v, _ = _edge_values(_window(window), scheme)
+    return v[int(orientation == "right"), ..., 0]
 
 
 def big_stencil_interface(window):
     """Quartic (linear-weight) interface value over the full window."""
     return np.asarray(window, dtype=float) @ BIG_EDGE
+
+
+# Linear weights of the Gauss nodes for one weight call: minus, gamma+,
+# plus, gamma-; the split pair in rows 1 and 3 combines into row 1, so rows
+# 0..2 follow GAUSS_NODES.  The linear scheme takes D_GAUSS_CENTER as is.
+_D_GAUSS_SETS = np.stack([D_GAUSS_MINUS, GAMMA_PLUS, D_GAUSS_PLUS, GAMMA_MINUS])
+_D_GAUSS_LINEAR = np.stack([D_GAUSS_MINUS, D_GAUSS_CENTER, D_GAUSS_PLUS])
+
+
+def _gauss_weights(beta, scheme: WeightScheme, axis):
+    """Weights of the Gauss nodes from one weight call, laid out as for a
+    stack of ``d`` in :func:`nonlinear_weights`."""
+    if scheme.family == "linear":
+        return nonlinear_weights(beta, scheme, d=_D_GAUSS_LINEAR, axis=axis)
+    omega = nonlinear_weights(beta, scheme, d=_D_GAUSS_SETS, axis=axis)
+    at = 1 if axis == 0 else -2
+    sets = omega.swapaxes(0, at)
+    np.subtract(SIGMA_PLUS * sets[1], SIGMA_MINUS * sets[3], out=sets[1])
+    return sets[:3].swapaxes(0, at)
 
 
 def gauss_split_weights(beta, scheme: WeightScheme, axis=-1):
@@ -412,33 +429,17 @@ def gauss_split_weights(beta, scheme: WeightScheme, axis=-1):
     the axis of ``beta`` holding the triples, as for
     :func:`nonlinear_weights`.
     """
-    if scheme.family == "linear":
-        return nonlinear_weights(beta, scheme, d=D_GAUSS_CENTER, axis=axis)
-    w_plus = nonlinear_weights(beta, scheme, d=GAMMA_PLUS, axis=axis)
-    w_minus = nonlinear_weights(beta, scheme, d=GAMMA_MINUS, axis=axis)
-    return SIGMA_PLUS * w_plus - SIGMA_MINUS * w_minus
+    return np.take(_gauss_weights(beta, scheme, axis), 1, axis=1 if axis == 0 else -2)
 
 
 def reconstruct_gauss_point(window, scheme: WeightScheme, node):
-    """Value at a Gauss node inside the center cell from one window.
-
+    """Value at a Gauss node inside the center cell from one window:
     ``node`` is ``'minus'``, ``'center'`` or ``'plus'`` for
     ``x_i - xi*dx/2``, ``x_i``, ``x_i + xi*dx/2`` with ``xi = sqrt(3/5)``.
     """
-    w = np.asarray(window, dtype=float)
-    beta = smoothness_indicators(w)
-    if node == "minus":
-        cand = w @ CAND_GAUSS_MINUS.T
-        omega = nonlinear_weights(beta, scheme, d=D_GAUSS_MINUS)
-    elif node == "plus":
-        cand = w @ CAND_GAUSS_PLUS.T
-        omega = nonlinear_weights(beta, scheme, d=D_GAUSS_PLUS)
-    elif node == "center":
-        cand = w @ CAND_GAUSS_CENTER.T
-        omega = gauss_split_weights(beta, scheme)
-    else:
+    if node not in GAUSS_NODES:
         raise ConfigurationError(f"unknown gauss node {node!r}")
-    return (omega * cand).sum(axis=-1)
+    return gauss_point_values(_window(window), scheme)[..., 0, GAUSS_NODES.index(node)]
 
 
 # ---------------------------------------------------------------------------
@@ -457,10 +458,30 @@ def _to_back(a):
     return a.transpose(tuple(range(1, a.ndim)) + (0,))
 
 
-# Candidate rows of both orientations, interleaved per substencil: the
-# left-biased candidate at the right edge, then candidate s of the reflected
-# window (the right-biased value at the left edge).
-_CAND_PAIR = np.stack([CAND_EDGE, CAND_EDGE_REV], axis=1).reshape(6, 5)
+# Candidate tables of the array kernels, row k*s + j for candidate s at point
+# j.  Edge point 1 is the reflected window's candidate s (the right-biased
+# value at the left edge), to pair with the weights of the reversed triple.
+_CAND_PAIR = np.stack([CAND_EDGE, CAND_EDGE[:, ::-1]], axis=1).reshape(6, 5)
+_CAND_GAUSS = np.stack([CAND_GAUSS_MINUS, CAND_GAUSS_CENTER, CAND_GAUSS_PLUS],
+                       axis=1).reshape(9, 5)
+
+
+def _combine(u, table, omega, out=None):
+    """Weighted candidate sums at k points for every window of a padded
+    array (..., N): ``omega`` (3, k, ..., N-4) -> (k, ..., N-4)."""
+    cand = table @ _shifted(u, 5)                         # (..., 3k, N-4)
+    cand = cand.reshape(cand.shape[:-2] + (3, len(table) // 3, cand.shape[-1]))
+    prod = omega * _to_front(cand, 2)                     # (3, k, ..., N-4)
+    # (p0 + p2) + p1: the order in which numpy's einsum sums three products
+    return np.add(prod[0] + prod[2], prod[1], out=out)
+
+
+def _edge_values(u, scheme: WeightScheme):
+    """Left-biased value at the right edge and right-biased value at the left
+    edge of every window of a padded array (..., N), shape (2, ..., N-4),
+    and their weights, shape (3, 2, ..., N-4)."""
+    omega = nonlinear_weights(_indicators(u), scheme, mirror=True, axis=0)
+    return _combine(u, _CAND_PAIR, omega), omega
 
 
 def interface_states(upad, scheme: WeightScheme, record=False):
@@ -474,19 +495,11 @@ def interface_states(upad, scheme: WeightScheme, record=False):
 
     With ``record=True`` also returns ``(omega_minus, omega_plus)``, the
     weight triples used for each returned trace, shape (..., N-5, 3).
-
-    Both orientations share one smoothness evaluation, one weight call and
-    one candidate product.
     """
     u = np.asarray(upad, dtype=float)
     if u.shape[-1] < 6:
         raise ConfigurationError("padded array too short for a 5-cell stencil")
-    omega = nonlinear_weights(_indicators(u), scheme, mirror=True, axis=0)
-    cand = _CAND_PAIR @ _shifted(u, 5)                    # (..., 6, N-4)
-    cand = cand.reshape(cand.shape[:-2] + (3, 2, cand.shape[-1]))
-    prod = omega * _to_front(cand, 2)                     # (3, 2, ..., N-4)
-    # (p0 + p2) + p1: the order in which numpy's einsum sums three products
-    v = (prod[0] + prod[2]) + prod[1]
+    v, omega = _edge_values(u, scheme)
     u_minus = v[0, ..., :-1]
     u_plus = v[1, ..., 1:]
     if record:
@@ -495,29 +508,15 @@ def interface_states(upad, scheme: WeightScheme, record=False):
     return u_minus, u_plus
 
 
-_GAUSS_CAND_STACK = np.vstack(
-    [CAND_GAUSS_MINUS, CAND_GAUSS_CENTER, CAND_GAUSS_PLUS]
-)
-
-
 def gauss_point_values(ubar, scheme: WeightScheme):
     """Values at the three in-cell Gauss nodes from windowed cell averages.
 
     ``ubar`` has shape (..., N); returns shape (..., N-4, 3) with the last
-    axis ordered (minus, center, plus).  The smoothness indicators are
-    computed once and shared by the three node reconstructions.
+    axis ordered (minus, center, plus).  The smoothness indicators and the
+    weights of all three nodes come from one evaluation per window.
     """
     u = np.asarray(ubar, dtype=float)
-    beta = _indicators(u)
-    K = beta.shape[-1]
-    cand = (_GAUSS_CAND_STACK @ _shifted(u, 5)).reshape(u.shape[:-1] + (3, 3, K))
-    # (substencil, node, ..., window position)
-    omega = np.empty((3, 3) + beta.shape[1:])
-    omega[:, 0] = nonlinear_weights(beta, scheme, d=D_GAUSS_MINUS, axis=0)
-    omega[:, 1] = gauss_split_weights(beta, scheme, axis=0)
-    omega[:, 2] = nonlinear_weights(beta, scheme, d=D_GAUSS_PLUS, axis=0)
-    prod = omega * _to_front(cand, 2).swapaxes(0, 1)
-    vals = np.empty(u.shape[:-1] + (K, 3))
-    # (p0 + p2) + p1: the order in which numpy's einsum sums three products
-    np.add(prod[0] + prod[2], prod[1], out=_to_front(vals.swapaxes(-1, -2), 1))
+    omega = _gauss_weights(_indicators(u), scheme, axis=0)
+    vals = np.empty(u.shape[:-1] + (u.shape[-1] - 4, 3))
+    _combine(u, _CAND_GAUSS, omega, out=_to_front(vals.swapaxes(-1, -2), 1))
     return vals

@@ -109,6 +109,38 @@ def test_fill_2d_inflow_profile_average():
     np.testing.assert_allclose(f.data[0, 2:-2, 1], exact, atol=1e-12)
 
 
+def test_fill_1d_inflow_ghosts_are_profile_averages():
+    g = Grid1D(0.0, 1.0, 8, ghost=3)
+    prof = lambda x: x**3 - 2.0 * x            # 5-point Gauss is exact on it
+    anti = lambda x: x**4 / 4.0 - x**2
+    f = fill_ghosts(CellField.from_interior(g, np.ones(8)), (inflow(prof), inflow(prof)))
+    lo = g.a + np.arange(-3, 0) * g.dx          # left edges of the ghost cells
+    hi = g.b + np.arange(3) * g.dx
+    for got, edges in ((f.data[0, :3], lo), (f.data[0, -3:], hi)):
+        np.testing.assert_allclose(got, (anti(edges + g.dx) - anti(edges)) / g.dx,
+                                   rtol=1e-13, atol=1e-15)
+    np.testing.assert_array_equal(f.interior[0], 1.0)
+
+
+def test_fill_2d_outflow_copies_nearest_interior_cell():
+    rng = np.random.default_rng(3)
+    g = Grid2D(0.0, 1.0, 0.0, 1.0, 5, 4, ghost=2)
+    vals = rng.normal(size=(5, 4))
+    d = fill_ghosts(CellField.from_interior(g, vals), OUTFLOW).data[0]
+    i = np.clip(np.arange(-2, 7), 0, 4)
+    j = np.clip(np.arange(-2, 6), 0, 3)
+    np.testing.assert_array_equal(d, vals[np.ix_(i, j)])    # corners included
+
+
+@pytest.mark.parametrize("bc", [REFLECTIVE, (REFLECTIVE, REFLECTIVE, PERIODIC, PERIODIC),
+                                (PERIODIC, PERIODIC, OUTFLOW, REFLECTIVE),
+                                (inflow(np.sin), OUTFLOW, PERIODIC, PERIODIC)])
+def test_fill_2d_rejects_unsupported_sides(bc):
+    g = Grid2D(0.0, 1.0, 0.0, 1.0, 4, 4)
+    with pytest.raises(ConfigurationError):
+        fill_ghosts(CellField.from_interior(g, np.ones((4, 4))), bc)
+
+
 @pytest.mark.parametrize("deg", range(10))
 def test_cell_average_exact_for_polynomials(deg):
     g = Grid1D(-1.0, 2.0, 7)

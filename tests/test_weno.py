@@ -278,6 +278,39 @@ def test_interface_states_weights_equal_per_window_weights(scheme):
                                   nonlinear_weights(beta[..., ::-1], scheme)[:, 1:])
 
 
+@pytest.mark.parametrize("scheme", ALL_SCHEMES + [WeightScheme.linear()],
+                         ids=lambda s: s.label)
+def test_gauss_point_values_equal_per_node_reconstructions(scheme):
+    # the kernel evaluates the weights of all three nodes once per window;
+    # each node must still be its own weights applied to its own candidates
+    rng = np.random.default_rng(23)
+    ubar = rng.normal(size=(3, 40))
+    ubar[:, 5:12] = 0.7                                   # flat: zero indicators
+    ubar[:, 24:] += rng.uniform(1.0, 5.0, size=(3, 1))    # one jump per row
+    vals = weno.gauss_point_values(ubar, scheme)
+    W = np.lib.stride_tricks.sliding_window_view(ubar, 5, axis=-1)
+    beta = smoothness_indicators(W)
+    center = weno.gauss_split_weights(beta, scheme)
+    if scheme.family == "linear":
+        split = np.broadcast_to(weno.D_GAUSS_CENTER, beta.shape)
+    else:
+        split = (weno.SIGMA_PLUS * nonlinear_weights(beta, scheme, d=weno.GAMMA_PLUS)
+                 - weno.SIGMA_MINUS * nonlinear_weights(beta, scheme, d=weno.GAMMA_MINUS))
+    np.testing.assert_array_equal(center, split)
+    nodes = (
+        (nonlinear_weights(beta, scheme, d=weno.D_GAUSS_MINUS), weno.CAND_GAUSS_MINUS),
+        (center, weno.CAND_GAUSS_CENTER),
+        (nonlinear_weights(beta, scheme, d=weno.D_GAUSS_PLUS), weno.CAND_GAUSS_PLUS),
+    )
+    assert vals.shape == W.shape[:-1] + (3,)
+    for k, (omega, table) in enumerate(nodes):
+        expected = (omega * (W @ table.T)).sum(axis=-1)
+        # relative to the size of the summed terms: the center weights have
+        # mixed signs, and so may the candidates
+        scale = (np.abs(omega) * (np.abs(W) @ np.abs(table).T)).sum(axis=-1)
+        assert np.all(np.abs(vals[..., k] - expected) <= 4 * EPS * scale), k
+
+
 def test_interface_linear_weights_equal_big_stencil():
     rng = np.random.default_rng(7)
     scheme = WeightScheme.linear()
