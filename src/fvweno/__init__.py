@@ -51,7 +51,6 @@ from .physics import (
     EulerModel,
     FluxPair2D,
     ScalarFluxModel,
-    euler_flux,
     exact_riemann,
     lf_flux,
     max_wave_speed,

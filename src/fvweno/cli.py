@@ -21,24 +21,25 @@ from .errors import ConfigurationError, DivergenceError, FvwenoError, GoldenMism
 from .harness.golden import available_tables, golden_check
 from .harness.problems import REGISTRY
 from .harness.runs import RunConfig, convergence_study, run_problem
-from .integrate import TimeControl
 from .weno import WeightScheme
 
 
 def build_scheme(family, p=None, q=None, eps=None):
-    """A scheme of ``family``; without ``eps`` the family's default applies."""
+    """A scheme of ``family``; a parameter not given takes the family's
+    default from :class:`WeightScheme`.  Only zr reads ``p``, and only zl
+    reads ``p`` and ``q``."""
     family = family.lower()
-    kw = {} if eps is None else {"eps": eps}
+    kw = {"eps": eps}
     if family == "zr":
-        return WeightScheme.zr(p=2.0 if p is None else p, **kw)
-    if family == "zl":
-        return WeightScheme.zl(p=1.0 if p is None else p,
-                               q=1.0 if q is None else q, **kw)
-    if family == "js":
-        return WeightScheme.js(**kw)
-    if family in ("m", "z", "linear"):
-        return WeightScheme(family, **kw)
-    raise ConfigurationError(f"unknown scheme family {family!r}")
+        kw["p"] = p
+    elif family == "zl":
+        kw.update(p=p, q=q)
+    elif family not in ("js", "m", "z", "linear"):
+        raise ConfigurationError(f"unknown scheme family {family!r}")
+    kw = {k: v for k, v in kw.items() if v is not None}
+    if family in ("js", "zr", "zl"):
+        return getattr(WeightScheme, family)(**kw)
+    return WeightScheme(family, **kw)
 
 
 def parse_scheme_list(text):
@@ -151,13 +152,10 @@ def cmd_run(args):
 def cmd_converge(args):
     scheme = build_scheme(args.scheme, args.p, args.q, args.eps)
     n_list = [_parse_n(tok) for tok in args.n_list.split(",")]
-    time = None
-    if args.dt_scale is not None:
-        time = TimeControl("dt_scale", args.dt_scale)
-    elif args.cfl is not None:
-        time = TimeControl("cfl", args.cfl)
+    _, _, time, tfinal = RunConfig(args.problem, scheme, cfl=args.cfl,
+                                   dt_scale=args.dt_scale, tfinal=args.tfinal).resolve()
     report = convergence_study(args.problem, scheme, n_list, time=time,
-                               tfinal=args.tfinal)
+                               tfinal=tfinal)
     print(f"{args.problem} / {scheme.label}")
     print(report.to_csv(), end="")
     if args.out:

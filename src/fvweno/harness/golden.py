@@ -45,6 +45,7 @@ class Fixture:
     columns: list
     rows: dict          # label -> list of values (None for blanks)
     notes: list
+    quanta: dict        # label -> print_quantum of each value (0 for blanks)
 
 
 @dataclass
@@ -144,9 +145,7 @@ def load_fixture(table_id) -> Fixture:
         quanta[cells[0]] = [print_quantum(c) if c != "" else 0.0 for c in cells[1:]]
     if kind is None or columns is None or not rows:
         raise ConfigurationError(f"golden fixture {table_id!r} is empty or malformed")
-    fx = Fixture(table_id, kind, rel, order_abs, columns, rows, notes)
-    fx.quanta = quanta
-    return fx
+    return Fixture(table_id, kind, rel, order_abs, columns, rows, notes, quanta)
 
 
 # --- builders ----------------------------------------------------------------

@@ -159,11 +159,7 @@ def _study_point(problem_id, scheme, n, time, tfinal):
     tc = time if time is not None else prob.time
     tf = tfinal if tfinal is not None else prob.tfinal
     grid, final, _ = solve(prob, scheme, n, tc, tf)
-    if prob.exact is not None:
-        compare = prob.exact(grid, tf)
-    else:
-        compare = reference_solution(prob, grid, tf)
-    return norms(final, compare)
+    return norms(final, reference_solution(prob, grid, tf))
 
 
 # --- output files ----------------------------------------------------------

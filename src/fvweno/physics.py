@@ -18,9 +18,9 @@ GAMMA = 1.4
 class ScalarFluxModel:
     """A scalar conservation-law flux f(u) with a wave-speed bound.
 
-    ``speed_bound(lo, hi)`` returns max |f'(u)| over u in [lo, hi]; the
-    Lax-Friedrichs dissipation coefficient is taken as this bound over the
-    range of the current data.
+    ``speed_bound(u)`` returns max |f'| over the range of the values ``u``;
+    the Lax-Friedrichs dissipation coefficient is this bound over the
+    current data.
     """
 
     name: str
@@ -29,12 +29,24 @@ class ScalarFluxModel:
     speed_bound: Callable
 
 
-def _advection_speed(lo, hi):
+def _advection_speed(u):
     return 1.0
 
 
-def _burgers_speed(lo, hi):
-    return max(abs(lo), abs(hi))
+def _burgers_speed(u):
+    return float(np.abs(u).max())
+
+
+def _interval_speed(dflux, critical):
+    """Bound of |f'| over [min u, max u]: |f'| peaks at an endpoint or at an
+    interior critical point of f' (a root of f'')."""
+
+    def speed_bound(u):
+        lo, hi = float(u.min()), float(u.max())
+        cands = [lo, hi] + [c for c in critical if lo < c < hi]
+        return float(max(abs(dflux(c)) for c in cands))
+
+    return speed_bound
 
 
 def _quartic_flux(u):
@@ -47,16 +59,6 @@ def _quartic_dflux(u):
     return u * (u * u - 2.5)
 
 
-def _quartic_speed(lo, hi):
-    # |f'| is maximized at an endpoint or an interior critical point of f',
-    # i.e. where f'' = 3u^2 - 5/2 = 0.
-    cands = [lo, hi]
-    for c in (-np.sqrt(5.0 / 6.0), np.sqrt(5.0 / 6.0)):
-        if lo < c < hi:
-            cands.append(c)
-    return float(max(abs(_quartic_dflux(c)) for c in cands))
-
-
 def _buckley_flux(u):
     u = np.asarray(u, dtype=float)
     return 4.0 * u * u / (4.0 * u * u + (1.0 - u) ** 2)
@@ -67,20 +69,21 @@ def _buckley_dflux(u):
     return 8.0 * u * (1.0 - u) / (4.0 * u * u + (1.0 - u) ** 2) ** 2
 
 
-def _buckley_speed(lo, hi):
-    u = np.linspace(lo, hi, 4097)
-    return float(np.max(np.abs(_buckley_dflux(u))))
-
-
 ADVECTION = ScalarFluxModel("advection", lambda u: np.asarray(u, dtype=float),
                             lambda u: np.ones_like(np.asarray(u, dtype=float)),
                             _advection_speed)
 BURGERS = ScalarFluxModel("burgers", lambda u: 0.5 * np.square(u),
                           lambda u: np.asarray(u, dtype=float), _burgers_speed)
-QUARTIC_NONCONVEX = ScalarFluxModel("quartic", _quartic_flux, _quartic_dflux,
-                                    _quartic_speed)
-BUCKLEY_LEVERETT = ScalarFluxModel("buckley-leverett", _buckley_flux,
-                                   _buckley_dflux, _buckley_speed)
+# f'' = 3u^2 - 5/2
+QUARTIC_NONCONVEX = ScalarFluxModel(
+    "quartic", _quartic_flux, _quartic_dflux,
+    _interval_speed(_quartic_dflux, (-np.sqrt(5.0 / 6.0), np.sqrt(5.0 / 6.0))))
+# f'' has the sign of 10u^3 - 15u^2 + 1, whose real roots are
+# 1/2 + cos((arccos(3/5) - 2 pi k) / 3), k = 0, 1, 2
+BUCKLEY_LEVERETT = ScalarFluxModel(
+    "buckley-leverett", _buckley_flux, _buckley_dflux,
+    _interval_speed(_buckley_dflux, tuple(
+        0.5 + np.cos((np.arccos(0.6) - 2.0 * np.pi * k) / 3.0) for k in range(3))))
 
 SCALAR_MODELS = {
     m.name: m for m in (ADVECTION, BURGERS, QUARTIC_NONCONVEX, BUCKLEY_LEVERETT)
@@ -93,6 +96,10 @@ class FluxPair2D:
 
     fx: ScalarFluxModel
     fy: ScalarFluxModel
+
+    def speed_bound(self, u):
+        """The pair (alpha_x, alpha_y) of directional bounds."""
+        return self.fx.speed_bound(u), self.fy.speed_bound(u)
 
 
 @dataclass(frozen=True)
@@ -119,27 +126,23 @@ class EulerModel:
         rho, u, P = self.primitive(U)
         return np.stack([U[1], U[1] * u + P, u * (U[2] + P)])
 
-    def sound_speed(self, U):
-        rho, _, P = self.primitive(U)
-        return np.sqrt(self.gamma * P / rho)
-
     def validate(self, U):
-        rho, _, P = self.primitive(U)
+        """Primitives (rho, u, P) of ``U``; a nonpositive density or pressure
+        raises :class:`StateError`."""
+        rho, u, P = self.primitive(U)
         if not np.all(rho > 0.0):
             raise StateError(f"nonpositive density (min {np.min(rho):.3e})")
         if not np.all(P > 0.0):
             raise StateError(f"nonpositive pressure (min {np.min(P):.3e})")
+        return rho, u, P
+
+    def speed_bound(self, U):
+        """max(|u| + c) over the states ``U``, validated on the way."""
+        rho, u, P = self.validate(U)
+        return float(np.max(np.abs(u) + np.sqrt(self.gamma * P / rho)))
 
 
 EULER = EulerModel()
-
-
-def euler_flux(U, gamma=GAMMA):
-    """Flux vector (rho*u, rho*u^2 + P, u*(E + P)) of a conserved state."""
-    U = np.asarray(U, dtype=float)
-    if not np.all(U[0] > 0.0):
-        raise StateError(f"nonpositive density (min {np.min(U[0]):.3e})")
-    return EulerModel(gamma).flux(U)
 
 
 def lf_flux(a, b, flux, alpha):
@@ -155,22 +158,9 @@ def lf_flux(a, b, flux, alpha):
 
 
 def max_wave_speed(field: CellField, model):
-    """Global wave-speed bound of the interior data.
-
-    Scalar models: max |f'| over the data range.  Euler: max(|u| + c); a
-    nonpositive density or pressure raises :class:`StateError`.
-    2D flux pairs: a (alpha_x, alpha_y) tuple.
-    """
-    interior = field.interior
-    if isinstance(model, EulerModel):
-        model.validate(interior)
-        rho, u, P = model.primitive(interior)
-        return float(np.max(np.abs(u) + np.sqrt(model.gamma * P / rho)))
-    lo = float(interior.min())
-    hi = float(interior.max())
-    if isinstance(model, FluxPair2D):
-        return (model.fx.speed_bound(lo, hi), model.fy.speed_bound(lo, hi))
-    return float(model.speed_bound(lo, hi))
+    """Global wave-speed bound of the interior data: the model's own
+    ``speed_bound`` (a float, or an (alpha_x, alpha_y) pair in 2D)."""
+    return model.speed_bound(field.interior)
 
 
 # ---------------------------------------------------------------------------
@@ -202,60 +192,39 @@ class RiemannFan:
     def sample(self, xi):
         """Primitive state (rho, u, P) at similarity coordinates xi = x/t."""
         xi = np.asarray(xi, dtype=float)
+        out = (np.empty_like(xi), np.empty_like(xi), np.empty_like(xi))
+        left_of_contact = xi <= self.u_star
+        self._wave(xi, -1.0, left_of_contact, out)
+        self._wave(xi, 1.0, ~left_of_contact, out)
+        return out
+
+    def _wave(self, xi, s, side, out):
+        """Write the wave on side ``s`` of the contact (-1 left, +1 right)
+        into ``out`` = (rho, u, P) where ``side`` holds.  Times s, a position
+        grows away from the contact, so one set of comparisons serves both."""
         g = self.gamma
-        rho = np.empty_like(xi)
-        u = np.empty_like(xi)
-        P = np.empty_like(xi)
-        rl, ul, pl = self.left
-        rr, ur, pr = self.right
-        cl = np.sqrt(g * pl / rl)
-        cr = np.sqrt(g * pr / rr)
+        rk, uk, pk = self.left if s < 0 else self.right
+        rho_star = self.rho_star_left if s < 0 else self.rho_star_right
+        ck = np.sqrt(g * pk / rk)
         ps, us = self.p_star, self.u_star
-
-        left_of_contact = xi <= us
-        # Left wave
-        if ps > pl:  # shock
-            sl = ul - cl * np.sqrt((g + 1.0) / (2.0 * g) * ps / pl + (g - 1.0) / (2.0 * g))
-            region = left_of_contact & (xi < sl)
-            rho[region], u[region], P[region] = rl, ul, pl
-            region = left_of_contact & (xi >= sl)
-            rho[region], u[region], P[region] = self.rho_star_left, us, ps
+        rho, u, P = out
+        sxi = s * xi
+        if ps > pk:  # shock
+            front = uk + s * ck * np.sqrt((g + 1.0) / (2.0 * g) * ps / pk + (g - 1.0) / (2.0 * g))
+            outer = side & (sxi > s * front)
+            star = side & (sxi <= s * front)
         else:  # rarefaction
-            head = ul - cl
-            csl = cl * (ps / pl) ** ((g - 1.0) / (2.0 * g))
-            tail = us - csl
-            region = left_of_contact & (xi < head)
-            rho[region], u[region], P[region] = rl, ul, pl
-            region = left_of_contact & (xi >= head) & (xi <= tail)
-            cfan = (2.0 / (g + 1.0)) * (cl + 0.5 * (g - 1.0) * (ul - xi[region]))
-            u[region] = (2.0 / (g + 1.0)) * (cl + 0.5 * (g - 1.0) * ul + xi[region])
-            rho[region] = rl * (cfan / cl) ** (2.0 / (g - 1.0))
-            P[region] = pl * (cfan / cl) ** (2.0 * g / (g - 1.0))
-            region = left_of_contact & (xi > tail)
-            rho[region], u[region], P[region] = self.rho_star_left, us, ps
-
-        right_of_contact = ~left_of_contact
-        if ps > pr:  # shock
-            sr = ur + cr * np.sqrt((g + 1.0) / (2.0 * g) * ps / pr + (g - 1.0) / (2.0 * g))
-            region = right_of_contact & (xi > sr)
-            rho[region], u[region], P[region] = rr, ur, pr
-            region = right_of_contact & (xi <= sr)
-            rho[region], u[region], P[region] = self.rho_star_right, us, ps
-        else:  # rarefaction
-            head = ur + cr
-            csr = cr * (ps / pr) ** ((g - 1.0) / (2.0 * g))
-            tail = us + csr
-            region = right_of_contact & (xi > head)
-            rho[region], u[region], P[region] = rr, ur, pr
-            region = right_of_contact & (xi >= tail) & (xi <= head)
-            cfan = (2.0 / (g + 1.0)) * (cr - 0.5 * (g - 1.0) * (ur - xi[region]))
-            u[region] = (2.0 / (g + 1.0)) * (-cr + 0.5 * (g - 1.0) * ur + xi[region])
-            rho[region] = rr * (cfan / cr) ** (2.0 / (g - 1.0))
-            P[region] = pr * (cfan / cr) ** (2.0 * g / (g - 1.0))
-            region = right_of_contact & (xi < tail)
-            rho[region], u[region], P[region] = self.rho_star_right, us, ps
-
-        return rho, u, P
+            head = uk + s * ck
+            tail = us + s * ck * (ps / pk) ** ((g - 1.0) / (2.0 * g))
+            outer = side & (sxi > s * head)
+            star = side & (sxi < s * tail)
+            fan = side & (sxi >= s * tail) & (sxi <= s * head)
+            cfan = (2.0 / (g + 1.0)) * (ck - s * 0.5 * (g - 1.0) * (uk - xi[fan]))
+            u[fan] = (2.0 / (g + 1.0)) * (-s * ck + 0.5 * (g - 1.0) * uk + xi[fan])
+            rho[fan] = rk * (cfan / ck) ** (2.0 / (g - 1.0))
+            P[fan] = pk * (cfan / ck) ** (2.0 * g / (g - 1.0))
+        rho[outer], u[outer], P[outer] = rk, uk, pk
+        rho[star], u[star], P[star] = rho_star, us, ps
 
 
 def _pressure_fn(p, state, gamma):
@@ -270,6 +239,15 @@ def _pressure_fn(p, state, gamma):
         f = 2.0 * c / (gamma - 1.0) * ((p / P) ** ((gamma - 1.0) / (2.0 * gamma)) - 1.0)
         df = 1.0 / (rho * c) * (p / P) ** (-(gamma + 1.0) / (2.0 * gamma))
     return f, df
+
+
+def _star_density(p, state, gamma):
+    """Density behind the wave that takes ``state`` to the star pressure p."""
+    rho, _, P = state
+    if p > P:  # shock
+        gm = (gamma - 1.0) / (gamma + 1.0)
+        return rho * (p / P + gm) / (gm * p / P + 1.0)
+    return rho * (p / P) ** (1.0 / gamma)
 
 
 def exact_riemann(left, right, gamma=GAMMA) -> RiemannFan:
@@ -322,15 +300,8 @@ def exact_riemann(left, right, gamma=GAMMA) -> RiemannFan:
     fr, _ = _pressure_fn(p, right, gamma)
     us = 0.5 * (ul + ur) + 0.5 * (fr - fl)
 
-    gm = (gamma - 1.0) / (gamma + 1.0)
-    if p > pl:
-        rsl = rl * (p / pl + gm) / (gm * p / pl + 1.0)
-    else:
-        rsl = rl * (p / pl) ** (1.0 / gamma)
-    if p > pr:
-        rsr = rr * (p / pr + gm) / (gm * p / pr + 1.0)
-    else:
-        rsr = rr * (p / pr) ** (1.0 / gamma)
+    rsl = _star_density(p, left, gamma)
+    rsr = _star_density(p, right, gamma)
 
     return RiemannFan(tuple(left), tuple(right), float(p), float(us),
                       float(rsl), float(rsr), gamma)

@@ -5,6 +5,9 @@ import pytest
 from fvweno.cli import build_scheme, main, parse_scheme_list
 from fvweno.errors import ConfigurationError
 from fvweno.harness import golden as golden_mod
+from fvweno.harness.runs import convergence_study
+from fvweno.integrate import TimeControl
+from fvweno.weno import WeightScheme
 
 
 def test_build_scheme_defaults():
@@ -58,6 +61,16 @@ def test_converge_command(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert out.splitlines()[1] == "N,L1,order1,L2,order2,Linf,orderInf"
+
+
+def test_converge_command_cfl(capsys):
+    rc = main(["converge", "burgers1d", "--scheme", "z", "--cfl", "0.3",
+               "--n-list", "10,20"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    report = convergence_study("burgers1d", WeightScheme.z(), [10, 20],
+                               time=TimeControl("cfl", 0.3))
+    assert out.splitlines()[1:] == report.to_csv().splitlines()
 
 
 def test_dissect_command_text_output(capsys):

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from fvweno.errors import StateError
-from fvweno.mesh import CellField, Grid1D
+from fvweno.mesh import CellField, Grid1D, Grid2D
 from fvweno.physics import (
     ADVECTION,
     BUCKLEY_LEVERETT,
     BURGERS,
     EULER,
     QUARTIC_NONCONVEX,
-    euler_flux,
+    FluxPair2D,
     exact_riemann,
     lf_flux,
     max_wave_speed,
@@ -34,7 +34,7 @@ def test_flux_catalog_values():
 def test_lf_flux_consistency(model):
     rng = np.random.default_rng(5)
     u = rng.uniform(-1.0, 1.0, size=1000)
-    alpha = model.speed_bound(-1.0, 1.0)
+    alpha = model.speed_bound(np.array([-1.0, 1.0]))
     np.testing.assert_allclose(lf_flux(u, u, model.flux, alpha), model.flux(u),
                                rtol=1e-14, atol=1e-14)
 
@@ -58,7 +58,7 @@ def test_lf_flux_monotone(model):
     h = 1e-6
     for _ in range(200):
         a, b = rng.uniform(-1.0, 1.0, size=2)
-        alpha = model.speed_bound(min(a, b) - h, max(a, b) + h)
+        alpha = model.speed_bound(np.array([min(a, b) - h, max(a, b) + h]))
         da = (lf_flux(a + h, b, model.flux, alpha)
               - lf_flux(a - h, b, model.flux, alpha))
         db = (lf_flux(a, b + h, model.flux, alpha)
@@ -69,29 +69,45 @@ def test_lf_flux_monotone(model):
 
 def test_quartic_speed_bound_uses_critical_points():
     # |f'| = |u^3 - 2.5 u| peaks at the endpoints or u = +-sqrt(5/6)
-    assert QUARTIC_NONCONVEX.speed_bound(-2.0, 2.0) == pytest.approx(3.0)
-    inner = QUARTIC_NONCONVEX.speed_bound(-0.95, 0.95)
+    assert QUARTIC_NONCONVEX.speed_bound(np.array([-2.0, 2.0])) == pytest.approx(3.0)
+    inner = QUARTIC_NONCONVEX.speed_bound(np.array([-0.95, 0.95]))
     u = np.linspace(-0.95, 0.95, 200001)
     assert inner == pytest.approx(np.max(np.abs(QUARTIC_NONCONVEX.dflux(u))),
                                   rel=1e-9)
 
 
+def _grid_max_speed(model, lo, hi):
+    return np.max(np.abs(model.dflux(np.linspace(lo, hi, 200001))))
+
+
+@pytest.mark.parametrize("model", MODELS, ids=lambda m: m.name)
+def test_speed_bound_is_an_upper_bound(model):
+    # LF monotonicity needs alpha >= max |f'| over the data range
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        lo, hi = np.sort(rng.uniform(-2.0, 2.0, size=2))
+        bound = model.speed_bound(np.array([lo, hi]))
+        assert bound >= _grid_max_speed(model, lo, hi)
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-0.5, 1.5)])
+def test_buckley_leverett_bound_covers_interior_peaks(lo, hi):
+    # f' peaks at roots of 10u^3 - 15u^2 + 1, between grid samples
+    bound = BUCKLEY_LEVERETT.speed_bound(np.array([lo, hi]))
+    assert bound >= _grid_max_speed(BUCKLEY_LEVERETT, lo, hi)
+
+
 def test_euler_flux_rest_state():
     U = EULER.conserved(1.0, 0.0, 1.0)
     assert U[2] == pytest.approx(2.5)
-    np.testing.assert_allclose(euler_flux(U), [0.0, 1.0, 0.0], atol=1e-15)
+    np.testing.assert_allclose(EULER.flux(U), [0.0, 1.0, 0.0], atol=1e-15)
 
 
 def test_euler_flux_sod_states():
     left = EULER.conserved(1.0, 0.0, 1.0)
     right = EULER.conserved(0.125, 0.0, 0.1)
-    np.testing.assert_allclose(euler_flux(left), [0, 1.0, 0], atol=1e-15)
-    np.testing.assert_allclose(euler_flux(right), [0, 0.1, 0], atol=1e-15)
-
-
-def test_euler_flux_rejects_nonpositive_density():
-    with pytest.raises(StateError):
-        euler_flux(np.array([-0.1, 0.0, 1.0]))
+    np.testing.assert_allclose(EULER.flux(left), [0, 1.0, 0], atol=1e-15)
+    np.testing.assert_allclose(EULER.flux(right), [0, 0.1, 0], atol=1e-15)
 
 
 def test_euler_round_trip():
@@ -118,10 +134,28 @@ def test_max_wave_speed_scalar_models():
     assert max_wave_speed(f, BURGERS) == pytest.approx(1.0)
 
 
+def test_max_wave_speed_flux_pair_2d():
+    u = np.array([[[0.5, -1.5], [0.25, 1.0]]])
+    field = CellField.from_interior(Grid2D(0.0, 1.0, 0.0, 1.0, 2, 2), u)
+    assert max_wave_speed(field, FluxPair2D(BURGERS, ADVECTION)) == (1.5, 1.0)
+
+
 def test_max_wave_speed_sod_initial():
     U = np.stack([EULER.conserved(1.0, 0.0, 1.0),
                   EULER.conserved(0.125, 0.0, 0.1)], axis=1)
     assert max_wave_speed(_field(U), EULER) == pytest.approx(np.sqrt(1.4))
+
+
+def test_euler_validate_checks_density_then_pressure():
+    U = EULER.conserved(np.array([1.0, 0.5]), np.array([0.3, -0.2]),
+                        np.array([1.0, 0.1]))
+    for got, want in zip(EULER.validate(U), EULER.primitive(U)):
+        np.testing.assert_array_equal(got, want)
+    both_bad = np.array([[1.0, -0.1], [0.0, 0.0], [1.0, -1.0]])
+    with pytest.raises(StateError, match="nonpositive density"):
+        EULER.validate(both_bad)
+    with pytest.raises(StateError, match="nonpositive pressure"):
+        EULER.validate(np.array([[1.0, 1.0], [0.0, 0.0], [1.0, -1.0]]))
 
 
 def test_max_wave_speed_rejects_negative_pressure():
@@ -152,3 +186,27 @@ def test_exact_riemann_symmetric_double_rarefaction():
     fan = exact_riemann((1.0, -0.5, 1.0), (1.0, 0.5, 1.0))
     assert fan.u_star == pytest.approx(0.0, abs=1e-12)
     assert fan.p_star < 1.0
+
+
+def _mirror(state):
+    rho, u, P = state
+    return rho, -u, P
+
+
+@pytest.mark.parametrize("left, right", [
+    ((1.0, 0.0, 1.0), (0.125, 0.0, 0.1)),                          # Sod
+    ((0.445, 0.698, 3.528), (0.5, 0.0, 0.571)),                    # Lax
+    ((1.0, -2.0, 0.4), (1.0, 2.0, 0.4)),                           # 123
+    ((5.99924, 19.5975, 460.894), (5.99242, -6.19633, 46.0950)),   # two shocks
+], ids=["sod", "lax", "123", "two-shock"])
+def test_exact_riemann_mirror_symmetry(left, right):
+    # x -> -x swaps the sides and flips u; the contact itself, where the fan
+    # takes the left limit, is left out
+    fan = exact_riemann(left, right)
+    xi = np.linspace(-30.0, 30.0, 6001)
+    xi = xi[xi != fan.u_star]
+    rho, u, P = fan.sample(xi)
+    rho_m, u_m, P_m = exact_riemann(_mirror(right), _mirror(left)).sample(-xi)
+    np.testing.assert_array_equal(rho_m, rho)
+    np.testing.assert_array_equal(u_m, -u)
+    np.testing.assert_array_equal(P_m, P)
