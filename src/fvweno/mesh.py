@@ -341,26 +341,35 @@ def polygon_indicator_average(grid: Grid2D, vertices, inside=1.0, outside=0.0) -
     """Exact cell averages of the indicator of a convex polygon.
 
     Each cell receives ``inside * fraction + outside * (1 - fraction)`` where
-    the fraction is the exact overlap area divided by the cell area; cells
-    cut by an edge are clipped exactly.
+    the fraction is the exact overlap area divided by the cell area.  A cell
+    with its four corners in the polygon takes fraction 1; one that a cell
+    axis or a polygon edge line separates from the polygon takes 0; only
+    the remaining cells, those an edge cuts, are clipped.
     """
     xe = grid.ax + np.arange(grid.nx + 1) * grid.dx
     ye = grid.ay + np.arange(grid.ny + 1) * grid.dy
-    values = np.empty((grid.nx, grid.ny))
-    cell_area = grid.dx * grid.dy
     poly0 = [tuple(map(float, v)) for v in vertices]
-    for i in range(grid.nx):
-        for j in range(grid.ny):
-            poly = poly0
-            for a, b, c in (
-                (-1.0, 0.0, -xe[i]),
-                (1.0, 0.0, xe[i + 1]),
-                (0.0, -1.0, -ye[j]),
-                (0.0, 1.0, ye[j + 1]),
-            ):
-                poly = _clip_polygon(poly, a, b, c)
-                if not poly:
-                    break
-            frac = _polygon_area(poly) / cell_area if poly else 0.0
-            values[i, j] = inside * frac + outside * (1.0 - frac)
-    return CellField.from_interior(grid, values)
+    vx, vy = np.array(poly0).T[..., None, None]   # (k, 1, 1), one per edge start
+    ex, ey = np.roll(vx, -1, 0) - vx, np.roll(vy, -1, 0) - vy
+    # > 0 on the outer side of each edge's line, for either orientation, at
+    # every grid node: shape (k, nx+1, ny+1)
+    side = np.sign(np.sum(vx * ey - ex * vy)) * (ey * (xe[:, None] - vx) - ex * (ye - vy))
+
+    def corners_all(m):   # the cells whose four corner nodes all satisfy m
+        return m[..., :-1, :-1] & m[..., 1:, :-1] & m[..., :-1, 1:] & m[..., 1:, 1:]
+
+    full = corners_all((side <= 0.0).all(axis=0))
+    empty = corners_all(side >= 0.0).any(axis=0)
+    empty |= ((xe[1:] <= vx.min()) | (xe[:-1] >= vx.max()))[:, None]
+    empty |= (ye[1:] <= vy.min()) | (ye[:-1] >= vy.max())
+    frac = (full & ~empty).astype(float)
+    cell_area = grid.dx * grid.dy
+    cut = ~(full | empty)
+    xe, ye = xe.tolist(), ye.tolist()   # Python floats clip faster, same bits
+    for i in np.flatnonzero(cut.any(axis=1)):
+        # the two x clips come first and depend on the column only
+        strip = _clip_polygon(_clip_polygon(poly0, -1.0, 0.0, -xe[i]), 1.0, 0.0, xe[i + 1])
+        for j in np.flatnonzero(cut[i]):
+            cell = _clip_polygon(_clip_polygon(strip, 0.0, -1.0, -ye[j]), 0.0, 1.0, ye[j + 1])
+            frac[i, j] = _polygon_area(cell) / cell_area
+    return CellField.from_interior(grid, inside * frac + outside * (1.0 - frac))

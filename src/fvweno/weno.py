@@ -164,6 +164,9 @@ class WeightScheme:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise ConfigurationError(f"unknown weight family {self.family!r}")
+        for name in ("eps", "p", "q"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be finite")
         if self.family != "linear" and not self.eps > 0.0:
             raise ConfigurationError("eps must be positive")
         if self.family == "zr" and not self.p >= 1.0:
@@ -231,18 +234,17 @@ def _shifted(a, count, first=False):
     ``[..., j, k] == a[..., j + k]`` with shape (..., count, N-count+1); the
     shift axis comes first instead with ``first=True``.  Swapping the last
     two axes gives every ``count``-cell window.  Internal: never written
-    through.
+    through.  A non-contiguous ``a`` is copied first; the kernels hand in
+    contiguous arrays, so the view never needs ``as_strided``.
     """
+    a = np.ascontiguousarray(a)
     K = a.shape[-1] - count + 1
     step = a.strides[-1]
     if first:
         shape, strides = (count,) + a.shape[:-1] + (K,), (step,) + a.strides
     else:
         shape, strides = a.shape[:-1] + (count, K), a.strides[:-1] + (step, step)
-    if a.flags.c_contiguous:
-        # a plain ndarray view costs a fraction of as_strided's set-up
-        return np.ndarray(shape, a.dtype, a, 0, strides)
-    return np.lib.stride_tricks.as_strided(a, shape, strides, writeable=False)
+    return np.ndarray(shape, a.dtype, a, 0, strides)
 
 
 def _indicators(u):
@@ -496,7 +498,7 @@ def interface_states(upad, scheme: WeightScheme, record=False):
     With ``record=True`` also returns ``(omega_minus, omega_plus)``, the
     weight triples used for each returned trace, shape (..., N-5, 3).
     """
-    u = np.asarray(upad, dtype=float)
+    u = np.ascontiguousarray(upad, dtype=float)
     if u.shape[-1] < 6:
         raise ConfigurationError("padded array too short for a 5-cell stencil")
     v, omega = _edge_values(u, scheme)
@@ -515,7 +517,7 @@ def gauss_point_values(ubar, scheme: WeightScheme):
     axis ordered (minus, center, plus).  The smoothness indicators and the
     weights of all three nodes come from one evaluation per window.
     """
-    u = np.asarray(ubar, dtype=float)
+    u = np.ascontiguousarray(ubar, dtype=float)
     omega = _gauss_weights(_indicators(u), scheme, axis=0)
     vals = np.empty(u.shape[:-1] + (u.shape[-1] - 4, 3))
     _combine(u, _CAND_GAUSS, omega, out=_to_front(vals.swapaxes(-1, -2), 1))

@@ -1,14 +1,23 @@
-"""Brute-force reconstruction oracle used by the tests.
+"""Brute-force oracles used by the tests.
 
-Recovers point values from cell averages the long way: build the primitive
-function at the stencil's interface points, interpolate it with a
-polynomial, differentiate, evaluate.  Independent of the closed-form
-coefficient tables in the package.
+The reconstruction oracle recovers point values from cell averages the long
+way: build the primitive function at the stencil's interface points,
+interpolate it with a polynomial, differentiate, evaluate.  Independent of
+the closed-form coefficient tables in the package.
+
+The polygon oracle clips every cell of a grid against a convex polygon, one
+cell at a time.
 """
 
 import numpy as np
 
 GAUSS_XI = np.sqrt(3.0 / 5.0)
+
+
+def same_bits(a, b):
+    """Equal bit for bit, signed zeros included."""
+    bits = lambda x: np.ascontiguousarray(x, dtype=float).view(np.uint64)
+    return np.shape(a) == np.shape(b) and np.array_equal(bits(a), bits(b))
 
 
 def primitive_point_value(averages, cells, x):
@@ -39,3 +48,55 @@ NODE_X = {
     "center": 0.0,
     "plus": 0.5 * GAUSS_XI,
 }
+
+
+def _clip_half_plane(poly, a, b, c):
+    """Sutherland-Hodgman: the part of ``poly`` with a*x + b*y <= c."""
+    out = []
+    k = len(poly)
+    for i in range(k):
+        x1, y1 = poly[i]
+        x2, y2 = poly[(i + 1) % k]
+        in1 = a * x1 + b * y1 <= c
+        in2 = a * x2 + b * y2 <= c
+        if in1:
+            out.append((x1, y1))
+        if in1 != in2:
+            t = (c - a * x1 - b * y1) / (a * (x2 - x1) + b * (y2 - y1))
+            out.append((x1 + t * (x2 - x1), y1 + t * (y2 - y1)))
+    return out
+
+
+def _shoelace_area(poly):
+    s = 0.0
+    k = len(poly)
+    for i in range(k):
+        x1, y1 = poly[i]
+        x2, y2 = poly[(i + 1) % k]
+        s += x1 * y2 - x2 * y1
+    return 0.5 * abs(s)
+
+
+def oracle_polygon_average(grid, vertices, inside=1.0, outside=0.0):
+    """Cell averages of a convex polygon's indicator, every cell clipped
+    against its four sides in turn: shape (nx, ny)."""
+    xe = grid.ax + np.arange(grid.nx + 1) * grid.dx
+    ye = grid.ay + np.arange(grid.ny + 1) * grid.dy
+    values = np.empty((grid.nx, grid.ny))
+    cell_area = grid.dx * grid.dy
+    poly0 = [tuple(map(float, v)) for v in vertices]
+    for i in range(grid.nx):
+        for j in range(grid.ny):
+            poly = poly0
+            for a, b, c in (
+                (-1.0, 0.0, -xe[i]),
+                (1.0, 0.0, xe[i + 1]),
+                (0.0, -1.0, -ye[j]),
+                (0.0, 1.0, ye[j + 1]),
+            ):
+                poly = _clip_half_plane(poly, a, b, c)
+                if not poly:
+                    break
+            frac = _shoelace_area(poly) / cell_area if poly else 0.0
+            values[i, j] = inside * frac + outside * (1.0 - frac)
+    return values

@@ -41,6 +41,13 @@ def test_run_rejects_bad_scheme_parameters(capsys):
     assert rc == 2
 
 
+def test_run_rejects_non_finite_scheme_parameters(capsys):
+    # a configuration error, not a run that diverges at step 6
+    rc = main(["run", "burgers1d", "--scheme", "zl", "--q", "inf", "--n", "40"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: q must be finite")
+
+
 def test_unknown_problem_exits_2():
     with pytest.raises(SystemExit) as err:
         main(["run", "not-a-problem", "--scheme", "z"])

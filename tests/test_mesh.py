@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from fvweno.errors import ConfigurationError
 from fvweno.mesh import (
@@ -17,6 +18,8 @@ from fvweno.mesh import (
     polygon_indicator_average,
     step_function_average,
 )
+
+from oracle_utils import oracle_polygon_average, same_bits
 
 
 def test_grid_geometry():
@@ -196,6 +199,85 @@ def test_polygon_average_full_and_empty_cells():
     np.testing.assert_allclose(total, 0.5, rtol=1e-12)  # diamond area 2*0.5^2
     assert f.interior[0].min() == 0.0
     assert f.interior[0].max() <= 1.0
+
+
+def _convex_hull(points):
+    """Counter-clockwise hull of 2D points, collinear points dropped."""
+    pts = sorted(set(points))
+
+    def half(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and (
+                (out[-1][0] - out[-2][0]) * (p[1] - out[-2][1])
+                - (out[-1][1] - out[-2][1]) * (p[0] - out[-2][0])
+            ) <= 0.0:
+                out.pop()
+            out.append(p)
+        return out[:-1]
+
+    return half(pts) + half(pts[::-1])
+
+
+@st.composite
+def _polygon_on_grid(draw):
+    """A grid on [-1, 1]^2 and a convex polygon in either orientation:
+    vertices on grid lines or anywhere, from smaller than a cell to larger
+    than the domain, partly outside it or not."""
+    nx, ny = draw(st.integers(2, 12)), draw(st.integers(2, 12))
+    grid = Grid2D(-1.0, 1.0, -1.0, 1.0, nx, ny)
+    size = draw(st.sampled_from([0.3 * grid.dx, 0.7, 1.5]))
+    cx, cy = draw(st.floats(-1.3, 1.3)), draw(st.floats(-1.3, 1.3))
+    points = []
+    for _ in range(draw(st.integers(3, 8))):
+        x = cx + size * draw(st.floats(-1.0, 1.0))
+        y = cy + size * draw(st.floats(-1.0, 1.0))
+        if draw(st.booleans()):   # snap onto the nearest grid lines
+            x = grid.ax + round((x - grid.ax) / grid.dx) * grid.dx
+            y = grid.ay + round((y - grid.ay) / grid.dy) * grid.dy
+        points.append((x, y))
+    hull = _convex_hull(points)
+    assume(len(hull) >= 3)
+    if draw(st.booleans()):
+        hull = hull[::-1]
+    inside, outside = draw(st.sampled_from([(1.0, 0.0), (2.5, -0.5), (-1.0, 0.25)]))
+    return grid, hull, inside, outside
+
+
+def _corners_strictly_inside(grid, hull, margin=1e-9):
+    """Cells whose four corners lie inside the polygon by ``margin``."""
+    xe = grid.ax + np.arange(grid.nx + 1) * grid.dx
+    ye = grid.ay + np.arange(grid.ny + 1) * grid.dy
+    X, Y = np.meshgrid(xe, ye, indexing="ij")
+    area2 = sum(x1 * y2 - x2 * y1 for (x1, y1), (x2, y2) in zip(hull, hull[1:] + hull[:1]))
+    ok = np.ones_like(X, dtype=bool)
+    for (x1, y1), (x2, y2) in zip(hull, hull[1:] + hull[:1]):
+        cross = (x2 - x1) * (Y - y1) - (y2 - y1) * (X - x1)
+        ok &= np.sign(area2) * cross / np.hypot(x2 - x1, y2 - y1) > margin
+    return ok[:-1, :-1] & ok[1:, :-1] & ok[:-1, 1:] & ok[1:, 1:]
+
+
+_DIAMOND_CASE = (Grid2D(-1.0, 1.0, -1.0, 1.0, 10, 10),
+                 [(0.5 ** 0.5, 0.0), (0.0, 0.5 ** 0.5), (-(0.5 ** 0.5), 0.0),
+                  (0.0, -(0.5 ** 0.5))], 1.0, 0.0)
+_ALIGNED_CASE = (Grid2D(-1.0, 1.0, -1.0, 1.0, 8, 8),
+                 [(-0.5, -0.5), (0.25, -0.5), (0.25, 0.75), (-0.5, 0.75)], 1.0, 0.0)
+
+
+@settings(deadline=None, derandomize=True, max_examples=150)
+@given(case=_polygon_on_grid())
+@example(case=_DIAMOND_CASE)
+@example(case=_ALIGNED_CASE)
+def test_polygon_average_matches_per_cell_clipping_oracle(case):
+    grid, hull, inside, outside = case
+    got = polygon_indicator_average(grid, hull, inside, outside).interior[0]
+    want = oracle_polygon_average(grid, hull, inside, outside)
+    # every cut cell runs the oracle's own arithmetic
+    cut = (got != inside) & (got != outside)
+    assert same_bits(got[cut], want[cut])
+    # cells inside the polygon are exact, where the clipped area rounds
+    assert np.all(got[_corners_strictly_inside(grid, hull)] == inside)
+    assert np.abs(got - want).max() <= 1e-13 * abs(inside - outside)
 
 
 def test_field_shape_validation():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fvweno.errors import ConfigurationError
 from fvweno.integrate import TimeControl, integrate_to
@@ -19,6 +20,8 @@ from fvweno.physics import ADVECTION, BURGERS, EULER, FluxPair2D
 from fvweno.solver import SemiDiscreteOp1D, SemiDiscreteOp2D
 from fvweno.weno import WeightScheme
 
+from oracle_utils import same_bits
+
 ALL_SCHEMES = [
     WeightScheme.js(),
     WeightScheme.m(),
@@ -26,6 +29,7 @@ ALL_SCHEMES = [
     WeightScheme.zr(p=2),
     WeightScheme.zl(p=2, q=2),
 ]
+SIX_SCHEMES = ALL_SCHEMES + [WeightScheme.linear()]
 
 
 def test_constant_field_zero_tendency():
@@ -152,6 +156,66 @@ def test_2d_reduces_to_1d_for_separable_data(scheme):
     t1 = SemiDiscreteOp1D(BURGERS, scheme, (PERIODIC, PERIODIC))(u1).interior[0]
     t2 = _op2d(scheme)(u2).interior[0]
     assert np.abs(t2 - t1[:, None]).max() < 1e-12
+
+
+@st.composite
+def _rough_field(draw, nx, ny):
+    """Random data at one of three scales, optionally with a flat block
+    whose edges are jumps."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v = rng.uniform(-1.0, 1.0, (nx, ny)) * draw(st.sampled_from([1e-3, 1.0, 10.0]))
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, nx - 1)), draw(st.integers(0, ny - 1))
+        v[i:, :j] = draw(st.sampled_from([0.0, 0.5, -2.0]))
+    return v
+
+
+_PROPERTY = settings(deadline=None, derandomize=True, max_examples=20)
+_MODELS_2D = [FluxPair2D(ADVECTION, ADVECTION), FluxPair2D(BURGERS, BURGERS)]
+
+
+@pytest.mark.parametrize("model", _MODELS_2D, ids=("advection", "burgers"))
+@pytest.mark.parametrize("scheme", SIX_SCHEMES, ids=lambda s: s.label)
+@_PROPERTY
+@given(data=st.data(), n=st.integers(6, 12))
+def test_2d_tendency_commutes_with_transposition(scheme, model, data, n):
+    # on a square periodic grid the x and y sweeps are the same computation
+    grid = Grid2D(-1.0, 1.0, -1.0, 1.0, n, n)
+    v = data.draw(_rough_field(n, n))
+    op = _op2d(scheme, model)
+    t = op(CellField.from_interior(grid, v)).interior[0]
+    t_transposed = op(CellField.from_interior(grid, v.T)).interior[0]
+    assert same_bits(t_transposed, t.T)
+
+
+@pytest.mark.parametrize("model", _MODELS_2D, ids=("advection", "burgers"))
+@pytest.mark.parametrize("scheme", SIX_SCHEMES, ids=lambda s: s.label)
+@_PROPERTY
+@given(data=st.data(), nx=st.integers(6, 12), ny=st.integers(6, 12),
+       axis=st.sampled_from([0, 1]), shift=st.integers(1, 11))
+def test_2d_tendency_commutes_with_periodic_shift(scheme, model, data, nx, ny, axis, shift):
+    grid = Grid2D(-1.0, 1.0, -1.0, 1.0, nx, ny)
+    v = data.draw(_rough_field(nx, ny))
+    op = _op2d(scheme, model)
+    t = op(CellField.from_interior(grid, v)).interior[0]
+    t_rolled = op(CellField.from_interior(grid, np.roll(v, shift, axis))).interior[0]
+    assert same_bits(t_rolled, np.roll(t, shift, axis))
+
+
+@pytest.mark.parametrize("scheme", SIX_SCHEMES, ids=lambda s: s.label)
+@_PROPERTY
+@given(data=st.data(), nx=st.integers(6, 12), ny=st.integers(6, 12))
+def test_2d_tendency_of_x_only_data_equals_1d(scheme, data, nx, ny):
+    # constant along y, the y fluxes cancel exactly and the x faces see
+    # the 1D traces; only the Gauss nodes of constant rows round
+    v = data.draw(_rough_field(nx, 2))[:, 0]
+    g1 = Grid1D(-1.0, 1.0, nx)
+    g2 = Grid2D(-1.0, 1.0, -1.0, 1.0, nx, ny)
+    t1 = SemiDiscreteOp1D(BURGERS, scheme, (PERIODIC, PERIODIC))(
+        CellField.from_interior(g1, v)).interior[0]
+    t2 = _op2d(scheme)(CellField.from_interior(g2, np.repeat(v[:, None], ny, 1))).interior[0]
+    scale = max(np.abs(v).max(), 1.0) ** 2 / g1.dx
+    assert np.abs(t2 - t1[:, None]).max() <= 16 * np.finfo(float).eps * scale
 
 
 def test_2d_smooth_tendency_order():

@@ -24,7 +24,7 @@ from fvweno.weno import (
     weights_zr,
 )
 
-from oracle_utils import NODE_X, oracle_big, oracle_substencil
+from oracle_utils import NODE_X, oracle_big, oracle_substencil, same_bits
 
 EPS = np.finfo(float).eps
 ALL_SCHEMES = [
@@ -427,6 +427,14 @@ def test_scheme_validation():
         WeightScheme.js(eps=0.0)
 
 
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("param", ["eps", "p", "q"])
+@pytest.mark.parametrize("family", ["js", "m", "z", "zr", "zl", "linear"])
+def test_scheme_rejects_non_finite_parameters(family, param, value):
+    with pytest.raises(ConfigurationError):
+        WeightScheme(family, **{param: value})
+
+
 def test_smooth_interface_reconstruction_is_fifth_order():
     errs = []
     for n in (20, 40):
@@ -454,3 +462,47 @@ def test_gauss_edge_node_weights_positive_and_normalized(scheme):
         om = nonlinear_weights(beta, scheme, d=d)
         assert np.all(om >= 0.0)
         np.testing.assert_allclose(om.sum(axis=1), 1.0, atol=4 * EPS)
+
+
+# --- memory layout of the kernel inputs ---------------------------------------
+
+SIX_SCHEMES = ALL_SCHEMES + [WeightScheme.linear()]
+
+
+@pytest.mark.parametrize("scheme", SIX_SCHEMES, ids=lambda s: s.label)
+def test_kernels_ignore_the_memory_layout_of_their_input(scheme):
+    rng = np.random.default_rng(31)
+    a = rng.uniform(-1.0, 1.0, (14, 19))
+    a[4:9, 6:] = 0.25                      # flat block with jumps
+    view = a.T                             # (19, 14), not C-contiguous
+    copy = np.ascontiguousarray(view)
+    assert not view.flags.c_contiguous
+
+    def states(u):
+        u_minus, u_plus, omegas = weno.interface_states(u, scheme, record=True)
+        return (u_minus, u_plus, *omegas)
+
+    for got, want in zip(states(view), states(copy)):
+        assert same_bits(got, want)
+    assert same_bits(weno.gauss_point_values(view, scheme),
+                     weno.gauss_point_values(copy, scheme))
+
+
+def test_2d_tendency_makes_two_gauss_node_calls(monkeypatch):
+    import fvweno.solver
+    from fvweno.mesh import PERIODIC, CellField, Grid2D
+    from fvweno.physics import BURGERS, FluxPair2D
+
+    calls = []
+
+    def counted(ubar, scheme):
+        calls.append(np.shape(ubar))
+        return weno.gauss_point_values(ubar, scheme)
+
+    monkeypatch.setattr(fvweno.solver, "gauss_point_values", counted)
+    grid = Grid2D(0.0, 1.0, 0.0, 1.0, 12, 9)
+    u = CellField.from_interior(grid, np.random.default_rng(2).uniform(size=(12, 9)))
+    fvweno.solver.SemiDiscreteOp2D(FluxPair2D(BURGERS, BURGERS), WeightScheme.z(),
+                                   PERIODIC)(u)
+    # one call per sweep, both face traces stacked on a leading axis
+    assert calls == [(2, 13, 15), (2, 10, 18)]
