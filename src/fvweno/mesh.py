@@ -349,7 +349,10 @@ def polygon_indicator_average(grid: Grid2D, vertices, inside=1.0, outside=0.0) -
     xe = grid.ax + np.arange(grid.nx + 1) * grid.dx
     ye = grid.ay + np.arange(grid.ny + 1) * grid.dy
     poly0 = [tuple(map(float, v)) for v in vertices]
-    vx, vy = np.array(poly0).T[..., None, None]   # (k, 1, 1), one per edge start
+    # classify by the distinct vertices: a repeated one makes a zero-length
+    # edge, whose "line" would put every node on its outer side
+    distinct = [v for k, v in enumerate(poly0) if v != poly0[k - 1]]
+    vx, vy = np.array(distinct).reshape(-1, 2).T[..., None, None]   # (k, 1, 1)
     ex, ey = np.roll(vx, -1, 0) - vx, np.roll(vy, -1, 0) - vy
     # > 0 on the outer side of each edge's line, for either orientation, at
     # every grid node: shape (k, nx+1, ny+1)
@@ -360,8 +363,11 @@ def polygon_indicator_average(grid: Grid2D, vertices, inside=1.0, outside=0.0) -
 
     full = corners_all((side <= 0.0).all(axis=0))
     empty = corners_all(side >= 0.0).any(axis=0)
-    empty |= ((xe[1:] <= vx.min()) | (xe[:-1] >= vx.max()))[:, None]
-    empty |= (ye[1:] <= vy.min()) | (ye[:-1] >= vy.max())
+    # outside the bounding box: every cell when no two vertices differ
+    x0, x1 = vx.min(initial=np.inf), vx.max(initial=-np.inf)
+    y0, y1 = vy.min(initial=np.inf), vy.max(initial=-np.inf)
+    empty |= ((xe[1:] <= x0) | (xe[:-1] >= x1))[:, None]
+    empty |= (ye[1:] <= y0) | (ye[:-1] >= y1)
     frac = (full & ~empty).astype(float)
     cell_area = grid.dx * grid.dy
     cut = ~(full | empty)

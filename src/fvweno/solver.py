@@ -104,24 +104,22 @@ class SemiDiscreteOp2D:
         alpha_x, alpha_y = max_wave_speed(filled, self.model)
         d = filled.data[0]
         g = grid.ghost
-        # each sweep takes rows with the normal axis last, contiguous
-        fx = self._face_flux(np.ascontiguousarray(d.T), self.model.fx, alpha_x, grid.ny, g)
-        fy = self._face_flux(d, self.model.fy, alpha_y, grid.nx, g).T
+        fx = self._face_flux(d, self.model.fx, alpha_x, grid.nx, grid.ny, g)
+        fy = self._face_flux(d.T, self.model.fy, alpha_y, grid.ny, grid.nx, g).T
         out = CellField.zeros(grid, ncomp=1)
         out.interior[0] = (
             -(fx[1:, :] - fx[:-1, :]) / grid.dx - (fy[:, 1:] - fy[:, :-1]) / grid.dy
         )
         return out
 
-    def _face_flux(self, rows, model, alpha, n_trans, g):
-        """Face fluxes across the last axis of ``rows`` (one row per
-        transverse cell, ghosts included): shape (n_normal+1, n_trans)."""
+    def _face_flux(self, d, model, alpha, n_normal, n_trans, g):
+        """Face fluxes across the first axis of ``d``: shape (n_normal+1, n_trans)."""
         # Sweep 1: interface WENO along the normal axis, every transverse row.
-        u_minus, u_plus = interface_states(rows, self.scheme)  # (n_trans_tot, n+1)
-        # Sweep 2: transverse Gauss-point reconstruction of the line averages
-        # of both traces in one call.
-        pts = gauss_point_values(np.stack((u_minus.T, u_plus.T)), self.scheme)
-        h = lf_flux(pts[0], pts[1], model.flux, alpha)  # (n+1, K, 3)
+        u_minus, u_plus = interface_states(d.T, self.scheme)  # (n_trans_tot, n+1)
+        # Sweep 2: transverse Gauss-point reconstruction of the line averages.
+        pts_minus = gauss_point_values(u_minus.T, self.scheme)  # (n+1, K, 3)
+        pts_plus = gauss_point_values(u_plus.T, self.scheme)
+        h = lf_flux(pts_minus, pts_plus, model.flux, alpha)
         face = 0.5 * (h @ GAUSS_WEIGHTS)
         # Transverse window k covers padded rows k..k+4 and is centered at
         # row k+2; keep the interior rows g..g+n_trans-1.

@@ -234,10 +234,9 @@ def _shifted(a, count, first=False):
     ``[..., j, k] == a[..., j + k]`` with shape (..., count, N-count+1); the
     shift axis comes first instead with ``first=True``.  Swapping the last
     two axes gives every ``count``-cell window.  Internal: never written
-    through.  A non-contiguous ``a`` is copied first; the kernels hand in
-    contiguous arrays, so the view never needs ``as_strided``.
+    through.  ``a`` must be C-contiguous, as the kernel entry points make
+    it: a plain ndarray view needs a contiguous buffer.
     """
-    a = np.ascontiguousarray(a)
     K = a.shape[-1] - count + 1
     step = a.strides[-1]
     if first:
@@ -382,7 +381,7 @@ def nonlinear_weights(beta, scheme: WeightScheme, d=D_EDGE, mirror=False, axis=-
 
 
 def _window(window):
-    w = np.asarray(window, dtype=float)
+    w = np.ascontiguousarray(window, dtype=float)
     if w.shape[-1:] != (5,):
         raise ConfigurationError("a window holds five cell averages along its last axis")
     return w

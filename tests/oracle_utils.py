@@ -11,7 +11,19 @@ cell at a time.
 
 import numpy as np
 
+from fvweno.weno import WeightScheme
+
 GAUSS_XI = np.sqrt(3.0 / 5.0)
+
+# the five nonlinear families at the paper's parameters, then the linear weights
+ALL_SCHEMES = [
+    WeightScheme.js(),
+    WeightScheme.m(),
+    WeightScheme.z(),
+    WeightScheme.zr(p=2),
+    WeightScheme.zl(p=2, q=2),
+]
+SIX_SCHEMES = ALL_SCHEMES + [WeightScheme.linear()]
 
 
 def same_bits(a, b):

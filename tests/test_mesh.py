@@ -238,6 +238,9 @@ def _polygon_on_grid(draw):
         points.append((x, y))
     hull = _convex_hull(points)
     assume(len(hull) >= 3)
+    if draw(st.booleans()):   # repeat one vertex: a zero-length edge
+        k = draw(st.integers(0, len(hull) - 1))
+        hull = hull[:k + 1] + hull[k:]
     if draw(st.booleans()):
         hull = hull[::-1]
     inside, outside = draw(st.sampled_from([(1.0, 0.0), (2.5, -0.5), (-1.0, 0.25)]))
@@ -252,6 +255,8 @@ def _corners_strictly_inside(grid, hull, margin=1e-9):
     area2 = sum(x1 * y2 - x2 * y1 for (x1, y1), (x2, y2) in zip(hull, hull[1:] + hull[:1]))
     ok = np.ones_like(X, dtype=bool)
     for (x1, y1), (x2, y2) in zip(hull, hull[1:] + hull[:1]):
+        if (x1, y1) == (x2, y2):
+            continue
         cross = (x2 - x1) * (Y - y1) - (y2 - y1) * (X - x1)
         ok &= np.sign(area2) * cross / np.hypot(x2 - x1, y2 - y1) > margin
     return ok[:-1, :-1] & ok[1:, :-1] & ok[:-1, 1:] & ok[1:, 1:]
@@ -262,12 +267,19 @@ _DIAMOND_CASE = (Grid2D(-1.0, 1.0, -1.0, 1.0, 10, 10),
                   (0.0, -(0.5 ** 0.5))], 1.0, 0.0)
 _ALIGNED_CASE = (Grid2D(-1.0, 1.0, -1.0, 1.0, 8, 8),
                  [(-0.5, -0.5), (0.25, -0.5), (0.25, 0.75), (-0.5, 0.75)], 1.0, 0.0)
+# a repeated vertex makes a zero-length edge: a closed ring, a doubled corner
+_RING_CASE = (_DIAMOND_CASE[0], _DIAMOND_CASE[1] + _DIAMOND_CASE[1][:1], 1.0, 0.0)
+_DOUBLED_CASE = (_ALIGNED_CASE[0],
+                 [(-0.5, -0.5), (0.25, -0.5), (0.25, 0.75), (0.25, 0.75), (-0.5, 0.75)],
+                 1.0, 0.0)
 
 
 @settings(deadline=None, derandomize=True, max_examples=150)
 @given(case=_polygon_on_grid())
 @example(case=_DIAMOND_CASE)
 @example(case=_ALIGNED_CASE)
+@example(case=_RING_CASE)
+@example(case=_DOUBLED_CASE)
 def test_polygon_average_matches_per_cell_clipping_oracle(case):
     grid, hull, inside, outside = case
     got = polygon_indicator_average(grid, hull, inside, outside).interior[0]
