@@ -8,6 +8,8 @@ advected Riemann problem, and a benchmark harness with golden-table checks
 (CLI entry point: ``weno``).
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     ConfigurationError,
     DivergenceError,
@@ -36,11 +38,6 @@ from .weno import (
     reconstruct_gauss_point,
     reconstruct_interface,
     smoothness_indicators,
-    weights_js,
-    weights_m,
-    weights_z,
-    weights_zl,
-    weights_zr,
 )
 from .physics import (
     ADVECTION,
@@ -59,5 +56,7 @@ from .integrate import TimeControl, cfl_dt, integrate_to, rk3_step
 from .solver import SemiDiscreteOp1D, SemiDiscreteOp2D
 from .dissect import RiemannSetup, analyze_step, final_time_comparison, render_table
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the imported public names; importing them binds the submodules here too
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))
 __version__ = "0.1.0"

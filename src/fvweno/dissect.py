@@ -76,6 +76,8 @@ class RiemannSetup:
     schemes: tuple = field(default_factory=classic_schemes)
 
     def __post_init__(self):
+        if not all(np.isfinite((self.u_left, self.u_right, self.dx))):
+            raise ConfigurationError("u_left, u_right and dx must be finite")
         if not (0.0 < self.nu <= 0.5):
             raise ConfigurationError("the dissection assumes 0 < nu <= 0.5")
         if not self.delta > 0.0:
@@ -474,8 +476,8 @@ def render_table(report: StageReport, which) -> Table:
 def final_time_comparison(setup: RiemannSetup, t_final=1.0, window=(0.96, 1.04)) -> Table:
     """Advect the jump to ``t_final`` per scheme and tabulate the cells
     bracketing the exact discontinuity position."""
-    if not t_final > 0.0:
-        raise ConfigurationError("t_final must be positive")
+    if not 0.0 < t_final < np.inf:
+        raise ConfigurationError("t_final must be positive and finite")
     margin = 0.35 * max(t_final, 0.1)
     span_left = int(np.ceil(margin / setup.dx))
     span_right = int(np.ceil((t_final + margin) / setup.dx))

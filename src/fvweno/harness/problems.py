@@ -82,8 +82,7 @@ def solve_characteristics(u0, du0, x, t, lo, hi, tol=1e-14, max_iter=100):
 @dataclass(frozen=True)
 class Problem:
     pid: str
-    kind: str                      # scalar1d | euler1d | scalar2d
-    model: object
+    model: object                  # a FluxPair2D for the 2D problems
     bc: object                     # tuple of BoundaryCondition
     default_n: object
     tfinal: float
@@ -91,10 +90,8 @@ class Problem:
     make_grid: Callable            # n -> grid
     initial: Callable              # grid -> CellField
     exact: Callable | None = None  # (grid, t) -> CellField
-    reference: str | None = None   # 'characteristics' | 'fine_grid'
-    reference_cells: int = 2001
+    reference_cells: int = 0       # > 0: a fine-grid reference of that many cells
     expensive_reference: bool = False
-    notes: str = ""
 
 
 REGISTRY: dict = {}
@@ -139,9 +136,9 @@ def _sin_exact(grid, t):
     return cell_average_of(lambda x: np.sin(np.pi * (x - t)), grid)
 
 
+# Smooth advection used for the accuracy tables.
 register(Problem(
     pid="advection1d-accuracy",
-    kind="scalar1d",
     model=ADVECTION,
     bc=(PERIODIC, PERIODIC),
     default_n=80,
@@ -150,7 +147,6 @@ register(Problem(
     make_grid=_grid1d(-1.0, 1.0),
     initial=_sin_ic,
     exact=_sin_exact,
-    notes="smooth advection used for the accuracy tables",
 ))
 
 
@@ -166,9 +162,9 @@ def _burgers_exact(grid, t):
     )
 
 
+# Smooth up to the final time; exact solution by characteristics.
 register(Problem(
     pid="burgers1d",
-    kind="scalar1d",
     model=BURGERS,
     bc=(PERIODIC, PERIODIC),
     default_n=40,
@@ -177,12 +173,11 @@ register(Problem(
     make_grid=_grid1d(-1.0, 1.0),
     initial=_burgers_ic,
     exact=_burgers_exact,
-    notes="smooth up to the final time; exact solution by characteristics",
 ))
 
+# Two shocks with a rarefaction in between.
 register(Problem(
     pid="nonconvex-riemann",
-    kind="scalar1d",
     model=QUARTIC_NONCONVEX,
     bc=(OUTFLOW, OUTFLOW),
     default_n=40,
@@ -190,13 +185,12 @@ register(Problem(
     time=TimeControl("cfl", 0.4),
     make_grid=_grid1d(-1.0, 1.0),
     initial=lambda grid: step_function_average(grid, 0.0, 2.0, -2.0),
-    reference="fine_grid",
-    notes="two shocks with a rarefaction in between",
+    reference_cells=2001,
 ))
 
+# Stationary shock of the even nonconvex flux.
 register(Problem(
     pid="nonconvex-stationary",
-    kind="scalar1d",
     model=QUARTIC_NONCONVEX,
     bc=(OUTFLOW, OUTFLOW),
     default_n=40,
@@ -205,12 +199,11 @@ register(Problem(
     make_grid=_grid1d(-1.0, 1.0),
     initial=lambda grid: step_function_average(grid, 0.0, -3.0, 3.0),
     exact=lambda grid, t: step_function_average(grid, 0.0, -3.0, 3.0),
-    notes="stationary shock of the even nonconvex flux",
 ))
 
+# Two-phase flow flux; square pulse on [-1/2, 0].
 register(Problem(
     pid="buckley-leverett",
-    kind="scalar1d",
     model=BUCKLEY_LEVERETT,
     bc=(OUTFLOW, OUTFLOW),
     default_n=80,
@@ -222,8 +215,7 @@ register(Problem(
         step_function_average(grid, 0.0, 1.0, 0.0).interior[0]
         - step_function_average(grid, -0.5, 1.0, 0.0).interior[0],
     ),
-    reference="fine_grid",
-    notes="two-phase flow flux; square pulse on [-1/2, 0]",
+    reference_cells=2001,
 ))
 
 
@@ -260,7 +252,6 @@ LAX_LEFT, LAX_RIGHT = (0.445, 0.698, 3.528), (0.5, 0.0, 0.571)
 
 register(Problem(
     pid="sod",
-    kind="euler1d",
     model=EULER,
     bc=(OUTFLOW, OUTFLOW),
     default_n=200,
@@ -273,7 +264,6 @@ register(Problem(
 
 register(Problem(
     pid="lax",
-    kind="euler1d",
     model=EULER,
     bc=(OUTFLOW, OUTFLOW),
     default_n=200,
@@ -300,9 +290,9 @@ def _shock_entropy_ic(k):
     return build
 
 
+# Mach-3 shock running into an entropy wave, wavenumber 5.
 register(Problem(
     pid="shock-entropy-k5",
-    kind="euler1d",
     model=EULER,
     bc=(OUTFLOW, OUTFLOW),
     default_n=200,
@@ -310,14 +300,11 @@ register(Problem(
     time=TimeControl("cfl", 0.4),
     make_grid=_grid1d(-5.0, 5.0),
     initial=_shock_entropy_ic(5.0),
-    reference="fine_grid",
     reference_cells=2001,
-    notes="Mach-3 shock running into an entropy wave, wavenumber 5",
 ))
 
 register(Problem(
     pid="shock-entropy-k10",
-    kind="euler1d",
     model=EULER,
     bc=(OUTFLOW, OUTFLOW),
     default_n=400,
@@ -325,7 +312,6 @@ register(Problem(
     time=TimeControl("cfl", 0.4),
     make_grid=_grid1d(-5.0, 5.0),
     initial=_shock_entropy_ic(10.0),
-    reference="fine_grid",
     reference_cells=2001,
     expensive_reference=True,
 ))
@@ -338,9 +324,9 @@ def _blastwave_ic(grid):
     return CellField.from_interior(grid, EULER.conserved(rho, np.zeros(grid.n), P))
 
 
+# Interacting blast waves between reflective walls.
 register(Problem(
     pid="blastwave",
-    kind="euler1d",
     model=EULER,
     bc=(REFLECTIVE, REFLECTIVE),
     default_n=400,
@@ -348,10 +334,8 @@ register(Problem(
     time=TimeControl("cfl", 0.4),
     make_grid=_grid1d(0.0, 1.0),
     initial=_blastwave_ic,
-    reference="fine_grid",
     reference_cells=4001,
     expensive_reference=True,
-    notes="interacting blast waves between reflective walls",
 ))
 
 
@@ -368,9 +352,9 @@ def _burgers2d_exact(grid, t):
     return cell_average_of(pointwise, grid)
 
 
+# Smooth up to the final time; reduces to 1D along x+y.
 register(Problem(
     pid="burgers2d",
-    kind="scalar2d",
     model=FluxPair2D(BURGERS, BURGERS),
     bc=(PERIODIC, PERIODIC, PERIODIC, PERIODIC),
     default_n=(40, 40),
@@ -379,7 +363,6 @@ register(Problem(
     make_grid=_grid2d(-2.0, 2.0, -2.0, 2.0),
     initial=lambda grid: _burgers2d_exact(grid, 0.0),
     exact=_burgers2d_exact,
-    notes="smooth up to the final time; reduces to 1D along x+y",
 ))
 
 _DIAMOND = [
@@ -403,9 +386,9 @@ def _diamond_exact(grid, t):
     return CellField.from_interior(grid, total)
 
 
+# Rotated unit square advected diagonally; discontinuous data.
 register(Problem(
     pid="advection2d-accuracy",
-    kind="scalar2d",
     model=FluxPair2D(ADVECTION, ADVECTION),
     bc=(PERIODIC, PERIODIC, PERIODIC, PERIODIC),
     default_n=(40, 40),
@@ -414,15 +397,14 @@ register(Problem(
     make_grid=_grid2d(-1.0, 1.0, -1.0, 1.0),
     initial=lambda grid: _diamond_exact(grid, 0.0),
     exact=_diamond_exact,
-    notes="rotated unit square advected diagonally; discontinuous data",
 ))
 
 
 def _boundary_layer(pid, alpha, beta):
     profile = lambda x: alpha + beta * np.sin(x)
+    # Boundary layer flow to steady state, inflow alpha + beta sin x.
     register(Problem(
         pid=pid,
-        kind="scalar2d",
         model=FluxPair2D(BURGERS, ADVECTION),
         bc=(PERIODIC, PERIODIC, inflow(profile), OUTFLOW),
         default_n=(30, 30),
@@ -430,7 +412,6 @@ def _boundary_layer(pid, alpha, beta):
         time=TimeControl("cfl", 0.4),
         make_grid=_grid2d(0.0, 2.0 * math.pi, 0.0, 1.0),
         initial=lambda grid: cell_average_of(lambda x, y: profile(x) + 0.0 * y, grid),
-        notes=f"boundary layer flow to steady state, inflow {alpha} + {beta} sin x",
     ))
 
 

@@ -12,6 +12,7 @@ import numpy as np
 from ..errors import ConfigurationError
 from ..integrate import TimeControl, integrate_to
 from ..mesh import CellField, Grid1D
+from ..physics import FluxPair2D
 from ..solver import SemiDiscreteOp1D, SemiDiscreteOp2D
 from ..weno import WeightScheme
 from .norms import ErrorReport, norms
@@ -60,11 +61,8 @@ class RunResult:
 
 
 def make_operator(prob: Problem, scheme: WeightScheme):
-    if prob.kind in ("scalar1d", "euler1d"):
-        return SemiDiscreteOp1D(prob.model, scheme, prob.bc)
-    if prob.kind == "scalar2d":
-        return SemiDiscreteOp2D(prob.model, scheme, prob.bc)
-    raise ConfigurationError(f"unknown problem kind {prob.kind!r}")
+    op = SemiDiscreteOp2D if isinstance(prob.model, FluxPair2D) else SemiDiscreteOp1D
+    return op(prob.model, scheme, prob.bc)
 
 
 def solve(prob: Problem, scheme: WeightScheme, n, tc: TimeControl, tfinal):
@@ -95,14 +93,14 @@ def restrict_to(fine: CellField, grid):
 def reference_solution(prob: Problem, grid, tfinal=None) -> CellField:
     """Reference cell averages on ``grid`` for problems without a closed form.
 
-    ``characteristics`` problems use their exact hook; ``fine_grid`` runs
-    the same problem on >= ``reference_cells`` cells with the mapped-weight
-    scheme and averages down.
+    Problems with an exact hook use it; the others run the same problem on
+    >= ``reference_cells`` cells with the mapped-weight scheme and average
+    down.
     """
     tfinal = prob.tfinal if tfinal is None else tfinal
     if prob.exact is not None:
         return prob.exact(grid, tfinal)
-    if prob.reference != "fine_grid":
+    if not prob.reference_cells > 0:
         raise ConfigurationError(f"problem {prob.pid} has no reference strategy")
     ratio = max(1, int(np.ceil(prob.reference_cells / grid.n)))
     nfine = grid.n * ratio
@@ -119,7 +117,8 @@ def run_problem(cfg: RunConfig) -> RunResult:
 
     exact = prob.exact(grid, tfinal) if prob.exact is not None else None
     reference = None
-    if exact is None and prob.reference and cfg.with_reference and not prob.expensive_reference:
+    if (exact is None and prob.reference_cells > 0 and cfg.with_reference
+            and not prob.expensive_reference):
         reference = reference_solution(prob, grid, tfinal)
 
     report = None
@@ -224,7 +223,7 @@ def _write_outputs(cfg: RunConfig, result: RunResult, tc, tfinal):
     paths["manifest"] = str(manifest)
 
     gp = out / "plot.gp"
-    if result.problem.kind == "scalar2d":
+    if not isinstance(result.grid, Grid1D):
         gp.write_text(
             "set datafile separator ','\n"
             "set pm3d map\n"

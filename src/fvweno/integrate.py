@@ -22,8 +22,8 @@ class TimeControl:
     def __post_init__(self):
         if self.mode not in ("cfl", "dt_scale"):
             raise ConfigurationError(f"unknown time-step mode {self.mode!r}")
-        if not self.value > 0.0:
-            raise ConfigurationError("time-step parameter must be positive")
+        if not 0.0 < self.value < np.inf:
+            raise ConfigurationError("time-step parameter must be positive and finite")
 
 
 def rk3_step(u: CellField, L, dt, observer=None) -> CellField:
@@ -104,6 +104,8 @@ def integrate_to(u: CellField, op, t_final, time: TimeControl, observer=None,
     (a :class:`~fvweno.solver.SemiDiscreteOp1D` or 2D).  A divergence is
     re-raised with the failing step number attached.
     """
+    if not 0.0 <= t_final < np.inf:
+        raise ConfigurationError("t_final must be finite and nonnegative")
     grid = u.grid
     if isinstance(grid, Grid1D):
         dx, dy = grid.dx, None

@@ -21,6 +21,20 @@ from .errors import ConfigurationError
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(5)
 
 
+def _centers(a, dx, n, ghost):
+    """Centres of ``n`` cells of width ``dx`` from ``a``, with ``ghost``
+    more on each side."""
+    return a + (np.arange(-ghost, n + ghost) + 0.5) * dx
+
+
+def _padded_shape(grid, m):
+    """Shape of the data of an ``m``-component field on ``grid``."""
+    g = grid.ghost
+    if isinstance(grid, Grid1D):
+        return (m, grid.n + 2 * g)
+    return (m, grid.nx + 2 * g, grid.ny + 2 * g)
+
+
 @dataclass(frozen=True)
 class Grid1D:
     a: float
@@ -40,14 +54,8 @@ class Grid1D:
     def dx(self):
         return (self.b - self.a) / self.n
 
-    @property
-    def npad(self):
-        return self.n + 2 * self.ghost
-
     def centers(self, ghosts=False):
-        lo = -self.ghost if ghosts else 0
-        hi = self.n + self.ghost if ghosts else self.n
-        return self.a + (np.arange(lo, hi) + 0.5) * self.dx
+        return _centers(self.a, self.dx, self.n, self.ghost if ghosts else 0)
 
     def interfaces(self):
         """Positions of the n+1 interior cell interfaces."""
@@ -81,14 +89,10 @@ class Grid2D:
         return (self.by - self.ay) / self.ny
 
     def xcenters(self, ghosts=False):
-        lo = -self.ghost if ghosts else 0
-        hi = self.nx + self.ghost if ghosts else self.nx
-        return self.ax + (np.arange(lo, hi) + 0.5) * self.dx
+        return _centers(self.ax, self.dx, self.nx, self.ghost if ghosts else 0)
 
     def ycenters(self, ghosts=False):
-        lo = -self.ghost if ghosts else 0
-        hi = self.ny + self.ghost if ghosts else self.ny
-        return self.ay + (np.arange(lo, hi) + 0.5) * self.dy
+        return _centers(self.ay, self.dy, self.ny, self.ghost if ghosts else 0)
 
 
 _KINDS = ("periodic", "outflow", "reflective", "inflow")
@@ -132,26 +136,15 @@ class CellField:
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=float)
-        expected = self._expected_shape(self.data.shape[0])
+        expected = _padded_shape(self.grid, self.data.shape[0])
         if self.data.shape != expected:
             raise ConfigurationError(
                 f"field data has shape {self.data.shape}, expected {expected}"
             )
 
-    def _expected_shape(self, m):
-        g = self.grid.ghost
-        if isinstance(self.grid, Grid1D):
-            return (m, self.grid.n + 2 * g)
-        return (m, self.grid.nx + 2 * g, self.grid.ny + 2 * g)
-
     @classmethod
     def zeros(cls, grid, ncomp=1):
-        g = grid.ghost
-        if isinstance(grid, Grid1D):
-            shape = (ncomp, grid.n + 2 * g)
-        else:
-            shape = (ncomp, grid.nx + 2 * g, grid.ny + 2 * g)
-        return cls(grid, np.zeros(shape))
+        return cls(grid, np.zeros(_padded_shape(grid, ncomp)))
 
     @classmethod
     def from_interior(cls, grid, values):
@@ -184,9 +177,6 @@ class CellField:
 
     def copy(self):
         return CellField._of(self.grid, self.data.copy())
-
-    def with_data(self, data):
-        return CellField(self.grid, data)
 
 
 class _Sides(tuple):
@@ -300,7 +290,7 @@ def step_function_average(grid: Grid1D, x0, left, right) -> CellField:
     """
     left = np.atleast_1d(np.asarray(left, dtype=float))
     right = np.atleast_1d(np.asarray(right, dtype=float))
-    edges = grid.a + np.arange(grid.n + 1) * grid.dx
+    edges = grid.interfaces()
     frac = np.clip((x0 - edges[:-1]) / grid.dx, 0.0, 1.0)
     # snap to pure states when the jump sits on an edge up to rounding, so
     # constant regions carry no spurious last-bit structure

@@ -85,11 +85,6 @@ BUCKLEY_LEVERETT = ScalarFluxModel(
     _interval_speed(_buckley_dflux, tuple(
         0.5 + np.cos((np.arccos(0.6) - 2.0 * np.pi * k) / 3.0) for k in range(3))))
 
-SCALAR_MODELS = {
-    m.name: m for m in (ADVECTION, BURGERS, QUARTIC_NONCONVEX, BUCKLEY_LEVERETT)
-}
-
-
 @dataclass(frozen=True)
 class FluxPair2D:
     """Directional fluxes (f, g) of a 2D scalar conservation law."""

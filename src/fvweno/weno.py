@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,19 +37,26 @@ from .errors import ConfigurationError
 F = Fraction
 SQRT15 = math.sqrt(15.0)
 
-# A coefficient is (a, b) meaning a + b*sqrt(15).
-Coeff = tuple[Fraction, Fraction]
+
+class Coeff(NamedTuple):
+    """An exact coefficient a + b*sqrt(15), a and b rational."""
+
+    a: Fraction
+    b: Fraction
 
 
 def _c(a, b=0) -> Coeff:
-    return (F(a), F(b))
+    return Coeff(F(a), F(b))
 
 
-def _render(table):
-    """Render a nested tuple of (rational, rational*sqrt15) pairs to floats."""
-    return np.array(
-        [[float(a) + float(b) * SQRT15 for (a, b) in row] for row in table]
-    )
+def _render(exact):
+    """Floats of exact coefficients (a :class:`Coeff` or a bare rational),
+    nested in tuples to any depth."""
+    if isinstance(exact, Coeff):
+        return float(exact.a) + float(exact.b) * SQRT15
+    if isinstance(exact, Fraction):
+        return float(exact)
+    return np.array([_render(e) for e in exact])
 
 
 # ---------------------------------------------------------------------------
@@ -121,22 +129,22 @@ BIG_GAUSS_PLUS_EXACT = (tuple(reversed(BIG_GAUSS_MINUS_EXACT[0])),)
 D_GAUSS_PLUS_EXACT = tuple(reversed(D_GAUSS_MINUS_EXACT))
 
 CAND_EDGE = _render(CAND_EDGE_EXACT)
-BIG_EDGE = _render(BIG_EDGE_EXACT)[0]
-D_EDGE = np.array([float(a) + float(b) * SQRT15 for a, b in D_EDGE_EXACT])
+BIG_EDGE = _render(BIG_EDGE_EXACT[0])
+D_EDGE = _render(D_EDGE_EXACT)
 
 CAND_GAUSS_MINUS = _render(CAND_GAUSS_MINUS_EXACT)
 CAND_GAUSS_CENTER = _render(CAND_GAUSS_CENTER_EXACT)
 CAND_GAUSS_PLUS = _render(CAND_GAUSS_PLUS_EXACT)
-BIG_GAUSS_MINUS = _render(BIG_GAUSS_MINUS_EXACT)[0]
-BIG_GAUSS_CENTER = _render(BIG_GAUSS_CENTER_EXACT)[0]
-BIG_GAUSS_PLUS = _render(BIG_GAUSS_PLUS_EXACT)[0]
-D_GAUSS_MINUS = np.array([float(a) + float(b) * SQRT15 for a, b in D_GAUSS_MINUS_EXACT])
-D_GAUSS_PLUS = np.array([float(a) + float(b) * SQRT15 for a, b in D_GAUSS_PLUS_EXACT])
-D_GAUSS_CENTER = _render((D_GAUSS_CENTER_EXACT,))[0]
-GAMMA_PLUS = np.array([float(g) for g in GAMMA_PLUS_EXACT])
-GAMMA_MINUS = np.array([float(g) for g in GAMMA_MINUS_EXACT])
-SIGMA_PLUS = float(SIGMA_PLUS_EXACT)
-SIGMA_MINUS = float(SIGMA_MINUS_EXACT)
+BIG_GAUSS_MINUS = _render(BIG_GAUSS_MINUS_EXACT[0])
+BIG_GAUSS_CENTER = _render(BIG_GAUSS_CENTER_EXACT[0])
+BIG_GAUSS_PLUS = _render(BIG_GAUSS_PLUS_EXACT[0])
+D_GAUSS_MINUS = _render(D_GAUSS_MINUS_EXACT)
+D_GAUSS_PLUS = _render(D_GAUSS_PLUS_EXACT)
+D_GAUSS_CENTER = _render(D_GAUSS_CENTER_EXACT)
+GAMMA_PLUS = _render(GAMMA_PLUS_EXACT)
+GAMMA_MINUS = _render(GAMMA_MINUS_EXACT)
+SIGMA_PLUS = _render(SIGMA_PLUS_EXACT)
+SIGMA_MINUS = _render(SIGMA_MINUS_EXACT)
 
 GAUSS_NODES = ("minus", "center", "plus")
 # 3-point Gauss-Legendre rule on [-1, 1], ordered to match GAUSS_NODES.
@@ -281,7 +289,7 @@ def _normalize(alpha):
     return alpha / ((alpha[0] + alpha[1]) + alpha[2])
 
 
-def _factor(beta, family, eps, p=1.0, q=1.0):
+def _factor(beta, scheme: WeightScheme):
     """Per-window factor phi of the unnormalized weights of a family.
 
     ``alpha = d / phi`` for ``js`` and ``m``, ``alpha = d * phi`` for ``z``,
@@ -290,6 +298,7 @@ def _factor(beta, family, eps, p=1.0, q=1.0):
     symmetric in beta0 and beta2), so one phi serves both reconstruction
     orientations.
     """
+    family, eps, p = scheme.family, scheme.eps, scheme.p
     if family in ("js", "m"):
         return (beta + eps) ** 2
     if family == "z":
@@ -299,66 +308,9 @@ def _factor(beta, family, eps, p=1.0, q=1.0):
         root = beta ** (1.0 / p)
         tau = np.abs(root[0] - root[2])
         return 1.0 + (tau / (root + eps)) ** p
-    if family == "zl":
-        lg = np.log1p(beta)
-        tau = np.abs(lg[0] - lg[2]) / p
-        return 1.0 + (tau / (beta + eps)) ** q
-    raise ConfigurationError(f"unknown weight family {family!r}")
-
-
-def _family_weights(beta, d, family, eps=1e-40, p=1.0, q=1.0, mirror=False, axis=-1):
-    """Weights of ``family`` for the triples along ``axis`` (0 or -1) of
-    ``beta``; see :func:`nonlinear_weights` for ``d`` and ``mirror``."""
-    if axis not in (0, -1):
-        raise ConfigurationError(f"triples lie along axis 0 or -1, not {axis!r}")
-    beta = np.asarray(beta, dtype=float)
-    if axis == -1:
-        beta = beta.transpose((beta.ndim - 1,) + tuple(range(beta.ndim - 1)))
-    d = np.asarray(d, dtype=float).T      # linear weights on axis 0, sets on 1
-    if mirror and d.ndim > 1:
-        raise ConfigurationError("mirror=True takes one linear-weight triple")
-    extra = (2,) if mirror else d.shape[1:]
-    shape = (3,) + extra + beta.shape[1:]
-    d = d.reshape(d.shape + (1,) * (len(shape) - d.ndim))   # broadcasting
-    if family == "linear":
-        omega = np.broadcast_to(d, shape).copy()
-    else:
-        phi = _factor(beta, family, eps, p, q)
-        combine = np.divide if family in ("js", "m") else np.multiply
-        if mirror:
-            alpha = np.empty(shape)
-            combine(d[:, 0], phi, out=alpha[:, 0])
-            combine(d[:, 0], phi[::-1], out=alpha[:, 1])
-        else:
-            alpha = combine(d, phi[:, None] if extra else phi)
-        omega = _normalize(alpha)
-        if family == "m":
-            omega = _normalize(henrick_map(omega, d))
-    if axis == -1:
-        lead = (1, 0) if extra else (0,)
-        omega = omega.transpose(tuple(range(len(lead), omega.ndim)) + lead)
-        omega = np.ascontiguousarray(omega)
-    return omega
-
-
-def weights_js(beta, d=D_EDGE, eps=1e-6):
-    return _family_weights(beta, d, "js", eps)
-
-
-def weights_m(beta, d=D_EDGE, eps=1e-40):
-    return _family_weights(beta, d, "m", eps)
-
-
-def weights_z(beta, d=D_EDGE, eps=1e-40):
-    return _family_weights(beta, d, "z", eps)
-
-
-def weights_zr(beta, d=D_EDGE, eps=1e-40, p=2.0):
-    return _family_weights(beta, d, "zr", eps, p)
-
-
-def weights_zl(beta, d=D_EDGE, eps=1e-40, p=1.0, q=1.0):
-    return _family_weights(beta, d, "zl", eps, p, q)
+    lg0, lg2 = np.log1p(beta[::2])      # zl: tau reads beta0 and beta2 only
+    tau = np.abs(lg0 - lg2) / p
+    return 1.0 + (tau / (beta + eps)) ** scheme.q
 
 
 def nonlinear_weights(beta, scheme: WeightScheme, d=D_EDGE, mirror=False, axis=-1):
@@ -376,8 +328,36 @@ def nonlinear_weights(beta, scheme: WeightScheme, d=D_EDGE, mirror=False, axis=-
     right-biased reconstruction).  One per-window factor serves them all,
     bit for bit what separate calls return.
     """
-    return _family_weights(beta, d, scheme.family, scheme.eps, scheme.p, scheme.q,
-                           mirror, axis)
+    if axis not in (0, -1):
+        raise ConfigurationError(f"triples lie along axis 0 or -1, not {axis!r}")
+    beta = np.asarray(beta, dtype=float)
+    if axis == -1:
+        beta = beta.transpose((beta.ndim - 1,) + tuple(range(beta.ndim - 1)))
+    d = np.asarray(d, dtype=float).T      # linear weights on axis 0, sets on 1
+    if mirror and d.ndim > 1:
+        raise ConfigurationError("mirror=True takes one linear-weight triple")
+    extra = (2,) if mirror else d.shape[1:]
+    shape = (3,) + extra + beta.shape[1:]
+    d = d.reshape(d.shape + (1,) * (len(shape) - d.ndim))   # broadcasting
+    if scheme.family == "linear":
+        omega = np.broadcast_to(d, shape).copy()
+    else:
+        phi = _factor(beta, scheme)
+        combine = np.divide if scheme.family in ("js", "m") else np.multiply
+        if mirror:
+            alpha = np.empty(shape)
+            combine(d[:, 0], phi, out=alpha[:, 0])
+            combine(d[:, 0], phi[::-1], out=alpha[:, 1])
+        else:
+            alpha = combine(d, phi[:, None] if extra else phi)
+        omega = _normalize(alpha)
+        if scheme.family == "m":
+            omega = _normalize(henrick_map(omega, d))
+    if axis == -1:
+        lead = (1, 0) if extra else (0,)
+        omega = omega.transpose(tuple(range(len(lead), omega.ndim)) + lead)
+        omega = np.ascontiguousarray(omega)
+    return omega
 
 
 def _window(window):
@@ -398,11 +378,6 @@ def reconstruct_interface(window, scheme: WeightScheme, orientation="left"):
     return v[int(orientation == "right"), ..., 0]
 
 
-def big_stencil_interface(window):
-    """Quartic (linear-weight) interface value over the full window."""
-    return np.asarray(window, dtype=float) @ BIG_EDGE
-
-
 # Linear weights of the Gauss nodes for one weight call: minus, gamma+,
 # plus, gamma-; the split pair in rows 1 and 3 combines into row 1, so rows
 # 0..2 follow GAUSS_NODES.  The linear scheme takes D_GAUSS_CENTER as is.
@@ -420,17 +395,6 @@ def _gauss_weights(beta, scheme: WeightScheme, axis):
     sets = omega.swapaxes(0, at)
     np.subtract(SIGMA_PLUS * sets[1], SIGMA_MINUS * sets[3], out=sets[1])
     return sets[:3].swapaxes(0, at)
-
-
-def gauss_split_weights(beta, scheme: WeightScheme, axis=-1):
-    """Center-node weights sigma+ * w+ - sigma- * w- from the split sets.
-
-    The combined weights sum to one but individual entries may be negative;
-    this is the standard treatment of negative linear weights.  ``axis`` is
-    the axis of ``beta`` holding the triples, as for
-    :func:`nonlinear_weights`.
-    """
-    return np.take(_gauss_weights(beta, scheme, axis), 1, axis=1 if axis == 0 else -2)
 
 
 def reconstruct_gauss_point(window, scheme: WeightScheme, node):

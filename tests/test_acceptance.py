@@ -31,9 +31,6 @@ from fvweno.weno import (
     WeightScheme,
     nonlinear_weights,
     smoothness_indicators,
-    weights_z,
-    weights_zl,
-    weights_zr,
 )
 
 from oracle_utils import NODE_X, oracle_big, oracle_substencil
@@ -264,10 +261,12 @@ def test_criterion_7_weight_properties():
             failures.append(f"{label}: negative weight")
         if np.max(np.abs(om.sum(axis=1) - 1.0)) > 4 * eps:
             failures.append(f"{label}: weights do not sum to one within 4 ulps")
-    if np.max(np.abs(weights_zr(beta, p=1) - weights_z(beta))) > 1e-12:
+    zr1, z = (nonlinear_weights(beta, s) for s in (WeightScheme.zr(p=1), WeightScheme.z()))
+    if np.max(np.abs(zr1 - z)) > 1e-12:
         failures.append("ZR(p=1) differs from Z beyond 1e-12")
     beta_pos = rng.uniform(0.1, 10.0, size=(10_000, 3))
-    if np.max(np.abs(weights_zl(beta_pos, p=1e12, q=1) - D_EDGE)) > 1e-10:
+    zl = nonlinear_weights(beta_pos, WeightScheme.zl(p=1e12, q=1))
+    if np.max(np.abs(zl - D_EDGE)) > 1e-10:
         failures.append("ZL(p=1e12) does not return the linear weights")
 
     def max_dev(n, scheme):

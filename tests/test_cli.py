@@ -48,6 +48,15 @@ def test_run_rejects_non_finite_scheme_parameters(capsys):
     assert capsys.readouterr().err.startswith("error: q must be finite")
 
 
+@pytest.mark.parametrize("args", [["--tfinal", "nan"], ["--tfinal", "inf"], ["--tfinal", "-1"],
+                                  ["--cfl", "inf"], ["--dt-scale", "inf"]])
+def test_run_rejects_bad_time_inputs(args, capsys):
+    # a configuration error, not a run of 0 steps (or one step to T)
+    rc = main(["run", "burgers1d", "--scheme", "z", "--n", "20", *args])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_unknown_problem_exits_2():
     with pytest.raises(SystemExit) as err:
         main(["run", "not-a-problem", "--scheme", "z"])
@@ -92,6 +101,15 @@ def test_dissect_command_text_output(capsys):
 def test_dissect_rejects_bad_courant(capsys):
     rc = main(["dissect", "--nu", "0.7", "--schemes", "js"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("args", [["--final-time", "inf"], ["--final-time", "nan"],
+                                  ["--delta", "inf"], ["--delta", "nan"]])
+def test_dissect_rejects_non_finite_inputs(args, capsys):
+    # not an OverflowError traceback, nor a reported divergence
+    rc = main(["dissect", "--schemes", "js", "--stage", "1", "--table", "weights", *args])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_dissect_csv_output(tmp_path):

@@ -37,6 +37,12 @@ def test_setup_validation():
         RiemannSetup(nu=0.0)
     with pytest.raises(ConfigurationError):
         RiemannSetup(u_left=0.0, u_right=1.0)  # needs a positive jump
+    for bad in ({"u_left": np.inf}, {"u_right": -np.inf}, {"dx": np.inf}, {"dx": np.nan}):
+        with pytest.raises(ConfigurationError):
+            RiemannSetup(**bad)
+    for t_final in (0.0, np.inf, np.nan):
+        with pytest.raises(ConfigurationError):
+            final_time_comparison(RiemannSetup(schemes=(WeightScheme.z(),)), t_final)
 
 
 def test_stage1_weights_at_upstream_jump_window(classic_reports):

@@ -19,7 +19,7 @@ def _scalar_field(values):
 
 def test_rk3_zero_operator_is_identity():
     u = _scalar_field([1.0, -2.0, 3.0])
-    L = lambda f: f.with_data(np.zeros_like(f.data))
+    L = lambda f: CellField(f.grid, np.zeros_like(f.data))
     out = rk3_step(u, L, 0.1)
     np.testing.assert_array_equal(out.data, u.data)
 
@@ -27,13 +27,13 @@ def test_rk3_zero_operator_is_identity():
 def test_rk3_decay_amplification():
     # u' = -u: one step gives 1 - h + h^2/2 - h^3/6
     u = _scalar_field([1.0])
-    L = lambda f: f.with_data(-f.data)
+    L = lambda f: CellField(f.grid, -f.data)
     out = rk3_step(u, L, 0.1)
     assert out.data[0, 0] == pytest.approx(1 - 0.1 + 0.005 - 1e-3 / 6, rel=1e-15)
 
 
 def test_rk3_third_order_on_decay():
-    L = lambda f: f.with_data(-f.data)
+    L = lambda f: CellField(f.grid, -f.data)
     errs = []
     hs = [0.1 / 2**k for k in range(5)]
     for h in hs:
@@ -60,7 +60,7 @@ def test_rk3_divergence_names_stage():
         data = np.zeros_like(f.data)
         if calls[0] == 2:  # second stage blows up
             data[:] = np.nan
-        return f.with_data(data)
+        return CellField(f.grid, data)
 
     with pytest.raises(DivergenceError) as err:
         rk3_step(_scalar_field([1.0]), L, 0.1)
@@ -69,7 +69,7 @@ def test_rk3_divergence_names_stage():
 
 def test_rk3_observer_sees_stages():
     seen = []
-    L = lambda f: f.with_data(-f.data)
+    L = lambda f: CellField(f.grid, -f.data)
     rk3_step(_scalar_field([2.0]), L, 0.5,
              observer=lambda stage, field, rec: seen.append((stage, field.data[0, 0])))
     assert [s for s, _ in seen] == [1, 2, 3]
@@ -165,5 +165,14 @@ def test_linear_advection_stability_on_monotone_data():
 def test_time_control_validation():
     with pytest.raises(ConfigurationError):
         TimeControl("adaptive", 0.4)
-    with pytest.raises(ConfigurationError):
-        TimeControl("cfl", -1.0)
+    for mode in ("cfl", "dt_scale"):
+        for value in (-1.0, 0.0, np.inf, np.nan):
+            with pytest.raises(ConfigurationError):
+                TimeControl(mode, value)
+    grid = Grid1D(-1.0, 1.0, 20)
+    u = cell_average_of(lambda x: np.sin(np.pi * x), grid)
+    op = SemiDiscreteOp1D(ADVECTION, WeightScheme.z(), PERIODIC)
+    for t_final in (-1.0, np.inf, np.nan):
+        with pytest.raises(ConfigurationError):
+            integrate_to(u, op, t_final, TimeControl("dt_scale", 0.1))
+    assert integrate_to(u, op, 0.0, TimeControl("dt_scale", 0.1)) is u

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fvweno import weno
 from fvweno.errors import ConfigurationError
@@ -11,17 +12,11 @@ from fvweno.mesh import Grid1D, cell_average_of
 from fvweno.weno import (
     D_EDGE,
     WeightScheme,
-    big_stencil_interface,
     henrick_map,
     nonlinear_weights,
     reconstruct_gauss_point,
     reconstruct_interface,
     smoothness_indicators,
-    weights_js,
-    weights_m,
-    weights_z,
-    weights_zl,
-    weights_zr,
 )
 
 from oracle_utils import (
@@ -59,13 +54,13 @@ def test_smoothness_linear_data():
 # --- weight families ---------------------------------------------------------
 
 def test_js_equal_indicators_give_linear_weights():
-    np.testing.assert_allclose(weights_js(np.zeros(3), eps=1e-12), D_EDGE,
-                               rtol=1e-14)
+    np.testing.assert_allclose(nonlinear_weights(np.zeros(3), WeightScheme.js(eps=1e-12)),
+                               D_EDGE, rtol=1e-14)
 
 
 def test_js_single_jump_window_weights():
     beta = np.array([0.0, 0.0, 4.0 / 3.0])
-    om = weights_js(beta, eps=1e-12)
+    om = nonlinear_weights(beta, WeightScheme.js(eps=1e-12))
     np.testing.assert_allclose(om[:2], [0.142857, 0.857143], atol=5e-7)
     np.testing.assert_allclose(om[2], 2.411e-25, rtol=1e-3)
 
@@ -77,7 +72,7 @@ def test_js_matches_exact_rational_evaluation():
     d = [Fraction(1, 10), Fraction(3, 5), Fraction(3, 10)]
     alpha = [ds / (b + eps) ** 2 for ds, b in zip(d, beta)]
     expected = [float(a / sum(alpha)) for a in alpha]
-    got = weights_js(np.array([5 / 6, 1 / 4, 5 / 6]), eps=1e-12)
+    got = nonlinear_weights(np.array([5 / 6, 1 / 4, 5 / 6]), WeightScheme.js(eps=1e-12))
     np.testing.assert_allclose(got, expected, rtol=1e-13)
 
 
@@ -93,11 +88,12 @@ def test_henrick_map_known_value():
 
 
 def test_m_weights_zero_indicators():
-    np.testing.assert_allclose(weights_m(np.zeros(3)), D_EDGE, atol=1e-15)
+    np.testing.assert_allclose(nonlinear_weights(np.zeros(3), WeightScheme.m()), D_EDGE,
+                               atol=1e-15)
 
 
 def test_m_weights_single_jump():
-    om = weights_m(np.array([0.0, 0.0, 4.0 / 3.0]))
+    om = nonlinear_weights(np.array([0.0, 0.0, 4.0 / 3.0]), WeightScheme.m())
     np.testing.assert_allclose(om[:2], [0.127255, 0.872745], atol=5e-7)
     np.testing.assert_allclose(om[2], 1.321e-80, rtol=1e-3)
 
@@ -105,7 +101,7 @@ def test_m_weights_single_jump():
 def test_m_weights_downwind_jump_window():
     # (beta0 large, beta1/beta2 tiny): mapped weights drive omega0 to zero
     # and renormalize toward (0, 6164/9241, 3077/9241)
-    om = weights_m(np.array([4.0 / 3.0, 0.0, 0.0]))
+    om = nonlinear_weights(np.array([4.0 / 3.0, 0.0, 0.0]), WeightScheme.m())
     assert om[0] < 1e-75
     np.testing.assert_allclose(om[1], 6164 / 9241, atol=1e-6)
     np.testing.assert_allclose(om[2], 3077 / 9241, atol=1e-6)
@@ -113,11 +109,12 @@ def test_m_weights_downwind_jump_window():
 
 def test_z_weights_equal_indicators():
     for c in (0.0, 0.37, 5.0):
-        np.testing.assert_allclose(weights_z(np.full(3, c)), D_EDGE, rtol=4 * EPS)
+        np.testing.assert_allclose(nonlinear_weights(np.full(3, c), WeightScheme.z()), D_EDGE,
+                                   rtol=4 * EPS)
 
 
 def test_z_weights_single_jump():
-    om = weights_z(np.array([0.0, 0.0, 4.0 / 3.0]))
+    om = nonlinear_weights(np.array([0.0, 0.0, 4.0 / 3.0]), WeightScheme.z())
     np.testing.assert_allclose(om[:2], [0.142857, 0.857143], atol=5e-7)
     np.testing.assert_allclose(om[2], 6.429e-41, rtol=1e-3)
 
@@ -129,32 +126,32 @@ def test_z_weights_exact_rational_evaluation():
     eps = Fraction(1, 10**40)
     alpha = [ds * (1 + tau / (b + eps)) for ds, b in zip(d, beta)]
     expected = [float(a / sum(alpha)) for a in alpha]
-    np.testing.assert_allclose(weights_z(np.array([1.0, 2.0, 5.0])), expected,
-                               rtol=1e-13)
+    got = nonlinear_weights(np.array([1.0, 2.0, 5.0]), WeightScheme.z())
+    np.testing.assert_allclose(got, expected, rtol=1e-13)
 
 
 def test_zr_single_jump_p2():
-    om = weights_zr(np.array([0.0, 0.0, 4.0 / 3.0]), p=2)
+    om = nonlinear_weights(np.array([0.0, 0.0, 4.0 / 3.0]), WeightScheme.zr(p=2))
     np.testing.assert_allclose(om[:2], [0.142857, 0.857143], atol=5e-7)
     np.testing.assert_allclose(om[2], 6.429e-81, rtol=1e-3)
 
 
 def test_zr_p3_reproduces_comparison_table_tail():
     # the published single-step tables carry the cube-root variant
-    om = weights_zr(np.array([0.0, 0.0, 4.0 / 3.0]), p=3)
+    om = nonlinear_weights(np.array([0.0, 0.0, 4.0 / 3.0]), WeightScheme.zr(p=3))
     np.testing.assert_allclose(om[2], 6.429e-121, rtol=1e-3)
 
 
 def test_zr_p1_equals_z_on_random_triples():
     rng = np.random.default_rng(42)
     beta = rng.uniform(0.0, 10.0, size=(10_000, 3))
-    np.testing.assert_allclose(weights_zr(beta, p=1), weights_z(beta),
-                               atol=1e-12)
+    np.testing.assert_allclose(nonlinear_weights(beta, WeightScheme.zr(p=1)),
+                               nonlinear_weights(beta, WeightScheme.z()), atol=1e-12)
 
 
 def test_zl_zero_indicators():
-    np.testing.assert_allclose(weights_zl(np.zeros(3), p=1, q=1), D_EDGE,
-                               rtol=4 * EPS)
+    np.testing.assert_allclose(nonlinear_weights(np.zeros(3), WeightScheme.zl(p=1, q=1)),
+                               D_EDGE, rtol=4 * EPS)
 
 
 def test_zl_jump_window_all_parameter_combos():
@@ -167,7 +164,7 @@ def test_zl_jump_window_all_parameter_combos():
         (2, 2): (6.501e-81, 4.846e-80),
     }
     for (p, q), (w0, w1) in expected.items():
-        om = weights_zl(beta, p=p, q=q)
+        om = nonlinear_weights(beta, WeightScheme.zl(p=p, q=q))
         np.testing.assert_allclose(om[0], w0, rtol=1e-3)
         np.testing.assert_allclose(om[1], w1, rtol=1e-3)
         np.testing.assert_allclose(om[2], 1.0, rtol=1e-14)
@@ -177,7 +174,7 @@ def test_zl_large_p_returns_linear_weights():
     rng = np.random.default_rng(3)
     beta = rng.uniform(0.1, 10.0, size=(2000, 3))
     for q in (1.0, 2.0):
-        om = weights_zl(beta, p=1e12, q=q)
+        om = nonlinear_weights(beta, WeightScheme.zl(p=1e12, q=q))
         assert np.max(np.abs(om - D_EDGE)) < 1e-10
 
 
@@ -188,6 +185,24 @@ def test_weights_partition_of_unity_and_positivity(scheme):
     om = nonlinear_weights(beta, scheme)
     assert np.all(om >= 0.0)
     np.testing.assert_allclose(om.sum(axis=1), 1.0, atol=4 * EPS)
+
+
+_INDICATOR = st.one_of(st.just(0.0), st.floats(0.0, 1e3), st.floats(0.0, 1e-6))
+
+
+@pytest.mark.parametrize("scheme", SIX_SCHEMES, ids=lambda s: s.label)
+@settings(deadline=None, derandomize=True, max_examples=50)
+@given(triples=st.lists(st.tuples(_INDICATOR, _INDICATOR, _INDICATOR), min_size=1, max_size=8))
+def test_weights_reflection_symmetry(scheme, triples):
+    # reversing the substencils (the indicator triple and the linear
+    # weights) reverses the weights; not bit for bit, since the normalization
+    # sums (alpha0 + alpha1) + alpha2
+    beta = np.array(triples)
+    for d in (D_EDGE, weno.D_GAUSS_MINUS, weno.D_GAUSS_PLUS, weno.GAMMA_PLUS,
+              weno.GAMMA_MINUS):
+        mirrored = nonlinear_weights(beta[:, ::-1], scheme, d=d[::-1])
+        assert np.abs(mirrored - nonlinear_weights(beta, scheme, d=d)[:, ::-1]).max() \
+            <= 16 * EPS, d
 
 
 @pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda s: s.label)
@@ -290,7 +305,7 @@ def test_gauss_point_values_equal_per_node_reconstructions(scheme):
     vals = weno.gauss_point_values(ubar, scheme)
     W = np.lib.stride_tricks.sliding_window_view(ubar, 5, axis=-1)
     beta = smoothness_indicators(W)
-    center = weno.gauss_split_weights(beta, scheme)
+    center = weno._gauss_weights(beta, scheme, -1)[..., 1, :]
     if scheme.family == "linear":
         split = np.broadcast_to(weno.D_GAUSS_CENTER, beta.shape)
     else:
@@ -317,7 +332,7 @@ def test_interface_linear_weights_equal_big_stencil():
     for _ in range(10_000):
         w = rng.normal(size=5)
         v = reconstruct_interface(w, scheme)
-        b = big_stencil_interface(w)
+        b = w @ weno.BIG_EDGE
         assert abs(v - b) <= 4 * EPS * max(1.0, abs(b))
 
 
@@ -410,7 +425,7 @@ def test_gauss_linear_weight_identities_exact_rational():
 def test_gauss_center_split_weights_sum_to_one(scheme):
     rng = np.random.default_rng(11)
     beta = rng.uniform(0.0, 10.0, size=(20_000, 3))
-    om = weno.gauss_split_weights(beta, scheme)
+    om = weno._gauss_weights(beta, scheme, -1)[..., 1, :]
     np.testing.assert_allclose(om.sum(axis=1), 1.0, atol=4 * EPS)
 
 
@@ -451,7 +466,8 @@ def test_smooth_interface_reconstruction_is_fifth_order():
 
 
 def test_zr_zero_indicators_give_linear_weights():
-    np.testing.assert_allclose(weights_zr(np.zeros(3), p=2), D_EDGE, rtol=4 * EPS)
+    np.testing.assert_allclose(nonlinear_weights(np.zeros(3), WeightScheme.zr(p=2)), D_EDGE,
+                               rtol=4 * EPS)
 
 
 @pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda s: s.label)
