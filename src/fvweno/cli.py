@@ -63,7 +63,10 @@ def parse_scheme_list(text):
 def _parse_n(text):
     if text is None:
         return None
-    parts = [int(v) for v in text.split(",")]
+    try:
+        parts = [int(v) for v in text.split(",")]
+    except ValueError:
+        raise ConfigurationError(f"cell counts must be integers, got {text!r}") from None
     return parts[0] if len(parts) == 1 else tuple(parts)
 
 

@@ -44,7 +44,6 @@ class Fixture:
     order_abs: float
     columns: list
     rows: dict          # label -> list of values (None for blanks)
-    notes: list
     quanta: dict        # label -> print_quantum of each value (0 for blanks)
 
 
@@ -114,7 +113,6 @@ def load_fixture(table_id) -> Fixture:
     kind = None
     rel = 0.02
     order_abs = 0.05
-    notes = []
     columns = None
     rows = {}
     quanta = {}
@@ -128,7 +126,6 @@ def load_fixture(table_id) -> Fixture:
                 kind = body.split(":", 1)[1].strip()
             elif body.startswith("note:"):
                 note = body.split(":", 1)[1].strip()
-                notes.append(note)
                 m = re.match(r"rel:\s*([0-9.e-]+)", note)
                 if m:
                     rel = float(m.group(1))
@@ -145,7 +142,7 @@ def load_fixture(table_id) -> Fixture:
         quanta[cells[0]] = [print_quantum(c) if c != "" else 0.0 for c in cells[1:]]
     if kind is None or columns is None or not rows:
         raise ConfigurationError(f"golden fixture {table_id!r} is empty or malformed")
-    return Fixture(table_id, kind, rel, order_abs, columns, rows, notes, quanta)
+    return Fixture(table_id, kind, rel, order_abs, columns, rows, quanta)
 
 
 # --- builders ----------------------------------------------------------------

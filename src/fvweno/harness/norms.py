@@ -10,15 +10,16 @@ from ..errors import ConfigurationError
 from ..mesh import CellField
 
 
-def norms(numeric: CellField, exact: CellField, component=0):
-    """(L1, L2, Linf) of the cell-average error on a shared grid.
+def norms(numeric: CellField, exact: CellField):
+    """(L1, L2, Linf) of the cell-average error of component 0 (the density
+    of an Euler field) on a shared grid.
 
     L1 = mean |e|, L2 = sqrt(mean e^2), Linf = max |e| over the interior;
     2D fields average over nx*ny.
     """
     if numeric.grid != exact.grid:
         raise ConfigurationError("fields live on different grids")
-    e = numeric.interior[component] - exact.interior[component]
+    e = numeric.interior[0] - exact.interior[0]
     ae = np.abs(e)
     return float(ae.mean()), float(np.sqrt((e * e).mean())), float(ae.max())
 

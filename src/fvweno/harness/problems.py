@@ -112,16 +112,20 @@ def get_problem(pid) -> Problem:
 
 
 def _grid1d(a, b):
-    return lambda n: Grid1D(a, b, int(n))
+    def make(n):
+        if not np.isscalar(n):
+            raise ConfigurationError(f"a 1D problem takes one cell count, got {n}")
+        return Grid1D(a, b, int(n))
+
+    return make
 
 
 def _grid2d(ax, bx, ay, by):
     def make(n):
-        if np.isscalar(n):
-            nx = ny = int(n)
-        else:
-            nx, ny = (int(v) for v in n)
-        return Grid2D(ax, bx, ay, by, nx, ny)
+        counts = (n, n) if np.isscalar(n) else tuple(n)
+        if len(counts) != 2:
+            raise ConfigurationError(f"a 2D problem takes N or NX,NY cells, got {n}")
+        return Grid2D(ax, bx, ay, by, *(int(v) for v in counts))
 
     return make
 
@@ -221,25 +225,25 @@ register(Problem(
 
 # --- 1D Euler --------------------------------------------------------------
 
-def _euler_shock_tube_ic(left, right, x0=0.0):
+def _euler_shock_tube_ic(left, right):
     left_cons = EULER.conserved(*left)
     right_cons = EULER.conserved(*right)
 
     def build(grid):
-        return step_function_average(grid, x0, left_cons, right_cons)
+        return step_function_average(grid, 0.0, left_cons, right_cons)
 
     return build
 
 
-def _euler_riemann_exact(left, right, x0=0.0):
+def _euler_riemann_exact(left, right):
     fan = exact_riemann(left, right)
 
     def build(grid, t):
         if t <= 0.0:
-            return _euler_shock_tube_ic(left, right, x0)(grid)
+            return _euler_shock_tube_ic(left, right)(grid)
 
         def conserved(xq):
-            rho, u, P = fan.sample((xq.ravel() - x0) / t)
+            rho, u, P = fan.sample(xq.ravel() / t)
             return EULER.conserved(rho, u, P).reshape(3, *xq.shape)
 
         return CellField.from_interior(grid, gauss_average(conserved, grid.centers(), grid.dx))

@@ -73,8 +73,8 @@ def rk3_step(u: CellField, L, dt, observer=None) -> CellField:
     return stage_field(u0 / 3.0 + (2.0 / 3.0) * u2.data + (2.0 / 3.0) * dt * Lu, 3, rec)
 
 
-def cfl_dt(field: CellField, model, cfl, dx, dy=None, remaining=None):
-    """CFL time step: ``cfl * dx / alpha`` in 1D and
+def cfl_dt(field: CellField, model, cfl, remaining=None):
+    """CFL time step on the field's grid: ``cfl * dx / alpha`` in 1D and
     ``cfl / (alpha_x/dx + alpha_y/dy)`` in 2D.
 
     Clamped to ``remaining`` so the final step lands exactly on the target
@@ -83,11 +83,11 @@ def cfl_dt(field: CellField, model, cfl, dx, dy=None, remaining=None):
     if not cfl > 0.0:
         raise ConfigurationError("cfl must be positive")
     alpha = max_wave_speed(field, model)
-    if dy is None:
-        dt = cfl * dx / alpha if alpha > 0.0 else np.inf
+    if isinstance(field.grid, Grid1D):
+        dt = cfl * field.grid.dx / alpha if alpha > 0.0 else np.inf
     else:
         ax, ay = alpha
-        denom = ax / dx + ay / dy
+        denom = ax / field.grid.dx + ay / field.grid.dy
         dt = cfl / denom if denom > 0.0 else np.inf
     if remaining is not None:
         dt = min(dt, remaining)
@@ -106,11 +106,7 @@ def integrate_to(u: CellField, op, t_final, time: TimeControl, observer=None,
     """
     if not 0.0 <= t_final < np.inf:
         raise ConfigurationError("t_final must be finite and nonnegative")
-    grid = u.grid
-    if isinstance(grid, Grid1D):
-        dx, dy = grid.dx, None
-    else:
-        dx, dy = grid.dx, grid.dy
+    dx = u.grid.dx
     t = 0.0
     step = 0
     eps = 1e-12 * max(t_final, 1.0)
@@ -120,7 +116,7 @@ def integrate_to(u: CellField, op, t_final, time: TimeControl, observer=None,
             dt = min(time.value * dx, remaining)
         else:
             try:
-                dt = cfl_dt(u, op.model, time.value, dx, dy, remaining=remaining)
+                dt = cfl_dt(u, op.model, time.value, remaining=remaining)
             except StateError as exc:
                 # the state turned inadmissible in the last stage of the
                 # completed step; report it against that stage

@@ -1,9 +1,9 @@
 """Uniform grids, cell-average fields with ghost layers, boundary fills.
 
 Fields store one row per solution component with the ghost cells included:
-shape ``(m, n + 2*ghost)`` in 1D and ``(m, nx + 2*ghost, ny + 2*ghost)`` in
-2D.  Fields are treated as immutable snapshots between solver stages; every
-operation here returns a new field.
+shape ``(m, n + 6)`` in 1D and ``(m, nx + 6, ny + 6)`` in 2D (``GHOST`` = 3
+cells on each side).  Fields are treated as immutable snapshots between
+solver stages; every operation here returns a new field.
 """
 
 from __future__ import annotations
@@ -20,6 +20,13 @@ from .errors import ConfigurationError
 # masks the scheme's convergence order).
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(5)
 
+# Ghost cells on each side of every axis.  The fifth-order reconstruction
+# reads five-cell windows, so the traces at the n+1 faces of n cells reach
+# exactly three cells beyond each end.
+GHOST = 3
+# a field's interior: every component, GHOST cut from each end of each axis
+_INTERIOR = (slice(None),) + (slice(GHOST, -GHOST),) * 2
+
 
 def _centers(a, dx, n, ghost):
     """Centres of ``n`` cells of width ``dx`` from ``a``, with ``ghost``
@@ -29,10 +36,9 @@ def _centers(a, dx, n, ghost):
 
 def _padded_shape(grid, m):
     """Shape of the data of an ``m``-component field on ``grid``."""
-    g = grid.ghost
     if isinstance(grid, Grid1D):
-        return (m, grid.n + 2 * g)
-    return (m, grid.nx + 2 * g, grid.ny + 2 * g)
+        return (m, grid.n + 2 * GHOST)
+    return (m, grid.nx + 2 * GHOST, grid.ny + 2 * GHOST)
 
 
 @dataclass(frozen=True)
@@ -40,22 +46,19 @@ class Grid1D:
     a: float
     b: float
     n: int
-    ghost: int = 3
 
     def __post_init__(self):
         if not self.b > self.a:
             raise ConfigurationError("grid requires b > a")
         if self.n < 1:
             raise ConfigurationError("grid requires at least one cell")
-        if self.ghost < 0:
-            raise ConfigurationError("ghost width must be nonnegative")
 
     @property
     def dx(self):
         return (self.b - self.a) / self.n
 
     def centers(self, ghosts=False):
-        return _centers(self.a, self.dx, self.n, self.ghost if ghosts else 0)
+        return _centers(self.a, self.dx, self.n, GHOST if ghosts else 0)
 
     def interfaces(self):
         """Positions of the n+1 interior cell interfaces."""
@@ -70,15 +73,12 @@ class Grid2D:
     by: float
     nx: int
     ny: int
-    ghost: int = 3
 
     def __post_init__(self):
         if not (self.bx > self.ax and self.by > self.ay):
             raise ConfigurationError("grid requires bx > ax and by > ay")
         if self.nx < 1 or self.ny < 1:
             raise ConfigurationError("grid requires at least one cell per direction")
-        if self.ghost < 0:
-            raise ConfigurationError("ghost width must be nonnegative")
 
     @property
     def dx(self):
@@ -89,10 +89,10 @@ class Grid2D:
         return (self.by - self.ay) / self.ny
 
     def xcenters(self, ghosts=False):
-        return _centers(self.ax, self.dx, self.nx, self.ghost if ghosts else 0)
+        return _centers(self.ax, self.dx, self.nx, GHOST if ghosts else 0)
 
     def ycenters(self, ghosts=False):
-        return _centers(self.ay, self.dy, self.ny, self.ghost if ghosts else 0)
+        return _centers(self.ay, self.dy, self.ny, GHOST if ghosts else 0)
 
 
 _KINDS = ("periodic", "outflow", "reflective", "inflow")
@@ -161,10 +161,7 @@ class CellField:
 
     @property
     def interior(self):
-        g = self.grid.ghost
-        if isinstance(self.grid, Grid1D):
-            return self.data[:, g : g + self.grid.n]
-        return self.data[:, g : g + self.grid.nx, g : g + self.grid.ny]
+        return self.data[_INTERIOR[: self.data.ndim]]
 
     @classmethod
     def _of(cls, grid, data):
@@ -206,17 +203,23 @@ def gauss_average(fn, centers, dx):
     return (fn(centers[:, None] + 0.5 * dx * _GAUSS_NODES) @ _GAUSS_WEIGHTS) / 2.0
 
 
-def _fill_axis(v, n, g, sides, supported, where, inflow=None):
-    """Fill the ghosts along axis 1 of ``v`` (g ghosts, n interior cells, g
-    ghosts; ``v`` may be a view of a field) per the (lo, hi) ``sides``.
+def _fill_axis(v, n, sides, supported, where, inflow=None):
+    """Fill the ghosts along axis 1 of ``v`` (GHOST ghosts, n interior
+    cells, GHOST ghosts; ``v`` may be a view of a field) per the (lo, hi)
+    ``sides``.
 
     ``supported`` holds the kinds besides periodic and outflow that the
-    sides may take; others are rejected, ``where`` naming the sides.  An
-    inflow side fills row 0 of its ghost slice ``s`` with
-    ``inflow(profile, s)``.
+    sides may take; others are rejected, ``where`` naming the sides.
+    Periodic and reflective ghosts copy GHOST interior cells, so they need
+    at least that many.  An inflow side fills row 0 of its ghost slice
+    ``s`` with ``inflow(profile, s)``.
     """
+    g = GHOST
     for hi, bc in enumerate(sides):
         kind = bc.kind
+        if n < g and kind in ("periodic", "reflective"):
+            raise ConfigurationError(
+                f"{kind} boundaries need at least {g} cells across, got {n}")
         ghosts = slice(n + g, None) if hi else slice(0, g)
         if kind == "periodic":
             v[:, ghosts] = v[:, g : 2 * g] if hi else v[:, n : n + g]
@@ -245,24 +248,18 @@ def fill_ghosts(field: CellField, bc) -> CellField:
     out = field.copy()
     d = out.data
     grid = field.grid
-    g = grid.ghost
     if isinstance(grid, Grid1D):
-        sides = _normalize_bc(bc, 2)
-        if g:
-            _fill_axis(d, grid.n, g, sides, ("reflective", "inflow"), "1D grids",
-                       lambda profile, s: gauss_average(
-                           profile, grid.centers(ghosts=True)[s], grid.dx))
+        _fill_axis(d, grid.n, _normalize_bc(bc, 2), ("reflective", "inflow"), "1D grids",
+                   lambda profile, s: gauss_average(
+                       profile, grid.centers(ghosts=True)[s], grid.dx))
         return out
     sides = _normalize_bc(bc, 4)
-    if g:
-        # x first over the interior rows, then y over the full width, so the
-        # corner ghosts come out consistent
-        _fill_axis(d[:, :, g : g + grid.ny], grid.nx, g, sides[:2],
-                   (), "x sides of 2D grids")
-        _fill_axis(d.swapaxes(1, 2), grid.ny, g, sides[2:],
-                   ("inflow",), "y sides of 2D grids",
-                   lambda profile, s: gauss_average(
-                       profile, grid.xcenters(ghosts=True), grid.dx))
+    # x first over the interior rows, then y over the full width, so the
+    # corner ghosts come out consistent
+    _fill_axis(d[:, :, GHOST:-GHOST], grid.nx, sides[:2], (), "x sides of 2D grids")
+    _fill_axis(d.swapaxes(1, 2), grid.ny, sides[2:], ("inflow",), "y sides of 2D grids",
+               lambda profile, s: gauss_average(
+                   profile, grid.xcenters(ghosts=True), grid.dx))
     return out
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .mesh import CellField, Grid1D, Grid2D, _normalize_bc, fill_ghosts
+from .mesh import GHOST, CellField, Grid1D, Grid2D, _normalize_bc, fill_ghosts
 from .physics import EulerModel, FluxPair2D, ScalarFluxModel, lf_flux, max_wave_speed
 from .weno import GAUSS_WEIGHTS, WeightScheme, gauss_point_values, interface_states
 
@@ -29,13 +29,6 @@ class InterfaceRecord:
     omega_plus: np.ndarray      # (m, n+1, 3) weights of the right-biased trace
     flux: np.ndarray            # (m, n+1) numerical fluxes
     alpha: float
-
-
-def _require_ghost(grid, need=3):
-    if grid.ghost < need:
-        raise ConfigurationError(
-            f"fifth-order stencils need a ghost width of {need}, grid has {grid.ghost}"
-        )
 
 
 @dataclass(frozen=True)
@@ -62,7 +55,6 @@ class SemiDiscreteOp1D:
         grid = field.grid
         if not isinstance(grid, Grid1D):
             raise ConfigurationError("SemiDiscreteOp1D requires a 1D field")
-        _require_ghost(grid)
         filled = fill_ghosts(field, self._sides)
         alpha = max_wave_speed(filled, self.model)
         u_minus, u_plus, (om_minus, om_plus) = interface_states(
@@ -70,7 +62,7 @@ class SemiDiscreteOp1D:
         )
         h = lf_flux(u_minus, u_plus, self.model.flux, alpha)
         data = np.zeros(field.data.shape)
-        du = data[:, grid.ghost : grid.ghost + grid.n]
+        du = data[:, GHOST:-GHOST]
         np.subtract(h[..., 1:], h[..., :-1], out=du)
         np.divide(du, -grid.dx, out=du)  # == -(du) / dx, signed zeros included
         rec = None
@@ -97,23 +89,22 @@ class SemiDiscreteOp2D:
         grid = field.grid
         if not isinstance(grid, Grid2D):
             raise ConfigurationError("SemiDiscreteOp2D requires a 2D field")
-        _require_ghost(grid)
         if field.ncomp != 1:
             raise ConfigurationError("2D solver is scalar only")
         filled = fill_ghosts(field, self._sides)
         alpha_x, alpha_y = max_wave_speed(filled, self.model)
         d = filled.data[0]
-        g = grid.ghost
-        fx = self._face_flux(d, self.model.fx, alpha_x, grid.nx, grid.ny, g)
-        fy = self._face_flux(d.T, self.model.fy, alpha_y, grid.ny, grid.nx, g).T
+        fx = self._face_flux(d, self.model.fx, alpha_x)
+        fy = self._face_flux(d.T, self.model.fy, alpha_y).T
         out = CellField.zeros(grid, ncomp=1)
         out.interior[0] = (
             -(fx[1:, :] - fx[:-1, :]) / grid.dx - (fy[:, 1:] - fy[:, :-1]) / grid.dy
         )
         return out
 
-    def _face_flux(self, d, model, alpha, n_normal, n_trans, g):
-        """Face fluxes across the first axis of ``d``: shape (n_normal+1, n_trans)."""
+    def _face_flux(self, d, model, alpha):
+        """Face fluxes across the first axis of the padded ``d``, with n and
+        n_trans interior cells along its axes: shape (n+1, n_trans)."""
         # Sweep 1: interface WENO along the normal axis, every transverse row.
         u_minus, u_plus = interface_states(d.T, self.scheme)  # (n_trans_tot, n+1)
         # Sweep 2: transverse Gauss-point reconstruction of the line averages.
@@ -122,5 +113,5 @@ class SemiDiscreteOp2D:
         h = lf_flux(pts_minus, pts_plus, model.flux, alpha)
         face = 0.5 * (h @ GAUSS_WEIGHTS)
         # Transverse window k covers padded rows k..k+4 and is centered at
-        # row k+2; keep the interior rows g..g+n_trans-1.
-        return face[:, g - 2 : g - 2 + n_trans]
+        # row k+2; keep the interior rows, those past the GHOST on each side.
+        return face[:, GHOST - 2 : 2 - GHOST]

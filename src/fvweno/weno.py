@@ -455,8 +455,8 @@ def interface_states(upad, scheme: WeightScheme, record=False):
     ``upad`` has shape (..., N); windows are formed along the last axis.
     Returns ``(u_minus, u_plus)`` of shape (..., N-5): the traces at the
     N-5 interfaces interior to the window range, i.e. between padded cells
-    2..N-3.  With a ghost width of 3 these are exactly the n+1 interfaces
-    of the n interior cells.
+    2..N-3.  On a field of n cells padded by ``mesh.GHOST`` = 3 on each
+    side these are exactly its n+1 interfaces.
 
     With ``record=True`` also returns ``(omega_minus, omega_plus)``, the
     weight triples used for each returned trace, shape (..., N-5, 3).

@@ -57,6 +57,19 @@ def test_run_rejects_bad_time_inputs(args, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("args", [
+    ["run", "burgers1d", "--n", "10,10"],          # a pair on a 1D problem
+    ["run", "burgers2d", "--n", "10,10,10"],
+    ["run", "burgers1d", "--n", "abc"],
+    ["converge", "burgers1d", "--n-list", "10,x"],
+    ["run", "burgers1d", "--n", "2"],              # periodic: fewer cells than ghosts
+])
+def test_bad_cell_counts_exit_2(args, capsys):
+    rc = main([*args, "--scheme", "z"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_unknown_problem_exits_2():
     with pytest.raises(SystemExit) as err:
         main(["run", "not-a-problem", "--scheme", "z"])

@@ -191,6 +191,15 @@ def test_final_time_zl_values():
                                atol=1e-11)
 
 
+@pytest.mark.parametrize("t_final", [0.5, 2.0])
+def test_final_time_table_follows_the_jump(t_final):
+    table = final_time_comparison(RiemannSetup(schemes=(WeightScheme.z(),)), t_final)
+    cols = np.asarray(table.columns)
+    assert cols.size == 8 and np.all(np.abs(cols - t_final) < 0.04)
+    exact = dict(zip(table.row_labels, table.values))["exact"]
+    assert 1.0 in exact and 0.0 in exact
+
+
 def test_render_table_layout_and_formatting(classic_reports):
     r1, _, _ = classic_reports
     table = render_table(r1, "weights")

@@ -5,15 +5,15 @@ import pytest
 
 from fvweno.errors import ConfigurationError, DivergenceError
 from fvweno.integrate import TimeControl, cfl_dt, integrate_to, rk3_step
-from fvweno.mesh import CellField, Grid1D, PERIODIC, cell_average_of
-from fvweno.physics import ADVECTION, EULER
+from fvweno.mesh import CellField, Grid1D, Grid2D, PERIODIC, cell_average_of
+from fvweno.physics import ADVECTION, BURGERS, EULER, FluxPair2D
 from fvweno.solver import SemiDiscreteOp1D
 from fvweno.weno import WeightScheme
 
 
 def _scalar_field(values):
     values = np.atleast_1d(np.asarray(values, dtype=float))
-    grid = Grid1D(0.0, float(values.size), values.size, ghost=0)
+    grid = Grid1D(0.0, float(values.size), values.size)
     return CellField.from_interior(grid, values)
 
 
@@ -29,7 +29,7 @@ def test_rk3_decay_amplification():
     u = _scalar_field([1.0])
     L = lambda f: CellField(f.grid, -f.data)
     out = rk3_step(u, L, 0.1)
-    assert out.data[0, 0] == pytest.approx(1 - 0.1 + 0.005 - 1e-3 / 6, rel=1e-15)
+    assert out.interior[0, 0] == pytest.approx(1 - 0.1 + 0.005 - 1e-3 / 6, rel=1e-15)
 
 
 def test_rk3_third_order_on_decay():
@@ -41,7 +41,7 @@ def test_rk3_third_order_on_decay():
         steps = round(1.0 / h)
         for _ in range(steps):
             u = rk3_step(u, L, h)
-        errs.append(abs(u.data[0, 0] - np.exp(-1.0)))
+        errs.append(abs(u.interior[0, 0] - np.exp(-1.0)))
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert np.all(np.abs(orders - 3.0) < 0.1), orders
 
@@ -71,7 +71,7 @@ def test_rk3_observer_sees_stages():
     seen = []
     L = lambda f: CellField(f.grid, -f.data)
     rk3_step(_scalar_field([2.0]), L, 0.5,
-             observer=lambda stage, field, rec: seen.append((stage, field.data[0, 0])))
+             observer=lambda stage, field, rec: seen.append((stage, field.interior[0, 0])))
     assert [s for s, _ in seen] == [1, 2, 3]
     assert seen[0][1] == pytest.approx(1.0)  # 2 + 0.5*(-2)
 
@@ -102,7 +102,7 @@ def test_rk3_fields_handed_out_are_never_overwritten():
 def test_cfl_dt_advection():
     grid = Grid1D(0.0, 1.0, 100)
     u = CellField.from_interior(grid, np.ones(100))
-    assert cfl_dt(u, ADVECTION, 0.4, grid.dx) == pytest.approx(0.004)
+    assert cfl_dt(u, ADVECTION, 0.4) == pytest.approx(0.004)
 
 
 def test_cfl_dt_sod_initial():
@@ -110,17 +110,25 @@ def test_cfl_dt_sod_initial():
     U = np.where(grid.centers() <= 0.0, EULER.conserved(1.0, 0.0, 1.0)[:, None],
                  EULER.conserved(0.125, 0.0, 0.1)[:, None])
     u = CellField.from_interior(grid, U)
-    assert cfl_dt(u, EULER, 0.4, grid.dx) == pytest.approx(0.02 / np.sqrt(1.4))
+    assert cfl_dt(u, EULER, 0.4) == pytest.approx(0.02 / np.sqrt(1.4))
 
 
 def test_cfl_dt_zero_speed_caps_at_remaining():
     grid = Grid1D(0.0, 1.0, 10)
     u = CellField.from_interior(grid, np.zeros(10))
-    from fvweno.physics import BURGERS
-
-    assert cfl_dt(u, BURGERS, 0.4, grid.dx, remaining=0.37) == 0.37
+    assert cfl_dt(u, BURGERS, 0.4, remaining=0.37) == 0.37
     with pytest.raises(ConfigurationError):
-        cfl_dt(u, BURGERS, 0.4, grid.dx)
+        cfl_dt(u, BURGERS, 0.4)
+
+
+def test_cfl_dt_2d_reads_both_spacings():
+    # dx = 0.5 and dy = 0.25: a swap of the two changes the step
+    grid = Grid2D(0.0, 2.0, 0.0, 1.0, 4, 4)
+    u = CellField.from_interior(grid, np.array([[0.5, -3.0, 1.0, 2.0]] * 4).T)
+    model = FluxPair2D(BURGERS, ADVECTION)
+    assert cfl_dt(u, model, 0.4) == 0.4 / (3.0 / grid.dx + 1.0 / grid.dy)
+    assert cfl_dt(u, model, 0.4) == 0.4 / (3.0 / 0.5 + 1.0 / 0.25)
+    assert cfl_dt(u, model, 0.4, remaining=0.01) == 0.01
 
 
 def test_dt_scale_mode_step_count():

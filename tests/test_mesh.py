@@ -6,6 +6,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from fvweno.errors import ConfigurationError
 from fvweno.mesh import (
+    GHOST,
     OUTFLOW,
     PERIODIC,
     REFLECTIVE,
@@ -34,36 +35,67 @@ def test_grid_geometry():
 
 
 def test_periodic_fill_wraps():
-    g = Grid1D(0.0, 3.0, 3, ghost=1)
-    f = CellField.from_interior(g, [1.0, 2.0, 3.0])
+    g = Grid1D(0.0, 4.0, 4)
+    f = CellField.from_interior(g, [1.0, 2.0, 3.0, 4.0])
     out = fill_ghosts(f, PERIODIC)
-    np.testing.assert_array_equal(out.data[0], [3, 1, 2, 3, 1])
+    np.testing.assert_array_equal(out.data[0], [2, 3, 4, 1, 2, 3, 4, 1, 2, 3])
 
 
 def test_outflow_fill_copies_nearest():
-    g = Grid1D(0.0, 3.0, 3, ghost=2)
+    g = Grid1D(0.0, 3.0, 3)
     f = CellField.from_interior(g, [5.0, 6.0, 7.0])
     out = fill_ghosts(f, OUTFLOW)
-    np.testing.assert_array_equal(out.data[0], [5, 5, 5, 6, 7, 7, 7])
+    np.testing.assert_array_equal(out.data[0], [5, 5, 5, 5, 6, 7, 7, 7, 7])
 
 
 def test_reflective_fill_mirrors_momentum():
-    g = Grid1D(0.0, 2.0, 2, ghost=1)
-    f = CellField.from_interior(g, np.array([[1.0, 2.0], [0.5, -0.25], [2.5, 3.0]]))
+    g = Grid1D(0.0, 4.0, 4)
+    f = CellField.from_interior(g, np.array([[1.0, 2.0, 3.0, 4.0],
+                                             [0.5, -0.25, 0.75, 1.5],
+                                             [2.5, 3.0, 3.5, 4.0]]))
     out = fill_ghosts(f, REFLECTIVE)
-    np.testing.assert_array_equal(out.data[:, 0], [1.0, -0.5, 2.5])
-    np.testing.assert_array_equal(out.data[:, -1], [2.0, 0.25, 3.0])
+    np.testing.assert_array_equal(out.data[:, :3], [[3.0, 2.0, 1.0],
+                                                    [-0.75, 0.25, -0.5],
+                                                    [3.5, 3.0, 2.5]])
+    np.testing.assert_array_equal(out.data[:, -3:], [[4.0, 3.0, 2.0],
+                                                     [-1.5, -0.75, 0.25],
+                                                     [4.0, 3.5, 3.0]])
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_fill_1d_needs_ghost_many_cells_to_copy(n):
+    # periodic and reflective ghosts copy GHOST interior cells, so with
+    # fewer they would copy ghosts; outflow and inflow read one cell at most
+    g = Grid1D(0.0, 1.0, n)
+    euler = CellField.from_interior(g, np.ones((3, n)))
+    for bc in (PERIODIC, REFLECTIVE, (OUTFLOW, REFLECTIVE)):
+        with pytest.raises(ConfigurationError, match="at least 3 cells"):
+            fill_ghosts(euler, bc)
+    f = CellField.from_interior(g, np.ones(n))
+    out = fill_ghosts(f, (inflow(lambda x: x), OUTFLOW)).data[0]
+    np.testing.assert_allclose(out[:GHOST], g.centers(ghosts=True)[:GHOST], rtol=1e-14)
+    np.testing.assert_array_equal(out[GHOST:], 1.0)
+
+
+@pytest.mark.parametrize("nx, ny", [(2, 4), (4, 2), (1, 1)])
+def test_fill_2d_periodic_needs_ghost_many_cells(nx, ny):
+    g = Grid2D(0.0, 1.0, 0.0, 1.0, nx, ny)
+    f = CellField.from_interior(g, np.ones((nx, ny)))
+    with pytest.raises(ConfigurationError, match="at least 3 cells"):
+        fill_ghosts(f, PERIODIC)
+    out = fill_ghosts(f, OUTFLOW)
+    np.testing.assert_array_equal(out.data, 1.0)
 
 
 def test_reflective_rejects_scalar_fields():
-    g = Grid1D(0.0, 1.0, 4, ghost=1)
+    g = Grid1D(0.0, 1.0, 4)
     f = CellField.from_interior(g, np.ones(4))
     with pytest.raises(ConfigurationError):
         fill_ghosts(f, REFLECTIVE)
 
 
 def test_periodic_must_pair():
-    g = Grid1D(0.0, 1.0, 4, ghost=1)
+    g = Grid1D(0.0, 1.0, 4)
     f = CellField.from_interior(g, np.ones(4))
     with pytest.raises(ConfigurationError):
         fill_ghosts(f, (PERIODIC, OUTFLOW))
@@ -84,36 +116,36 @@ def test_fill_is_idempotent():
 def test_periodic_fill_shift_identity():
     # shifting the padded array by n cells maps it onto itself
     rng = np.random.default_rng(1)
-    g = Grid1D(0.0, 1.0, 9, ghost=3)
+    g = Grid1D(0.0, 1.0, 9)
     f = fill_ghosts(CellField.from_interior(g, rng.normal(size=9)), PERIODIC)
     d = f.data[0]
-    np.testing.assert_array_equal(d[: 2 * g.ghost], d[g.n : g.n + 2 * g.ghost])
+    np.testing.assert_array_equal(d[: 2 * GHOST], d[g.n : g.n + 2 * GHOST])
 
 
 def test_fill_2d_periodic_corners():
     rng = np.random.default_rng(2)
-    g = Grid2D(0.0, 1.0, 0.0, 1.0, 5, 4, ghost=2)
+    g = Grid2D(0.0, 1.0, 0.0, 1.0, 5, 4)
     vals = rng.normal(size=(5, 4))
     f = fill_ghosts(CellField.from_interior(g, vals), PERIODIC)
     d = f.data[0]
     # corner ghost equals the diagonally wrapped interior cell
-    assert d[0, 0] == vals[3, 2]
-    assert d[-1, -1] == vals[1, 1]
+    assert d[0, 0] == vals[2, 1]
+    assert d[-1, -1] == vals[2, 2]
 
 
 def test_fill_2d_inflow_profile_average():
-    g = Grid2D(0.0, 2 * np.pi, 0.0, 1.0, 8, 4, ghost=2)
+    g = Grid2D(0.0, 2 * np.pi, 0.0, 1.0, 8, 4)
     prof = lambda x: np.sin(x)
     f = fill_ghosts(CellField.from_interior(g, np.zeros((8, 4))),
                     (PERIODIC, PERIODIC, inflow(prof), OUTFLOW))
     xc = g.xcenters()
     exact = (np.cos(xc - g.dx / 2) - np.cos(xc + g.dx / 2)) / g.dx
-    np.testing.assert_allclose(f.data[0, 2:-2, 0], exact, atol=1e-12)
-    np.testing.assert_allclose(f.data[0, 2:-2, 1], exact, atol=1e-12)
+    for row in range(GHOST):
+        np.testing.assert_allclose(f.data[0, GHOST:-GHOST, row], exact, atol=1e-12)
 
 
 def test_fill_1d_inflow_ghosts_are_profile_averages():
-    g = Grid1D(0.0, 1.0, 8, ghost=3)
+    g = Grid1D(0.0, 1.0, 8)
     prof = lambda x: x**3 - 2.0 * x            # 5-point Gauss is exact on it
     anti = lambda x: x**4 / 4.0 - x**2
     f = fill_ghosts(CellField.from_interior(g, np.ones(8)), (inflow(prof), inflow(prof)))
@@ -127,11 +159,11 @@ def test_fill_1d_inflow_ghosts_are_profile_averages():
 
 def test_fill_2d_outflow_copies_nearest_interior_cell():
     rng = np.random.default_rng(3)
-    g = Grid2D(0.0, 1.0, 0.0, 1.0, 5, 4, ghost=2)
+    g = Grid2D(0.0, 1.0, 0.0, 1.0, 5, 4)
     vals = rng.normal(size=(5, 4))
     d = fill_ghosts(CellField.from_interior(g, vals), OUTFLOW).data[0]
-    i = np.clip(np.arange(-2, 7), 0, 4)
-    j = np.clip(np.arange(-2, 6), 0, 3)
+    i = np.clip(np.arange(-3, 8), 0, 4)
+    j = np.clip(np.arange(-3, 7), 0, 3)
     np.testing.assert_array_equal(d, vals[np.ix_(i, j)])    # corners included
 
 
@@ -293,6 +325,6 @@ def test_polygon_average_matches_per_cell_clipping_oracle(case):
 
 
 def test_field_shape_validation():
-    g = Grid1D(0.0, 1.0, 4, ghost=1)
+    g = Grid1D(0.0, 1.0, 4)
     with pytest.raises(ConfigurationError):
         CellField(g, np.zeros((1, 4)))  # missing ghosts

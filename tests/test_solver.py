@@ -30,14 +30,6 @@ def test_constant_field_zero_tendency():
     np.testing.assert_array_equal(op(u).interior, 0.0)
 
 
-def test_ghost_width_is_enforced():
-    grid = Grid1D(0.0, 1.0, 16, ghost=2)
-    u = CellField.from_interior(grid, np.zeros(16))
-    op = SemiDiscreteOp1D(ADVECTION, WeightScheme.js(), (PERIODIC, PERIODIC))
-    with pytest.raises(ConfigurationError):
-        op(u)
-
-
 def test_riemann_first_stage_fluxes_match_published_cells():
     # jump 1 -> 0 at x=0, dx=0.01; the interface fluxes at x=0 and x=0.01
     grid = Grid1D(-0.15, 0.22, 37)
