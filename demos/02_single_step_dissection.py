@@ -12,7 +12,7 @@ already visible in the very first step.
 from fvweno import RiemannSetup, analyze_step, final_time_comparison, render_table
 from fvweno.dissect import classic_schemes, final_time_schemes
 
-setup = RiemannSetup(u_left=1.0, u_right=0.0, nu=0.5, schemes=classic_schemes())
+setup = RiemannSetup(delta=1.0, nu=0.5, schemes=classic_schemes())
 stage1, stage2, stage3 = analyze_step(setup)
 
 for report in (stage1, stage2, stage3):

@@ -21,25 +21,17 @@ from .errors import ConfigurationError, DivergenceError, FvwenoError, GoldenMism
 from .harness.golden import available_tables, golden_check
 from .harness.problems import REGISTRY
 from .harness.runs import RunConfig, convergence_study, run_problem
-from .weno import WeightScheme
+from .weno import FAMILIES, WeightScheme
 
 
 def build_scheme(family, p=None, q=None, eps=None):
     """A scheme of ``family``; a parameter not given takes the family's
-    default from :class:`WeightScheme`.  Only zr reads ``p``, and only zl
-    reads ``p`` and ``q``."""
+    default from :class:`WeightScheme`, and ``p``/``q`` are dropped for a
+    family that does not read them (only zr reads ``p``, only zl ``q``)."""
     family = family.lower()
-    kw = {"eps": eps}
-    if family == "zr":
-        kw["p"] = p
-    elif family == "zl":
-        kw.update(p=p, q=q)
-    elif family not in ("js", "m", "z", "linear"):
-        raise ConfigurationError(f"unknown scheme family {family!r}")
-    kw = {k: v for k, v in kw.items() if v is not None}
-    if family in ("js", "zr", "zl"):
-        return getattr(WeightScheme, family)(**kw)
-    return WeightScheme(family, **kw)
+    reads = FAMILIES[family][1] if family in FAMILIES else {}
+    return WeightScheme(family, eps=eps,
+                        **{k: v for k, v in (("p", p), ("q", q)) if k in reads})
 
 
 def parse_scheme_list(text):
@@ -112,7 +104,7 @@ def make_parser():
 
     dis = sub.add_parser("dissect", help="single-step Riemann stage analysis")
     dis.add_argument("--nu", type=float, default=0.5, help="Courant number (0, 0.5]")
-    dis.add_argument("--delta", type=float, default=1.0, help="jump size u_left - u_right")
+    dis.add_argument("--delta", type=float, default=1.0, help="jump size (right state 0)")
     dis.add_argument("--schemes", type=str, default="js,m,z,zr:3",
                      help="comma list: family[:p[:q]], e.g. js,m,z,zr:3,zl:2:1")
     dis.add_argument("--stage", type=str, default="all", choices=["1", "2", "3", "all"])
@@ -172,8 +164,7 @@ def cmd_converge(args):
 
 def cmd_dissect(args):
     schemes = parse_scheme_list(args.schemes)
-    setup = RiemannSetup(u_left=args.delta, u_right=0.0, nu=args.nu,
-                         schemes=schemes)
+    setup = RiemannSetup(delta=args.delta, nu=args.nu, schemes=schemes)
     reports = analyze_step(setup)
     stages = [1, 2, 3] if args.stage == "all" else [int(args.stage)]
     kinds = ["weights", "fluxes", "solutions"] if args.table == "all" else [args.table]

@@ -1,7 +1,7 @@
 """Stage-by-stage dissection of one RK3 step on the advected Riemann problem.
 
-The setup is the advection equation with a single jump from ``u_left`` to
-``u_right`` at x = 0, discretized so that the cell I_0 = [0, dx].  For each
+The setup is the advection equation with a jump from delta down to 0 on
+cells of width DX, placed at x = 0 so that cell I_0 = [0, DX].  For each
 requested weight scheme the actual solver is run one TVD-RK3 step (and, for
 the final-time comparison, to T); per-stage interface weights and fluxes
 are captured through the stage observer.  Closed-form error expressions
@@ -32,6 +32,8 @@ from .weno import WeightScheme
 IFACE_LO, IFACE_HI = -4, 9
 CELL_LO, CELL_HI = -3, 9
 FORMULA_MATCH_TOL = 1e-12
+# Cell width of the published tables.
+DX = 0.01
 
 # epsilon used for the JS scheme inside the dissection runs; the production
 # default 1e-6 stays available by passing an explicit scheme.
@@ -64,29 +66,19 @@ def zl_schemes():
 
 @dataclass(frozen=True)
 class RiemannSetup:
-    """Jump from ``u_left`` to ``u_right`` advected one step at Courant
-    number ``nu`` = dt/dx; the analysis assumes 0 < nu <= 0.5 and a
-    positive jump."""
+    """Jump from ``delta`` down to 0 advected one step at Courant number
+    ``nu`` = dt/DX; the analysis assumes 0 < nu <= 0.5 and a positive,
+    finite jump."""
 
-    u_left: float = 1.0
-    u_right: float = 0.0
+    delta: float = 1.0
     nu: float = 0.5
-    dx: float = 0.01
     schemes: tuple = field(default_factory=classic_schemes)
 
     def __post_init__(self):
-        if not all(np.isfinite((self.u_left, self.u_right, self.dx))):
-            raise ConfigurationError("u_left, u_right and dx must be finite")
         if not (0.0 < self.nu <= 0.5):
             raise ConfigurationError("the dissection assumes 0 < nu <= 0.5")
-        if not self.delta > 0.0:
-            raise ConfigurationError("the dissection assumes u_left > u_right")
-        if not self.dx > 0.0:
-            raise ConfigurationError("dx must be positive")
-
-    @property
-    def delta(self):
-        return self.u_left - self.u_right
+        if not (0.0 < self.delta < np.inf):
+            raise ConfigurationError("the dissection assumes a positive, finite jump")
 
 
 @dataclass
@@ -94,8 +86,6 @@ class StageReport:
     """Captured weights/fluxes and cell errors of one RK stage."""
 
     stage: int
-    nu: float
-    delta: float
     x_interfaces: np.ndarray
     x_cells: np.ndarray
     weights: dict            # label -> (K, 3)
@@ -166,56 +156,47 @@ def stage1_error_formulas(view, nu, delta):
     }
 
 
+def _carry(view, nu, e, j):
+    """The terms of cell j in the previous stage's errors ``e`` (a map from
+    cell index to measured error), summed left to right over the cells
+    k = j-3 .. j+2 that ``e`` holds; stages 2 and 3 share them."""
+    v = view
+    coefficients = (
+        2.0 * v.w(0, j - 1),
+        -(v.E(j - 1) + 2.0 * v.w(0, j)),
+        v.D(j - 1) + v.E(j),
+        v.C(j - 1) - v.D(j) + 6.0 / nu,
+        -(v.w(2, j - 1) + v.C(j)),
+        v.w(2, j),
+    )
+    terms = [c * e[k] for k, c in enumerate(coefficients, j - 3) if k in e]
+    total = terms[0]
+    for term in terms[1:]:
+        total += term
+    return total
+
+
 def stage2_error_formulas(view, nu, delta, e1):
     """Closed-form second-stage errors for cells j = -2..5.
 
     ``e1`` maps cell index to the measured first-stage error (only j = 0,
     1, 2 enter; the others vanish to machine precision)."""
     v = view
-    out = {}
-    out[-2] = -nu / 24.0 * v.w(2, -2) * (1.0 - nu) * delta + nu / 24.0 * v.w(2, -2) * e1[0]
-    out[-1] = (
-        (v.w(2, -2) + 2.0 * v.A(-1) - (v.w(2, -2) + v.C(-1)) * nu) * nu * delta / 24.0
-        + nu / 24.0 * (-(v.w(2, -2) + v.C(-1)) * e1[0] + v.w(2, -1) * e1[1])
-    )
-    out[0] = (
-        -0.75 * nu * delta
+    sources = {
+        -2: -nu / 24.0 * v.w(2, -2) * (1.0 - nu) * delta,
+        -1: (v.w(2, -2) + 2.0 * v.A(-1) - (v.w(2, -2) + v.C(-1)) * nu) * nu * delta / 24.0,
+        0: -0.75 * nu * delta
         + ((-2.0 * v.A(-1) + v.D(0) + 2.0 * v.A(0)) + (v.C(-1) - v.D(0)) * nu)
-        * nu * delta / 24.0
-        + nu / 24.0 * (
-            (v.C(-1) - v.D(0) + 6.0 / nu) * e1[0]
-            - (v.w(2, -1) + v.C(0)) * e1[1]
-            + v.w(2, 0) * e1[2]
-        )
-    )
-    out[1] = (
-        0.25 * nu * delta
+        * nu * delta / 24.0,
+        1: 0.25 * nu * delta
         + (-(v.D(0) + 2.0 * v.A(0) + 2.0 * v.w(0, 1)) + (v.D(0) + v.E(1)) * nu)
-        * nu * delta / 24.0
-        + nu / 24.0 * (
-            (v.D(0) + v.E(1)) * e1[0]
-            + (v.C(0) - v.D(1) + 6.0 / nu) * e1[1]
-            - (v.w(2, 0) + v.C(1)) * e1[2]
-        )
-    )
-    out[2] = (
-        (2.0 * v.w(0, 1) - (v.B(1) + 2.0 * v.w(0, 2)) * nu) * nu * delta / 24.0
-        + nu / 24.0 * (
-            -(v.E(1) + 2.0 * v.w(0, 2)) * e1[0]
-            + (v.D(1) + v.E(2)) * e1[1]
-            + (v.C(1) - v.D(2) + 6.0 / nu) * e1[2]
-        )
-    )
-    out[3] = (
-        nu * nu * delta * v.w(0, 2) / 12.0
-        + nu / 24.0 * (
-            2.0 * v.w(0, 2) * e1[0]
-            - (v.E(2) + 2.0 * v.w(0, 3)) * e1[1]
-            + (v.D(2) + v.E(3)) * e1[2]
-        )
-    )
-    out[4] = nu / 24.0 * (2.0 * v.w(0, 3) * e1[1] - (v.E(3) + 2.0 * v.w(0, 4)) * e1[2])
-    out[5] = nu / 12.0 * v.w(0, 4) * e1[2]
+        * nu * delta / 24.0,
+        2: (2.0 * v.w(0, 1) - (v.B(1) + 2.0 * v.w(0, 2)) * nu) * nu * delta / 24.0,
+        3: nu * nu * delta * v.w(0, 2) / 12.0,
+    }
+    out = {j: nu / 24.0 * _carry(v, nu, e1, j) for j in range(-2, 6)}
+    for j, source in sources.items():
+        out[j] += source
     return out
 
 
@@ -224,108 +205,41 @@ def stage3_error_formulas(view, nu, delta, e2):
 
     ``e2`` maps cell index to the measured second-stage error (j = 0..5)."""
     v = view
-    out = {}
-    out[-2] = -nu / 9.0 * v.w(2, -2) * (1.0 - nu) * delta + nu / 9.0 * v.w(2, -2) * e2[0]
-    out[-1] = (
-        (v.w(2, -2) + 2.0 * v.A(-1) - (v.w(2, -2) + v.C(-1)) * nu) * nu * delta / 9.0
-        + nu / 9.0 * (-(v.w(2, -2) + v.C(-1)) * e2[0] + v.w(2, -1) * e2[1])
-    )
-    out[0] = (
-        nu * delta / 3.0
-        + ((-2.0 * v.A(-1) + v.B(0)) + (v.C(-1) - v.D(0)) * nu) * nu * delta / 9.0
-        + nu / 9.0 * (
-            (v.C(-1) - v.D(0) + 6.0 / nu) * e2[0]
-            - (v.w(2, -1) + v.C(0)) * e2[1]
-            + v.w(2, 0) * e2[2]
-        )
-    )
-    out[1] = (
-        (-(v.B(0) + 2.0 * v.w(0, 1)) + (v.D(0) + v.E(1)) * nu) * nu * delta / 9.0
-        + nu / 9.0 * (
-            (v.D(0) + v.E(1)) * e2[0]
-            + (v.C(0) - v.D(1) + 6.0 / nu) * e2[1]
-            - (v.w(2, 0) + v.C(1)) * e2[2]
-            + v.w(2, 1) * e2[3]
-        )
-    )
-    out[2] = (
-        (2.0 * v.w(0, 1) - (v.E(1) + 2.0 * v.w(0, 2)) * nu) * nu * delta / 9.0
-        + nu / 9.0 * (
-            -(v.E(1) + 2.0 * v.w(0, 2)) * e2[0]
-            + (v.D(1) + v.E(2)) * e2[1]
-            + (v.C(1) - v.D(2) + 6.0 / nu) * e2[2]
-            - (v.w(2, 1) + v.C(2)) * e2[3]
-            + v.w(2, 2) * e2[4]
-        )
-    )
-    out[3] = (
-        2.0 * nu * nu * delta * v.w(0, 2) / 9.0
-        + nu / 9.0 * (
-            2.0 * v.w(0, 2) * e2[0]
-            - (v.E(2) + 2.0 * v.w(0, 3)) * e2[1]
-            + (v.D(2) + v.E(3)) * e2[2]
-            + (v.C(2) - v.D(3) + 6.0 / nu) * e2[3]
-            - (v.w(2, 2) + v.C(3)) * e2[4]
-            + v.w(2, 3) * e2[5]
-        )
-    )
-    out[4] = nu / 9.0 * (
-        2.0 * v.w(0, 3) * e2[1]
-        - (v.E(3) + 2.0 * v.w(0, 4)) * e2[2]
-        + (v.D(3) + v.E(4)) * e2[3]
-        + (v.C(3) - v.D(4) + 6.0 / nu) * e2[4]
-        - (v.w(2, 3) + v.C(4)) * e2[5]
-    )
-    out[5] = nu / 9.0 * (
-        2.0 * v.w(0, 4) * e2[2]
-        - (v.E(4) + 2.0 * v.w(0, 5)) * e2[3]
-        + (v.D(4) + v.E(5)) * e2[4]
-        + (v.C(4) - v.D(5) + 6.0 / nu) * e2[5]
-    )
-    out[6] = nu / 9.0 * (
-        2.0 * v.w(0, 5) * e2[3]
-        - (v.E(5) + 2.0 * v.w(0, 6)) * e2[4]
-        + (v.D(5) + v.E(6)) * e2[5]
-    )
-    out[7] = nu / 9.0 * (2.0 * v.w(0, 6) * e2[4] - (v.E(6) + 2.0 * v.w(0, 7)) * e2[5])
-    out[8] = 2.0 * nu / 9.0 * v.w(0, 7) * e2[5]
+    sources = {
+        -2: -nu / 9.0 * v.w(2, -2) * (1.0 - nu) * delta,
+        -1: (v.w(2, -2) + 2.0 * v.A(-1) - (v.w(2, -2) + v.C(-1)) * nu) * nu * delta / 9.0,
+        0: nu * delta / 3.0
+        + ((-2.0 * v.A(-1) + v.B(0)) + (v.C(-1) - v.D(0)) * nu) * nu * delta / 9.0,
+        1: (-(v.B(0) + 2.0 * v.w(0, 1)) + (v.D(0) + v.E(1)) * nu) * nu * delta / 9.0,
+        2: (2.0 * v.w(0, 1) - (v.E(1) + 2.0 * v.w(0, 2)) * nu) * nu * delta / 9.0,
+        3: 2.0 * nu * nu * delta * v.w(0, 2) / 9.0,
+    }
+    out = {j: nu / 9.0 * _carry(v, nu, e2, j) for j in range(-2, 9)}
+    for j, source in sources.items():
+        out[j] += source
     return out
 
 
-def _jump_grid(dx, left, right):
-    """Grid of ``left`` cells left of x = 0 and ``right`` right of it, so
-    that its cell I_0 is exactly [0, dx]."""
-    return Grid1D(-left * dx, right * dx, left + right)
+def _jump_grid(left, right):
+    """Grid of ``left`` cells of width DX left of x = 0 and ``right`` right
+    of it, so that its cell ``left`` is I_0 = [0, DX]."""
+    return Grid1D(-left * DX, right * DX, left + right)
 
 
-def _step_by_index(grid, i0, pos_cells, u_left, u_right):
-    """Exact step averages with the jump ``pos_cells`` cells right of x=0.
+def _step(grid, i0, shift_cells, delta):
+    """Exact averages of the jump from ``delta`` down to 0, moved
+    ``shift_cells`` cells right of the left edge of cell ``i0``.
 
     Index-based so the constant states are bit-exact; the single cut cell
     (if the jump is interior to one) gets the volume-fraction average.
     """
-    s = i0 + pos_cells
+    s = i0 + shift_cells
     k = int(np.floor(s + 1e-12))
     frac = s - k
-    values = np.where(np.arange(grid.n) < k, float(u_left), float(u_right))
+    values = np.where(np.arange(grid.n) < k, float(delta), 0.0)
     if 1e-12 < frac < 1.0 - 1e-12 and 0 <= k < grid.n:
-        values[k] = u_left * frac + u_right * (1.0 - frac)
+        values[k] = delta * frac
     return CellField.from_interior(grid, values)
-
-
-def _initial_field(setup, grid):
-    return _step_by_index(grid, _cell_index0(grid), 0.0, setup.u_left, setup.u_right)
-
-
-def _exact_one_step(setup, grid):
-    """Exact cell averages after one advection step of size nu*dx."""
-    return _step_by_index(grid, _cell_index0(grid), setup.nu, setup.u_left,
-                          setup.u_right)
-
-
-def _cell_index0(grid):
-    """Interior array index of cell I_0 = [0, dx]."""
-    return int(round(-grid.a / grid.dx))
 
 
 def analyze_step(setup: RiemannSetup):
@@ -333,10 +247,10 @@ def analyze_step(setup: RiemannSetup):
 
     Returns the three :class:`StageReport` objects.
     """
-    grid = _jump_grid(setup.dx, 15, 22)
-    i0 = _cell_index0(grid)
-    exact = _exact_one_step(setup, grid).interior[0]
-    dt = setup.nu * setup.dx
+    i0 = 15
+    grid = _jump_grid(i0, 22)
+    exact = _step(grid, i0, setup.nu, setup.delta).interior[0]
+    dt = setup.nu * DX
 
     iface_sel = slice(i0 + IFACE_LO + 1, i0 + IFACE_HI + 2)
     cell_sel = slice(i0 + CELL_LO, i0 + CELL_HI + 1)
@@ -344,15 +258,15 @@ def analyze_step(setup: RiemannSetup):
     x_cells = grid.centers()[cell_sel]
 
     reports = {
-        k: StageReport(k, setup.nu, setup.delta, x_ifaces, x_cells,
-                       {}, {}, {}, {}, exact[cell_sel].copy(), {}, {}, {})
+        k: StageReport(k, x_ifaces, x_cells, {}, {}, {}, {},
+                       exact[cell_sel].copy(), {}, {}, {})
         for k in (1, 2, 3)
     }
 
     for scheme in setup.schemes:
         label = scheme.label
         op = SemiDiscreteOp1D(ADVECTION, scheme, (OUTFLOW, OUTFLOW))
-        u0 = _initial_field(setup, grid)
+        u0 = _step(grid, i0, 0.0, setup.delta)
         captured = {}
 
         def observer(stage, stage_field, rec, captured=captured):
@@ -407,7 +321,6 @@ class Table:
     the comparison tables: six significant digits, e-notation below 1e-3."""
 
     title: str
-    col_header: str
     columns: np.ndarray
     row_labels: list
     values: np.ndarray
@@ -422,7 +335,7 @@ class Table:
         return f"{v:.6g}"
 
     def to_text(self):
-        head = [self.col_header] + [f"{c:g}" for c in self.columns]
+        head = ["x"] + [f"{c:g}" for c in self.columns]
         rows = [
             [label] + [self.format_value(v) for v in row]
             for label, row in zip(self.row_labels, self.values)
@@ -435,7 +348,7 @@ class Table:
         return "\n".join(lines)
 
     def to_csv(self):
-        lines = [",".join([self.col_header] + [f"{c:g}" for c in self.columns])]
+        lines = [",".join(["x"] + [f"{c:g}" for c in self.columns])]
         for label, row in zip(self.row_labels, self.values):
             lines.append(",".join([label] + [self.format_value(v) for v in row]))
         return "\n".join(lines) + "\n"
@@ -452,19 +365,18 @@ def render_table(report: StageReport, which) -> Table:
             for label, omega in report.weights.items():
                 labels.append(f"w{s}[{label}]")
                 rows.append(omega[:, s])
-        return Table(f"stage {report.stage} weights", "x", report.x_interfaces,
+        return Table(f"stage {report.stage} weights", report.x_interfaces,
                      labels, np.array(rows))
     if which == "fluxes":
         labels = list(report.fluxes)
         rows = np.array([report.fluxes[k] for k in labels])
-        return Table(f"stage {report.stage} fluxes", "x", report.x_interfaces,
-                     labels, rows)
+        return Table(f"stage {report.stage} fluxes", report.x_interfaces, labels, rows)
     if which == "solutions":
         labels = list(report.solutions)
         rows = [report.solutions[k] for k in labels]
         labels.append("exact")
         rows.append(report.exact)
-        return Table(f"stage {report.stage} solutions", "x", report.x_cells,
+        return Table(f"stage {report.stage} solutions", report.x_cells,
                      labels, np.array(rows))
     raise ConfigurationError(f"unknown table kind {which!r}")
 
@@ -475,21 +387,19 @@ def final_time_comparison(setup: RiemannSetup, t_final=1.0) -> Table:
     if not 0.0 < t_final < np.inf:
         raise ConfigurationError("t_final must be positive and finite")
     margin = 0.35 * max(t_final, 0.1)
-    grid = _jump_grid(setup.dx, int(np.ceil(margin / setup.dx)),
-                      int(np.ceil((t_final + margin) / setup.dx)))
-    exact = _step_by_index(grid, _cell_index0(grid), t_final / setup.dx,
-                           setup.u_left, setup.u_right)
+    i0 = int(np.ceil(margin / DX))
+    grid = _jump_grid(i0, int(np.ceil((t_final + margin) / DX)))
+    exact = _step(grid, i0, t_final / DX, setup.delta)
     centers = grid.centers()
     sel = np.abs(centers - t_final) < 0.04
 
     labels, rows = [], []
     for scheme in setup.schemes:
         op = SemiDiscreteOp1D(ADVECTION, scheme, (OUTFLOW, OUTFLOW))
-        u = _initial_field(setup, grid)
-        u = integrate_to(u, op, t_final, TimeControl("dt_scale", setup.nu))
+        u = integrate_to(_step(grid, i0, 0.0, setup.delta), op, t_final,
+                         TimeControl("dt_scale", setup.nu))
         labels.append(scheme.label)
         rows.append(u.interior[0][sel])
     labels.append("exact")
     rows.append(exact.interior[0][sel])
-    return Table(f"solutions at T={t_final:g}", "x", centers[sel],
-                 labels, np.array(rows))
+    return Table(f"solutions at T={t_final:g}", centers[sel], labels, np.array(rows))

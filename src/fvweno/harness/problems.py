@@ -34,15 +34,18 @@ from ..physics import (
     BUCKLEY_LEVERETT,
     BURGERS,
     EULER,
+    GAMMA,
     QUARTIC_NONCONVEX,
     FluxPair2D,
     exact_riemann,
 )
 
-GAMMA = EULER.gamma
+# Newton iteration of solve_characteristics: relative step tolerance, cap.
+CHARACTERISTICS_TOL = 1e-14
+CHARACTERISTICS_MAX_ITER = 100
 
 
-def solve_characteristics(u0, du0, x, t, lo, hi, tol=1e-14, max_iter=100):
+def solve_characteristics(u0, du0, x, t, lo, hi):
     """Solve u = u0(x - u*t) pointwise by Newton, bisection as fallback.
 
     Valid before characteristics cross (monotone residual); ``lo``/``hi``
@@ -53,14 +56,14 @@ def solve_characteristics(u0, du0, x, t, lo, hi, tol=1e-14, max_iter=100):
         return u0(x)
     u = np.clip(u0(x), lo, hi)
     converged = np.zeros(u.shape, dtype=bool)
-    for _ in range(max_iter):
+    for _ in range(CHARACTERISTICS_MAX_ITER):
         xi = x - u * t
         f = u - u0(xi)
         df = 1.0 + t * du0(xi)
         ok = np.abs(df) > 1e-14
         new_u = np.where(ok, u - f / np.where(ok, df, 1.0), u)
         new_u = np.clip(new_u, lo, hi)
-        converged = np.abs(new_u - u) <= tol * np.maximum(1.0, np.abs(new_u))
+        converged = np.abs(new_u - u) <= CHARACTERISTICS_TOL * np.maximum(1.0, np.abs(new_u))
         u = new_u
         if converged.all():
             break

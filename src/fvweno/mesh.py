@@ -191,6 +191,12 @@ def _normalize_bc(bc, nsides):
     for lo, hi in [(0, 1)] + ([(2, 3)] if nsides == 4 else []):
         if (bc[lo].kind == "periodic") != (bc[hi].kind == "periodic"):
             raise ConfigurationError("periodic boundaries must come in pairs")
+    # 1D sides take every kind; 2D sides are periodic or outflow, y sides
+    # also inflow
+    for k, side in enumerate(bc if nsides == 4 else ()):
+        if side.kind == "reflective" or (side.kind == "inflow" and k < 2):
+            raise ConfigurationError(f"{side.kind!r} boundaries are not supported "
+                                     f"on {'xy'[k // 2]} sides of 2D grids")
     return _Sides(bc)
 
 
@@ -203,13 +209,11 @@ def gauss_average(fn, centers, dx):
     return (fn(centers[:, None] + 0.5 * dx * _GAUSS_NODES) @ _GAUSS_WEIGHTS) / 2.0
 
 
-def _fill_axis(v, n, sides, supported, where, inflow=None):
+def _fill_axis(v, n, sides, inflow=None):
     """Fill the ghosts along axis 1 of ``v`` (GHOST ghosts, n interior
     cells, GHOST ghosts; ``v`` may be a view of a field) per the (lo, hi)
-    ``sides``.
+    ``sides``, which :func:`_normalize_bc` has checked.
 
-    ``supported`` holds the kinds besides periodic and outflow that the
-    sides may take; others are rejected, ``where`` naming the sides.
     Periodic and reflective ghosts copy GHOST interior cells, so they need
     at least that many.  An inflow side fills row 0 of its ghost slice
     ``s`` with ``inflow(profile, s)``.
@@ -225,8 +229,6 @@ def _fill_axis(v, n, sides, supported, where, inflow=None):
             v[:, ghosts] = v[:, g : 2 * g] if hi else v[:, n : n + g]
         elif kind == "outflow":
             v[:, ghosts] = v[:, n + g - 1 : n + g] if hi else v[:, g : g + 1]
-        elif kind not in supported:
-            raise ConfigurationError(f"{kind!r} boundaries are not supported on {where}")
         elif kind == "reflective":
             if v.shape[0] != 3:
                 raise ConfigurationError(
@@ -249,15 +251,15 @@ def fill_ghosts(field: CellField, bc) -> CellField:
     d = out.data
     grid = field.grid
     if isinstance(grid, Grid1D):
-        _fill_axis(d, grid.n, _normalize_bc(bc, 2), ("reflective", "inflow"), "1D grids",
+        _fill_axis(d, grid.n, _normalize_bc(bc, 2),
                    lambda profile, s: gauss_average(
                        profile, grid.centers(ghosts=True)[s], grid.dx))
         return out
     sides = _normalize_bc(bc, 4)
     # x first over the interior rows, then y over the full width, so the
     # corner ghosts come out consistent
-    _fill_axis(d[:, :, GHOST:-GHOST], grid.nx, sides[:2], (), "x sides of 2D grids")
-    _fill_axis(d.swapaxes(1, 2), grid.ny, sides[2:], ("inflow",), "y sides of 2D grids",
+    _fill_axis(d[:, :, GHOST:-GHOST], grid.nx, sides[:2])
+    _fill_axis(d.swapaxes(1, 2), grid.ny, sides[2:],
                lambda profile, s: gauss_average(
                    profile, grid.xcenters(ghosts=True), grid.dx))
     return out

@@ -100,21 +100,19 @@ class FluxPair2D:
 @dataclass(frozen=True)
 class EulerModel:
     """1D Euler equations of an ideal gas in conserved variables
-    (rho, rho*u, E) with E = P/(gamma-1) + rho*u^2/2."""
-
-    gamma: float = GAMMA
+    (rho, rho*u, E) with E = P/(GAMMA-1) + rho*u^2/2."""
 
     def conserved(self, rho, u, P):
         rho = np.asarray(rho, dtype=float)
         u = np.asarray(u, dtype=float)
         P = np.asarray(P, dtype=float)
-        E = P / (self.gamma - 1.0) + 0.5 * rho * u * u
+        E = P / (GAMMA - 1.0) + 0.5 * rho * u * u
         return np.stack([rho, rho * u, E])
 
     def primitive(self, U):
         rho = U[0]
         u = U[1] / rho
-        P = (self.gamma - 1.0) * (U[2] - 0.5 * U[1] * u)
+        P = (GAMMA - 1.0) * (U[2] - 0.5 * U[1] * u)
         return rho, u, P
 
     def flux(self, U):
@@ -134,7 +132,7 @@ class EulerModel:
     def speed_bound(self, U):
         """max(|u| + c) over the states ``U``, validated on the way."""
         rho, u, P = self.validate(U)
-        return float(np.max(np.abs(u) + np.sqrt(self.gamma * P / rho)))
+        return float(np.max(np.abs(u) + np.sqrt(GAMMA * P / rho)))
 
 
 EULER = EulerModel()
@@ -178,7 +176,6 @@ class RiemannFan:
     u_star: float
     rho_star_left: float
     rho_star_right: float
-    gamma: float = GAMMA
 
     def density_range(self):
         rhos = [self.left[0], self.right[0], self.rho_star_left, self.rho_star_right]
@@ -197,7 +194,7 @@ class RiemannFan:
         """Write the wave on side ``s`` of the contact (-1 left, +1 right)
         into ``out`` = (rho, u, P) where ``side`` holds.  Times s, a position
         grows away from the contact, so one set of comparisons serves both."""
-        g = self.gamma
+        g = GAMMA
         rk, uk, pk = self.left if s < 0 else self.right
         rho_star = self.rho_star_left if s < 0 else self.rho_star_right
         ck = np.sqrt(g * pk / rk)
@@ -222,30 +219,30 @@ class RiemannFan:
         rho[star], u[star], P[star] = rho_star, us, ps
 
 
-def _pressure_fn(p, state, gamma):
+def _pressure_fn(p, state):
     rho, u, P = state
-    c = np.sqrt(gamma * P / rho)
+    c = np.sqrt(GAMMA * P / rho)
     if p > P:  # shock branch
-        A = 2.0 / ((gamma + 1.0) * rho)
-        B = (gamma - 1.0) / (gamma + 1.0) * P
+        A = 2.0 / ((GAMMA + 1.0) * rho)
+        B = (GAMMA - 1.0) / (GAMMA + 1.0) * P
         f = (p - P) * np.sqrt(A / (p + B))
         df = np.sqrt(A / (B + p)) * (1.0 - 0.5 * (p - P) / (B + p))
     else:  # rarefaction branch
-        f = 2.0 * c / (gamma - 1.0) * ((p / P) ** ((gamma - 1.0) / (2.0 * gamma)) - 1.0)
-        df = 1.0 / (rho * c) * (p / P) ** (-(gamma + 1.0) / (2.0 * gamma))
+        f = 2.0 * c / (GAMMA - 1.0) * ((p / P) ** ((GAMMA - 1.0) / (2.0 * GAMMA)) - 1.0)
+        df = 1.0 / (rho * c) * (p / P) ** (-(GAMMA + 1.0) / (2.0 * GAMMA))
     return f, df
 
 
-def _star_density(p, state, gamma):
+def _star_density(p, state):
     """Density behind the wave that takes ``state`` to the star pressure p."""
     rho, _, P = state
     if p > P:  # shock
-        gm = (gamma - 1.0) / (gamma + 1.0)
+        gm = (GAMMA - 1.0) / (GAMMA + 1.0)
         return rho * (p / P + gm) / (gm * p / P + 1.0)
-    return rho * (p / P) ** (1.0 / gamma)
+    return rho * (p / P) ** (1.0 / GAMMA)
 
 
-def exact_riemann(left, right, gamma=GAMMA) -> RiemannFan:
+def exact_riemann(left, right) -> RiemannFan:
     """Solve the Riemann problem for primitive states (rho, u, P).
 
     Newton iteration on the pressure function with a two-rarefaction
@@ -253,18 +250,18 @@ def exact_riemann(left, right, gamma=GAMMA) -> RiemannFan:
     """
     rl, ul, pl = left
     rr, ur, pr = right
-    cl = np.sqrt(gamma * pl / rl)
-    cr = np.sqrt(gamma * pr / rr)
+    cl = np.sqrt(GAMMA * pl / rl)
+    cr = np.sqrt(GAMMA * pr / rr)
     du = ur - ul
 
     # two-rarefaction guess
-    z = (gamma - 1.0) / (2.0 * gamma)
-    p = ((cl + cr - 0.5 * (gamma - 1.0) * du) / (cl / pl**z + cr / pr**z)) ** (1.0 / z)
+    z = (GAMMA - 1.0) / (2.0 * GAMMA)
+    p = ((cl + cr - 0.5 * (GAMMA - 1.0) * du) / (cl / pl**z + cr / pr**z)) ** (1.0 / z)
     p = max(p, 1e-12)
 
     def total(p):
-        fl, dfl = _pressure_fn(p, left, gamma)
-        fr, dfr = _pressure_fn(p, right, gamma)
+        fl, dfl = _pressure_fn(p, left)
+        fr, dfr = _pressure_fn(p, right)
         return fl + fr + du, dfl + dfr
 
     converged = False
@@ -291,12 +288,12 @@ def exact_riemann(left, right, gamma=GAMMA) -> RiemannFan:
                 lo = mid
         p = 0.5 * (lo + hi)
 
-    fl, _ = _pressure_fn(p, left, gamma)
-    fr, _ = _pressure_fn(p, right, gamma)
+    fl, _ = _pressure_fn(p, left)
+    fr, _ = _pressure_fn(p, right)
     us = 0.5 * (ul + ur) + 0.5 * (fr - fl)
 
-    rsl = _star_density(p, left, gamma)
-    rsr = _star_density(p, right, gamma)
+    rsl = _star_density(p, left)
+    rsr = _star_density(p, right)
 
     return RiemannFan(tuple(left), tuple(right), float(p), float(us),
-                      float(rsl), float(rsr), gamma)
+                      float(rsl), float(rsr))

@@ -151,7 +151,16 @@ GAUSS_NODES = ("minus", "center", "plus")
 GAUSS_XI = math.sqrt(3.0 / 5.0)
 GAUSS_WEIGHTS = np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
 
-_FAMILIES = ("js", "m", "z", "zr", "zl", "linear")
+# Per family: the label format, and the defaults of eps and of the
+# parameters the family reads; p and q are 1.0 where unread.
+FAMILIES = {
+    "js": ("JS", {"eps": 1e-6}),
+    "m": ("M", {"eps": 1e-40}),
+    "z": ("Z", {"eps": 1e-40}),
+    "zr": ("ZR(p={p:g})", {"eps": 1e-40, "p": 2.0}),
+    "zl": ("ZL(p={p:g},q={q:g})", {"eps": 1e-40, "p": 1.0, "q": 1.0}),
+    "linear": ("Linear", {"eps": 1e-40}),
+}
 
 
 @dataclass(frozen=True)
@@ -160,18 +169,22 @@ class WeightScheme:
 
     ``eps`` guards the denominators.  ``p`` is the root exponent of the
     ``zr`` family and the logarithm tuner of ``zl``; ``q`` is the power
-    applied to the ``zl`` indicator ratio.  The classical defaults are
-    1e-6 for ``js`` and 1e-40 for the other families.
+    applied to the ``zl`` indicator ratio.  A parameter left at None takes
+    the family's default: eps is 1e-6 for ``js`` and 1e-40 for the other
+    families, p is 2 for ``zr`` and 1 for ``zl``, and q is 1.
     """
 
     family: str
-    eps: float = 1e-40
-    p: float = 1.0
-    q: float = 1.0
+    eps: float = None
+    p: float = None
+    q: float = None
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
+        if self.family not in FAMILIES:
             raise ConfigurationError(f"unknown weight family {self.family!r}")
+        for name, default in {"p": 1.0, "q": 1.0, **FAMILIES[self.family][1]}.items():
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, default)
         for name in ("eps", "p", "q"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigurationError(f"{name} must be finite")
@@ -186,23 +199,23 @@ class WeightScheme:
                 raise ConfigurationError("zl requires q >= 1")
 
     @classmethod
-    def js(cls, eps=1e-6):
+    def js(cls, eps=None):
         return cls("js", eps=eps)
 
     @classmethod
-    def m(cls, eps=1e-40):
+    def m(cls, eps=None):
         return cls("m", eps=eps)
 
     @classmethod
-    def z(cls, eps=1e-40):
+    def z(cls, eps=None):
         return cls("z", eps=eps)
 
     @classmethod
-    def zr(cls, p=2.0, eps=1e-40):
+    def zr(cls, p=None, eps=None):
         return cls("zr", eps=eps, p=p)
 
     @classmethod
-    def zl(cls, p=1.0, q=1.0, eps=1e-40):
+    def zl(cls, p=None, q=None, eps=None):
         return cls("zl", eps=eps, p=p, q=q)
 
     @classmethod
@@ -211,14 +224,7 @@ class WeightScheme:
 
     @property
     def label(self):
-        base = self.family.upper()
-        if self.family == "zr":
-            return f"ZR(p={self.p:g})"
-        if self.family == "zl":
-            return f"ZL(p={self.p:g},q={self.q:g})"
-        if self.family == "linear":
-            return "Linear"
-        return base
+        return FAMILIES[self.family][0].format(p=self.p, q=self.q)
 
 
 def smoothness_indicators(window):

@@ -200,7 +200,7 @@ def test_criterion_5_formula_oracle():
     failures = []
     for nu in (0.1, 0.3, 0.5):
         for delta in (0.5, 1.0):
-            setup = RiemannSetup(u_left=delta, u_right=0.0, nu=nu,
+            setup = RiemannSetup(delta=delta, nu=nu,
                                  schemes=(WeightScheme.js(eps=1e-12),
                                           WeightScheme.z()))
             for rep in analyze_step(setup):

@@ -4,12 +4,18 @@ import numpy as np
 import pytest
 
 from fvweno.dissect import (
+    CELL_LO,
+    IFACE_LO,
     RiemannSetup,
+    _WeightView,
     analyze_step,
     classic_schemes,
+    combo_matrix,
     final_time_comparison,
     final_time_schemes,
     render_table,
+    stage2_error_formulas,
+    stage3_error_formulas,
     zl_schemes,
 )
 from fvweno.errors import ConfigurationError
@@ -35,11 +41,11 @@ def test_setup_validation():
         RiemannSetup(nu=0.6)
     with pytest.raises(ConfigurationError):
         RiemannSetup(nu=0.0)
-    with pytest.raises(ConfigurationError):
-        RiemannSetup(u_left=0.0, u_right=1.0)  # needs a positive jump
-    for bad in ({"u_left": np.inf}, {"u_right": -np.inf}, {"dx": np.inf}, {"dx": np.nan}):
+    for delta in (0.0, -1.0, np.inf, -np.inf, np.nan):  # a positive, finite jump
         with pytest.raises(ConfigurationError):
-            RiemannSetup(**bad)
+            RiemannSetup(delta=delta)
+    with pytest.raises(TypeError):
+        RiemannSetup(dx=0.02)  # the cell width is the published tables' DX
     for t_final in (0.0, np.inf, np.nan):
         with pytest.raises(ConfigurationError):
             final_time_comparison(RiemannSetup(schemes=(WeightScheme.z(),)), t_final)
@@ -119,7 +125,7 @@ def test_linear_scheme_stage1_outer_cells_exact():
 @pytest.mark.parametrize("nu", [0.1, 0.3, 0.5])
 @pytest.mark.parametrize("delta", [0.5, 1.0])
 def test_formula_matches_solver_for_js_and_z(nu, delta):
-    setup = RiemannSetup(u_left=delta, u_right=0.0, nu=nu,
+    setup = RiemannSetup(delta=delta, nu=nu,
                          schemes=(WeightScheme.js(eps=1e-12), WeightScheme.z()))
     for rep in analyze_step(setup):
         for label in ("JS", "Z"):
@@ -133,6 +139,48 @@ def test_formula_matches_all_families_above_denormal(classic_reports, zl_reports
         for rep in reports:
             for label, flags in rep.mismatches.items():
                 assert flags == [], (rep.stage, label, flags)
+
+
+@pytest.mark.parametrize("stage", [2, 3])
+def test_formula_check_fails_on_a_moved_weight(classic_reports, stage):
+    # the formulas evaluated on the report's own weights match the solver;
+    # moving w0 at interface 3/2 by 1e-6 must show in cells 1 and 2, which
+    # it enters, and leave cells -2..0, which it does not
+    prev, rep = classic_reports[stage - 2], classic_reports[stage - 1]
+    formulas = {2: stage2_error_formulas, 3: stage3_error_formulas}[stage]
+    e = {j: prev.measured_errors["Z"][j - CELL_LO] for j in range(3 if stage == 2 else 6)}
+
+    def gaps(omega):
+        view = _WeightView(omega, combo_matrix(omega), -IFACE_LO)
+        return {j: abs(f - rep.measured_errors["Z"][j - CELL_LO])
+                for j, f in formulas(view, 0.5, 1.0, e).items()}
+
+    omega = rep.weights["Z"].copy()
+    assert max(gaps(omega).values()) <= 1e-12
+    omega[1 - IFACE_LO, 0] += 1e-6
+    moved = gaps(omega)
+    assert min(moved[1], moved[2]) > 1e-9, moved
+    assert max(moved[j] for j in (-2, -1, 0)) <= 1e-12, moved
+
+
+@pytest.mark.parametrize("nu", [0.1, 0.5])
+def test_formulas_hold_for_linear_weights_given_every_previous_error(nu):
+    # With the linear weights every carried term is O(1), and the previous
+    # stage's errors do not vanish left of the jump, so feed all the report
+    # holds (cells -3..9).  Stage-3 cells -2 and -1 also read cells -5 and
+    # -4, and stage-2 cell 2 has B(1) where this identity needs E(1); the
+    # two differ by 2*w0 at interface 3/2, below 1e-24 for the nonlinear
+    # weights, so those cells are left out.
+    reports = analyze_step(RiemannSetup(nu=nu, schemes=(WeightScheme.linear(),)))
+    checks = ((stage2_error_formulas, (-2, -1, 0, 1, 3, 4, 5)),
+              (stage3_error_formulas, range(0, 9)))
+    for prev, rep, (formulas, cells) in zip(reports, reports[1:], checks):
+        e = dict(enumerate(prev.measured_errors["Linear"], CELL_LO))
+        view = _WeightView(rep.weights["Linear"], rep.combos["Linear"], -IFACE_LO)
+        out = formulas(view, nu, 1.0, e)
+        for j in cells:
+            measured = rep.measured_errors["Linear"][j - CELL_LO]
+            assert abs(out[j] - measured) <= 1e-12, (rep.stage, j, out[j], measured)
 
 
 def test_second_stage_error_signs(classic_reports):

@@ -9,11 +9,13 @@ from fvweno.integrate import TimeControl, integrate_to
 from fvweno.mesh import (
     OUTFLOW,
     PERIODIC,
+    REFLECTIVE,
     CellField,
     Grid1D,
     Grid2D,
     cell_average_of,
     fill_ghosts,
+    inflow,
     step_function_average,
 )
 from fvweno.physics import ADVECTION, BURGERS, EULER, FluxPair2D
@@ -121,6 +123,14 @@ def test_record_shapes():
 
 def _op2d(scheme, model=None, bc=(PERIODIC,) * 4):
     return SemiDiscreteOp2D(model or FluxPair2D(BURGERS, BURGERS), scheme, bc)
+
+
+@pytest.mark.parametrize("bc", [REFLECTIVE, (REFLECTIVE, REFLECTIVE, PERIODIC, PERIODIC),
+                                (PERIODIC, PERIODIC, OUTFLOW, REFLECTIVE),
+                                (inflow(np.sin), OUTFLOW, PERIODIC, PERIODIC)])
+def test_2d_operator_rejects_unsupported_sides_when_built(bc):
+    with pytest.raises(ConfigurationError, match="not supported"):
+        _op2d(WeightScheme.z(), FluxPair2D(ADVECTION, ADVECTION), bc)
 
 
 def test_2d_constant_field_zero_tendency():

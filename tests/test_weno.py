@@ -442,6 +442,16 @@ def test_scheme_validation():
         WeightScheme.js(eps=0.0)
 
 
+@pytest.mark.parametrize("family, label", [
+    ("js", "JS"), ("m", "M"), ("z", "Z"), ("zr", "ZR(p=2)"), ("zl", "ZL(p=1,q=1)"),
+    ("linear", "Linear")])
+def test_family_name_takes_the_family_defaults(family, label):
+    scheme = WeightScheme(family)
+    assert scheme == getattr(WeightScheme, family)()
+    assert scheme.label == label
+    assert scheme.eps == (1e-6 if family == "js" else 1e-40)
+
+
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
 @pytest.mark.parametrize("param", ["eps", "p", "q"])
 @pytest.mark.parametrize("family", ["js", "m", "z", "zr", "zl", "linear"])
