@@ -9,6 +9,7 @@ import numpy as np
 from .errors import ConfigurationError, DivergenceError, StateError
 from .mesh import CellField, Grid1D
 from .physics import max_wave_speed
+from .workspace import workspace
 
 
 @dataclass(frozen=True)
@@ -46,6 +47,12 @@ def rk3_step(u: CellField, L, dt, observer=None) -> CellField:
     grid = u.grid
     u0 = u.data
 
+    ws = workspace(u0.shape)
+    try:
+        term, finite = ws.rk3
+    except AttributeError:
+        term, finite = ws.rk3 = np.empty(u0.shape), np.empty(u0.shape, dtype=bool)
+
     def tend(field, stage):
         try:
             if recorded:
@@ -57,7 +64,7 @@ def rk3_step(u: CellField, L, dt, observer=None) -> CellField:
         return Lu.data, rec
 
     def stage_field(data, stage, rec):
-        if not np.isfinite(data).all():
+        if not np.isfinite(data, out=finite).all():
             raise DivergenceError("non-finite values", stage=stage)
         # a float array of u's shape: no re-validation between stages
         field = CellField._of(grid, data)
@@ -65,12 +72,21 @@ def rk3_step(u: CellField, L, dt, observer=None) -> CellField:
             observer(stage, field, rec)
         return field
 
+    def update(first, c1, prev, c_dt, Lu):
+        # (first + c1 prev) + (c_dt dt) Lu, numpy's order of evaluation, into
+        # the fresh stage array ``first``
+        np.multiply(c1, prev, out=term)
+        np.add(first, term, out=first)
+        np.multiply(c_dt * dt, Lu, out=term)
+        return np.add(first, term, out=first)
+
     Lu, rec = tend(u, 1)
-    u1 = stage_field(u0 + dt * Lu, 1, rec)
+    u1 = np.multiply(dt, Lu)
+    u1 = stage_field(np.add(u0, u1, out=u1), 1, rec)
     Lu, rec = tend(u1, 2)
-    u2 = stage_field(0.75 * u0 + 0.25 * u1.data + 0.25 * dt * Lu, 2, rec)
+    u2 = stage_field(update(np.multiply(0.75, u0), 0.25, u1.data, 0.25, Lu), 2, rec)
     Lu, rec = tend(u2, 3)
-    return stage_field(u0 / 3.0 + (2.0 / 3.0) * u2.data + (2.0 / 3.0) * dt * Lu, 3, rec)
+    return stage_field(update(np.divide(u0, 3.0), 2.0 / 3.0, u2.data, 2.0 / 3.0, Lu), 3, rec)
 
 
 def cfl_dt(field: CellField, model, cfl, remaining=None):

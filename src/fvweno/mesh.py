@@ -14,6 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError
+from .workspace import Workspace
 
 # Nodes/weights of 5-point Gauss-Legendre on [-1, 1], used for cell averages
 # of smooth data (exact through degree 9, so initialization error never
@@ -172,9 +173,6 @@ class CellField:
         field.data = data
         return field
 
-    def copy(self):
-        return CellField._of(self.grid, self.data.copy())
-
 
 class _Sides(tuple):
     """Boundary conditions, one per side, as checked by :func:`_normalize_bc`."""
@@ -240,16 +238,23 @@ def _fill_axis(v, n, sides, inflow=None):
             v[0, ghosts] = inflow(bc.profile, ghosts)
 
 
-def fill_ghosts(field: CellField, bc) -> CellField:
+def fill_ghosts(field: CellField, bc, *, out=None) -> CellField:
     """Populate ghost cells per the boundary conditions; interior unchanged.
 
     ``bc`` is a single condition for all sides, a (left, right) pair in 1D,
     or (left, right, bottom, top) in 2D.  Idempotent for a fixed interior.
-    Returns a new field; ``field`` is not modified.
+    Returns a new field over a buffer of ``out``, a
+    :class:`~fvweno.workspace.Workspace` (a fresh one by default); ``field``
+    is not modified.
     """
-    out = field.copy()
-    d = out.data
+    w = Workspace() if out is None else out
+    try:
+        d = w.filled
+    except AttributeError:
+        d = w.filled = np.empty(field.data.shape)
+    np.copyto(d, field.data)
     grid = field.grid
+    out = CellField._of(grid, d)
     if isinstance(grid, Grid1D):
         _fill_axis(d, grid.n, _normalize_bc(bc, 2),
                    lambda profile, s: gauss_average(

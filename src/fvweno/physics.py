@@ -10,6 +10,7 @@ import numpy as np
 
 from .errors import StateError
 from .mesh import CellField
+from .workspace import Workspace
 
 GAMMA = 1.4
 
@@ -138,16 +139,28 @@ class EulerModel:
 EULER = EulerModel()
 
 
-def lf_flux(a, b, flux, alpha):
+def lf_flux(a, b, flux, alpha, *, out=None):
     """Lax-Friedrichs flux h(a, b) = (f(a) + f(b) - alpha*(b - a)) / 2.
 
     ``alpha`` must bound the wave speed over the relevant range; the flux is
     then monotone (nondecreasing in a, nonincreasing in b).  Componentwise
-    for systems.
+    for systems.  The flux and its temporary are buffers of ``out``, a
+    :class:`~fvweno.workspace.Workspace` (a fresh one by default).
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    return 0.5 * (flux(a) + flux(b) - alpha * (b - a))
+    w = Workspace() if out is None else out
+    try:
+        h, jump = w.lf
+    except AttributeError:
+        shape = np.broadcast_shapes(a.shape, b.shape)
+        h, jump = w.lf = np.empty(shape), np.empty(shape)
+    # in numpy's order of evaluation
+    np.add(flux(a), flux(b), out=h)
+    np.subtract(b, a, out=jump)
+    np.multiply(alpha, jump, out=jump)
+    np.subtract(h, jump, out=h)
+    return np.multiply(0.5, h, out=h)
 
 
 def max_wave_speed(field: CellField, model):

@@ -18,6 +18,7 @@ from .errors import ConfigurationError
 from .mesh import GHOST, CellField, Grid1D, Grid2D, _normalize_bc, fill_ghosts
 from .physics import EulerModel, FluxPair2D, ScalarFluxModel, lf_flux, max_wave_speed
 from .weno import GAUSS_WEIGHTS, WeightScheme, gauss_point_values, interface_states
+from .workspace import Workspace, workspace
 
 
 @dataclass
@@ -55,20 +56,38 @@ class SemiDiscreteOp1D:
         grid = field.grid
         if not isinstance(grid, Grid1D):
             raise ConfigurationError("SemiDiscreteOp1D requires a 1D field")
-        filled = fill_ghosts(field, self._sides)
+        ws = workspace(field.data.shape)
+        filled = fill_ghosts(field, self._sides, out=ws)
         alpha = max_wave_speed(filled, self.model)
-        u_minus, u_plus, (om_minus, om_plus) = interface_states(
-            filled.data, self.scheme, record=True
-        )
-        h = lf_flux(u_minus, u_plus, self.model.flux, alpha)
+        states = interface_states(filled.data, self.scheme, record=record, out=ws)
+        h = lf_flux(states[0], states[1], self.model.flux, alpha, out=ws)
         data = np.zeros(field.data.shape)
         du = data[:, GHOST:-GHOST]
         np.subtract(h[..., 1:], h[..., :-1], out=du)
         np.divide(du, -grid.dx, out=du)  # == -(du) / dx, signed zeros included
         rec = None
         if record:
-            rec = InterfaceRecord(grid.interfaces(), om_minus, om_plus, h, alpha)
+            om_minus, om_plus = states[2]
+            rec = InterfaceRecord(grid.interfaces(), om_minus.copy(), om_plus.copy(),
+                                  h.copy(), alpha)
         return CellField._of(grid, data), rec
+
+
+class _Sweep:
+    """Workspaces of the face fluxes across one axis of a 2D grid: the
+    interface sweep and the flux (``edge``), the Gauss-node values of the
+    two traces (``minus``, and ``plus``, which shares the temporaries of
+    ``minus``), and the face averages (``face``, made on first use).  A
+    sweep over arrays of the shapes of ``other`` shares its workspaces but
+    not its faces."""
+
+    def __init__(self, other=None):
+        if other is None:
+            self.edge, self.minus = Workspace(), Workspace()
+            self.plus = Workspace(share=self.minus)
+        else:
+            self.edge, self.minus, self.plus = other.edge, other.minus, other.plus
+        self.face = None
 
 
 @dataclass(frozen=True)
@@ -91,27 +110,43 @@ class SemiDiscreteOp2D:
             raise ConfigurationError("SemiDiscreteOp2D requires a 2D field")
         if field.ncomp != 1:
             raise ConfigurationError("2D solver is scalar only")
-        filled = fill_ghosts(field, self._sides)
+        ws = workspace(field.data.shape)
+        try:
+            sweep_x, sweep_y, dy_term = ws.sweeps
+        except AttributeError:
+            sweep_x = _Sweep()
+            sweep_y = _Sweep(sweep_x if grid.nx == grid.ny else None)
+            dy_term = np.empty((grid.nx, grid.ny))
+            ws.sweeps = sweep_x, sweep_y, dy_term
+        filled = fill_ghosts(field, self._sides, out=ws)
         alpha_x, alpha_y = max_wave_speed(filled, self.model)
         d = filled.data[0]
-        fx = self._face_flux(d, self.model.fx, alpha_x)
-        fy = self._face_flux(d.T, self.model.fy, alpha_y).T
+        fx = self._face_flux(d, self.model.fx, alpha_x, sweep_x)
+        fy = self._face_flux(d.T, self.model.fy, alpha_y, sweep_y).T
         out = CellField.zeros(grid, ncomp=1)
-        out.interior[0] = (
-            -(fx[1:, :] - fx[:-1, :]) / grid.dx - (fy[:, 1:] - fy[:, :-1]) / grid.dy
-        )
+        # -(fx[1:] - fx[:-1]) / dx - (fy[:, 1:] - fy[:, :-1]) / dy
+        dx_term = out.interior[0]
+        np.subtract(fx[1:, :], fx[:-1, :], out=dx_term)
+        np.negative(dx_term, out=dx_term)
+        np.divide(dx_term, grid.dx, out=dx_term)
+        np.subtract(fy[:, 1:], fy[:, :-1], out=dy_term)
+        np.divide(dy_term, grid.dy, out=dy_term)
+        np.subtract(dx_term, dy_term, out=dx_term)
         return out
 
-    def _face_flux(self, d, model, alpha):
+    def _face_flux(self, d, model, alpha, sweep):
         """Face fluxes across the first axis of the padded ``d``, with n and
         n_trans interior cells along its axes: shape (n+1, n_trans)."""
         # Sweep 1: interface WENO along the normal axis, every transverse row.
-        u_minus, u_plus = interface_states(d.T, self.scheme)  # (n_trans_tot, n+1)
+        u_minus, u_plus = interface_states(d.T, self.scheme, out=sweep.edge)  # (n_trans_tot, n+1)
         # Sweep 2: transverse Gauss-point reconstruction of the line averages.
-        pts_minus = gauss_point_values(u_minus.T, self.scheme)  # (n+1, K, 3)
-        pts_plus = gauss_point_values(u_plus.T, self.scheme)
-        h = lf_flux(pts_minus, pts_plus, model.flux, alpha)
-        face = 0.5 * (h @ GAUSS_WEIGHTS)
+        pts_minus = gauss_point_values(u_minus.T, self.scheme, out=sweep.minus)  # (n+1, K, 3)
+        pts_plus = gauss_point_values(u_plus.T, self.scheme, out=sweep.plus)
+        h = lf_flux(pts_minus, pts_plus, model.flux, alpha, out=sweep.edge)
+        if sweep.face is None:
+            sweep.face = np.empty(h.shape[:-1])
+        face = np.matmul(h, GAUSS_WEIGHTS, out=sweep.face)
+        np.multiply(0.5, face, out=face)
         # Transverse window k covers padded rows k..k+4 and is centered at
         # row k+2; keep the interior rows, those past the GHOST on each side.
         return face[:, GHOST - 2 : 2 - GHOST]

@@ -20,7 +20,9 @@ reconstructed values are reproducible bit-for-bit across platforms with the
 same FPU semantics.
 
 All reconstruction kernels operate on windows stacked along the last axis;
-leading axes (solution components, rows of a 2D grid) broadcast.
+leading axes (solution components, rows of a 2D grid) broadcast.  Each
+writes its result and its temporaries into the :class:`Workspace` given as
+``out`` (by default a fresh one, so the result is the caller's).
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigurationError
+from .workspace import Workspace
 
 F = Fraction
 SQRT15 = math.sqrt(15.0)
@@ -233,14 +236,15 @@ def smoothness_indicators(window):
     ``window`` has the five cell averages along its last axis; leading axes
     broadcast.  Constant substencils give exactly zero.
     """
-    beta = _indicators(np.asarray(window, dtype=float))[..., 0]
+    beta = _indicators(np.asarray(window, dtype=float), Workspace())[..., 0]
     return np.ascontiguousarray(_to_back(beta))
 
 
 # The array kernels keep a triple (one value per substencil) on axis 0 and
 # the window positions on the last axis, so every array operation runs
 # along the long axis and the formulas index substencils as beta[0],
-# beta[1], beta[2].
+# beta[1], beta[2].  Each layer keeps its buffers in one attribute of the
+# workspace, named after the layer.
 
 
 def _shifted(a, count, first=False):
@@ -260,7 +264,21 @@ def _shifted(a, count, first=False):
     return np.ndarray(shape, a.dtype, a, 0, strides)
 
 
-def _indicators(u):
+def _contiguous(a, w):
+    """``a`` as a C-contiguous float array: ``a`` itself if it is one, else
+    its copy in ``w``."""
+    a = np.asarray(a, dtype=float)
+    if a.flags.c_contiguous:
+        return a
+    try:
+        copy = w.contiguous
+    except AttributeError:
+        copy = w.contiguous = np.empty(a.shape)
+    np.copyto(copy, a)
+    return copy
+
+
+def _indicators(u, w):
     """Smoothness indicators of every window of a padded array (..., N):
     shape (3, ..., N-4), one row per substencil.
 
@@ -268,34 +286,66 @@ def _indicators(u):
     linear) data cancel exactly: the Z-type global indicators divide by
     eps = 1e-40 and would amplify any spurious residue on flat regions.
     """
-    d = u[..., 1:] - u[..., :-1]
-    curv = d[..., 1:] - d[..., :-1]
     K = u.shape[-1] - 4
+    try:
+        d, curv, slope, beta = w.indicators
+    except AttributeError:
+        lead = u.shape[:-1]
+        d, curv, slope, beta = w.indicators = (
+            np.empty(lead + (K + 3,)), np.empty(lead + (K + 2,)),
+            np.empty((3,) + lead + (K,)), np.empty((3,) + lead + (K,)))
+    np.subtract(u[..., 1:], u[..., :-1], out=d)
+    np.subtract(d[..., 1:], d[..., :-1], out=curv)
     # first-derivative terms of the three substencils
-    slope = np.empty((3,) + u.shape[:-1] + (K,))
-    d3 = 3.0 * d
-    np.subtract(d3[..., 1:K + 1], d[..., :K], out=slope[0])
+    np.multiply(3.0, d[..., 1:K + 1], out=slope[0])
+    np.subtract(slope[0], d[..., :K], out=slope[0])
     np.add(d[..., 1:K + 1], d[..., 2:K + 2], out=slope[1])
-    np.subtract(d3[..., 2:K + 2], d[..., 3:K + 3], out=slope[2])
+    np.multiply(3.0, d[..., 2:K + 2], out=slope[2])
+    np.subtract(slope[2], d[..., 3:K + 3], out=slope[2])
+    # (13/12) (c c) + 0.25 slope^2
     c = _shifted(curv, 3, first=True)
-    return (13.0 / 12.0) * (c * c) + 0.25 * slope ** 2
+    np.multiply(c, c, out=beta)
+    np.multiply(13.0 / 12.0, beta, out=beta)
+    np.square(slope, out=slope)
+    np.multiply(0.25, slope, out=slope)
+    return np.add(beta, slope, out=beta)
 
 
-def henrick_map(omega, d):
-    """Henrick mapping g(omega); fixes d, 0 and 1, flattens near omega=d."""
+def henrick_map(omega, d, *, out=None):
+    """Henrick mapping g(omega); fixes d, 0 and 1, flattens near omega=d.
+
+    The result and its temporary are buffers of ``out``, the
+    :class:`Workspace` (a fresh one by default).
+    """
     omega = np.asarray(omega, dtype=float)
     d = np.asarray(d, dtype=float)
-    return omega * (d + d * d - 3.0 * d * omega + omega * omega) / (
-        d * d + (1.0 - 2.0 * d) * omega
-    )
+    w = Workspace() if out is None else out
+    try:
+        g, den = w.henrick
+    except AttributeError:
+        shape = np.broadcast_shapes(omega.shape, d.shape)
+        g, den = w.henrick = np.empty(shape), np.empty(shape)
+    # omega (d + d d - 3 d omega + omega omega) / (d d + (1 - 2 d) omega),
+    # in numpy's order of evaluation
+    np.multiply(3.0 * d, omega, out=g)
+    np.subtract(d + d * d, g, out=g)
+    np.multiply(omega, omega, out=den)
+    np.add(g, den, out=g)
+    np.multiply(omega, g, out=g)
+    np.multiply(1.0 - 2.0 * d, omega, out=den)
+    np.add(d * d, den, out=den)
+    return np.divide(g, den, out=g)
 
 
-def _normalize(alpha):
-    # the same left-to-right sum as a three-term np.sum, in fewer operations
-    return alpha / ((alpha[0] + alpha[1]) + alpha[2])
+def _normalize(alpha, total, out):
+    """``alpha / ((alpha[0] + alpha[1]) + alpha[2])`` into ``out``: the same
+    left-to-right sum as a three-term np.sum, in fewer operations."""
+    np.add(alpha[0], alpha[1], out=total)
+    np.add(total, alpha[2], out=total)
+    return np.divide(alpha, total, out=out)
 
 
-def _factor(beta, scheme: WeightScheme):
+def _factor(beta, scheme: WeightScheme, w):
     """Per-window factor phi of the unnormalized weights of a family.
 
     ``alpha = d / phi`` for ``js`` and ``m``, ``alpha = d * phi`` for ``z``,
@@ -305,21 +355,39 @@ def _factor(beta, scheme: WeightScheme):
     orientations.
     """
     family, eps, p = scheme.family, scheme.eps, scheme.p
+    try:
+        phi, tau, aux = w.factor
+    except AttributeError:
+        phi, tau, aux = w.factor = (np.empty(beta.shape), np.empty(beta.shape[1:]),
+                                    np.empty(beta.shape))
     if family in ("js", "m"):
-        return (beta + eps) ** 2
+        np.add(beta, eps, out=phi)              # (beta + eps) ** 2
+        return np.square(phi, out=phi)
     if family == "z":
-        tau = np.abs(beta[0] - beta[2])
-        return 1.0 + tau / (beta + eps)
-    if family == "zr":
-        root = beta ** (1.0 / p)
-        tau = np.abs(root[0] - root[2])
-        return 1.0 + (tau / (root + eps)) ** p
-    lg0, lg2 = np.log1p(beta[::2])      # zl: tau reads beta0 and beta2 only
-    tau = np.abs(lg0 - lg2) / p
-    return 1.0 + (tau / (beta + eps)) ** scheme.q
+        np.subtract(beta[0], beta[2], out=tau)  # tau = |beta0 - beta2|
+        np.absolute(tau, out=tau)
+        base = beta
+    elif family == "zr":
+        root = np.power(beta, 1.0 / p, out=aux)
+        np.subtract(root[0], root[2], out=tau)
+        np.absolute(tau, out=tau)
+        base = root
+    else:                                       # zl: tau reads beta0 and beta2 only
+        lg = np.log1p(beta[::2], out=aux[:2])
+        np.subtract(lg[0], lg[1], out=tau)
+        np.absolute(tau, out=tau)
+        np.divide(tau, p, out=tau)
+        base = beta
+    # 1 + tau / (base + eps), to the power p for zr and q for zl
+    np.add(base, eps, out=phi)
+    np.divide(tau, phi, out=phi)
+    if family != "z":
+        np.power(phi, p if family == "zr" else scheme.q, out=phi)
+    return np.add(1.0, phi, out=phi)
 
 
-def nonlinear_weights(beta, scheme: WeightScheme, d=D_EDGE, mirror=False, axis=-1):
+def nonlinear_weights(beta, scheme: WeightScheme, d=D_EDGE, mirror=False, axis=-1, *,
+                      out=None):
     """Nonlinear weights of the given family for indicator triples ``beta``.
 
     ``d`` are the linear weights of the evaluation point (any positive
@@ -333,6 +401,9 @@ def nonlinear_weights(beta, scheme: WeightScheme, d=D_EDGE, mirror=False, axis=-
     weights of ``beta`` and of the reflected ``beta[..., ::-1]`` (the
     right-biased reconstruction).  One per-window factor serves them all,
     bit for bit what separate calls return.
+
+    ``out`` is the :class:`Workspace` the weights and their temporaries go
+    into.
     """
     if axis not in (0, -1):
         raise ConfigurationError(f"triples lie along axis 0 or -1, not {axis!r}")
@@ -345,20 +416,28 @@ def nonlinear_weights(beta, scheme: WeightScheme, d=D_EDGE, mirror=False, axis=-
     extra = (2,) if mirror else d.shape[1:]
     shape = (3,) + extra + beta.shape[1:]
     d = d.reshape(d.shape + (1,) * (len(shape) - d.ndim))   # broadcasting
+    w = Workspace() if out is None else out
     if scheme.family == "linear":
-        omega = np.broadcast_to(d, shape).copy()
+        try:
+            omega = w.linear_weights
+        except AttributeError:
+            omega = w.linear_weights = np.empty(shape)
+        np.copyto(omega, d)
     else:
-        phi = _factor(beta, scheme)
+        try:
+            omega, total = w.weights
+        except AttributeError:
+            omega, total = w.weights = np.empty(shape), np.empty(shape[1:])
+        phi = _factor(beta, scheme, w)
         combine = np.divide if scheme.family in ("js", "m") else np.multiply
         if mirror:
-            alpha = np.empty(shape)
-            combine(d[:, 0], phi, out=alpha[:, 0])
-            combine(d[:, 0], phi[::-1], out=alpha[:, 1])
+            combine(d[:, 0], phi, out=omega[:, 0])
+            combine(d[:, 0], phi[::-1], out=omega[:, 1])
         else:
-            alpha = combine(d, phi[:, None] if extra else phi)
-        omega = _normalize(alpha)
+            combine(d, phi[:, None] if extra else phi, out=omega)
+        _normalize(omega, total, omega)
         if scheme.family == "m":
-            omega = _normalize(henrick_map(omega, d))
+            _normalize(henrick_map(omega, d, out=w), total, omega)
     if axis == -1:
         lead = (1, 0) if extra else (0,)
         omega = omega.transpose(tuple(range(len(lead), omega.ndim)) + lead)
@@ -380,7 +459,7 @@ def reconstruct_interface(window, scheme: WeightScheme, orientation="left"):
     """
     if orientation not in ("left", "right"):
         raise ConfigurationError(f"unknown orientation {orientation!r}")
-    v, _ = _edge_values(_window(window), scheme)
+    v, _ = _edge_values(_window(window), scheme, Workspace())
     return v[int(orientation == "right"), ..., 0]
 
 
@@ -391,15 +470,18 @@ _D_GAUSS_SETS = np.stack([D_GAUSS_MINUS, GAMMA_PLUS, D_GAUSS_PLUS, GAMMA_MINUS])
 _D_GAUSS_LINEAR = np.stack([D_GAUSS_MINUS, D_GAUSS_CENTER, D_GAUSS_PLUS])
 
 
-def _gauss_weights(beta, scheme: WeightScheme, axis):
+def _gauss_weights(beta, scheme: WeightScheme, axis, out=None):
     """Weights of the Gauss nodes from one weight call, laid out as for a
     stack of ``d`` in :func:`nonlinear_weights`."""
     if scheme.family == "linear":
-        return nonlinear_weights(beta, scheme, d=_D_GAUSS_LINEAR, axis=axis)
-    omega = nonlinear_weights(beta, scheme, d=_D_GAUSS_SETS, axis=axis)
+        return nonlinear_weights(beta, scheme, d=_D_GAUSS_LINEAR, axis=axis, out=out)
+    omega = nonlinear_weights(beta, scheme, d=_D_GAUSS_SETS, axis=axis, out=out)
     at = 1 if axis == 0 else -2
     sets = omega.swapaxes(0, at)
-    np.subtract(SIGMA_PLUS * sets[1], SIGMA_MINUS * sets[3], out=sets[1])
+    # sigma+ gamma+ - sigma- gamma-; row 3 is not returned
+    np.multiply(SIGMA_PLUS, sets[1], out=sets[1])
+    np.multiply(SIGMA_MINUS, sets[3], out=sets[3])
+    np.subtract(sets[1], sets[3], out=sets[1])
     return sets[:3].swapaxes(0, at)
 
 
@@ -437,25 +519,37 @@ _CAND_GAUSS = np.stack([CAND_GAUSS_MINUS, CAND_GAUSS_CENTER, CAND_GAUSS_PLUS],
                        axis=1).reshape(9, 5)
 
 
-def _combine(u, table, omega, out=None):
+def _combine(u, table, omega, w, out):
     """Weighted candidate sums at k points for every window of a padded
-    array (..., N): ``omega`` (3, k, ..., N-4) -> (k, ..., N-4)."""
-    cand = table @ _shifted(u, 5)                         # (..., 3k, N-4)
-    cand = cand.reshape(cand.shape[:-2] + (3, len(table) // 3, cand.shape[-1]))
-    prod = omega * _to_front(cand, 2)                     # (3, k, ..., N-4)
+    array (..., N): ``omega`` (3, k, ..., N-4) -> ``out`` (k, ..., N-4)."""
+    try:
+        cand, prod = w.combine
+    except AttributeError:
+        cand = np.empty(u.shape[:-1] + (len(table), u.shape[-1] - 4))
+        # the products overwrite the candidates they are made of
+        prod = _to_front(
+            cand.reshape(cand.shape[:-2] + (3, len(table) // 3, cand.shape[-1])), 2)
+        w.combine = cand, prod
+    np.matmul(table, _shifted(u, 5), out=cand)            # (..., 3k, N-4)
+    np.multiply(omega, prod, out=prod)                    # (3, k, ..., N-4)
     # (p0 + p2) + p1: the order in which numpy's einsum sums three products
-    return np.add(prod[0] + prod[2], prod[1], out=out)
+    np.add(prod[0], prod[2], out=out)
+    return np.add(out, prod[1], out=out)
 
 
-def _edge_values(u, scheme: WeightScheme):
+def _edge_values(u, scheme: WeightScheme, w):
     """Left-biased value at the right edge and right-biased value at the left
     edge of every window of a padded array (..., N), shape (2, ..., N-4),
     and their weights, shape (3, 2, ..., N-4)."""
-    omega = nonlinear_weights(_indicators(u), scheme, mirror=True, axis=0)
-    return _combine(u, _CAND_PAIR, omega), omega
+    omega = nonlinear_weights(_indicators(u, w), scheme, mirror=True, axis=0, out=w)
+    try:
+        v = w.trace
+    except AttributeError:
+        v = w.trace = np.empty(omega.shape[1:])
+    return _combine(u, _CAND_PAIR, omega, w, v), omega
 
 
-def interface_states(upad, scheme: WeightScheme, record=False):
+def interface_states(upad, scheme: WeightScheme, record=False, *, out=None):
     """Left/right interface traces from a padded cell-average array.
 
     ``upad`` has shape (..., N); windows are formed along the last axis.
@@ -466,11 +560,15 @@ def interface_states(upad, scheme: WeightScheme, record=False):
 
     With ``record=True`` also returns ``(omega_minus, omega_plus)``, the
     weight triples used for each returned trace, shape (..., N-5, 3).
+
+    All of them are views of buffers in ``out``, the :class:`Workspace`
+    (a fresh one by default).
     """
-    u = np.ascontiguousarray(upad, dtype=float)
+    w = Workspace() if out is None else out
+    u = _contiguous(upad, w)
     if u.shape[-1] < 6:
         raise ConfigurationError("padded array too short for a 5-cell stencil")
-    v, omega = _edge_values(u, scheme)
+    v, omega = _edge_values(u, scheme, w)
     u_minus = v[0, ..., :-1]
     u_plus = v[1, ..., 1:]
     if record:
@@ -479,15 +577,23 @@ def interface_states(upad, scheme: WeightScheme, record=False):
     return u_minus, u_plus
 
 
-def gauss_point_values(ubar, scheme: WeightScheme):
+def gauss_point_values(ubar, scheme: WeightScheme, *, out=None):
     """Values at the three in-cell Gauss nodes from windowed cell averages.
 
     ``ubar`` has shape (..., N); returns shape (..., N-4, 3) with the last
     axis ordered (minus, center, plus).  The smoothness indicators and the
-    weights of all three nodes come from one evaluation per window.
+    weights of all three nodes come from one evaluation per window.  The
+    values are a buffer of ``out``, the :class:`Workspace` (a fresh one by
+    default).
     """
-    u = np.ascontiguousarray(ubar, dtype=float)
-    omega = _gauss_weights(_indicators(u), scheme, axis=0)
-    vals = np.empty(u.shape[:-1] + (u.shape[-1] - 4, 3))
-    _combine(u, _CAND_GAUSS, omega, out=_to_front(vals.swapaxes(-1, -2), 1))
+    w = Workspace() if out is None else out
+    u = _contiguous(ubar, w)
+    omega = _gauss_weights(_indicators(u, w), scheme, 0, w)
+    try:
+        vals, points_first = w.out_vals
+    except AttributeError:
+        vals = np.empty(u.shape[:-1] + (u.shape[-1] - 4, 3))
+        points_first = _to_front(vals.swapaxes(-1, -2), 1)
+        w.out_vals = vals, points_first
+    _combine(u, _CAND_GAUSS, omega, w, points_first)
     return vals

@@ -68,6 +68,42 @@ def test_tendency_conserves_discrete_mass(scheme):
     assert abs(out.interior[0].sum() * grid.dx) <= 10 * np.finfo(float).eps * scale
 
 
+@st.composite
+def _jumpy_row(draw):
+    """Random data at one of three scales with up to three jumps."""
+    n = draw(st.integers(6, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v = rng.uniform(-1.0, 1.0, n) * draw(st.sampled_from([1e-3, 1.0, 10.0]))
+    for cut in draw(st.lists(st.integers(1, n - 1), max_size=3)):
+        v[cut:] += draw(st.sampled_from([0.5, -2.0, 3.0]))
+    return v
+
+
+@pytest.mark.parametrize("model", [ADVECTION, BURGERS], ids=lambda m: m.name)
+@pytest.mark.parametrize("scheme", SIX_SCHEMES, ids=lambda s: s.label)
+@settings(deadline=None, derandomize=True, max_examples=25)
+@given(v=_jumpy_row())
+def test_periodic_tendency_sums_to_zero(scheme, model, v):
+    # the interface fluxes telescope; each tendency value rounds twice and
+    # the sum of n <= 40 terms adds at most about log2(n) more roundings
+    grid = Grid1D(-1.0, 1.0, v.size)
+    t = SemiDiscreteOp1D(model, scheme, PERIODIC)(CellField.from_interior(grid, v)).interior
+    assert abs(t.sum()) <= 16 * np.finfo(float).eps * np.abs(t).sum()
+
+
+@settings(deadline=None, derandomize=True, max_examples=25)
+@given(rows=_jumpy_row(), cols=_jumpy_row())
+def test_2d_periodic_tendency_sums_to_zero(rows, cols):
+    # the x and y flux differences telescope separately; each part of a
+    # value is bounded by the largest face flux over the spacing
+    grid = Grid2D(-1.0, 1.0, -1.0, 1.0, rows.size, cols.size)
+    v = rows[:, None] + 0.5 * cols[None, :]
+    op = SemiDiscreteOp2D(FluxPair2D(BURGERS, ADVECTION), WeightScheme.zl(p=2, q=2), PERIODIC)
+    t = op(CellField.from_interior(grid, v)).interior
+    bound = 4.0 * max(np.abs(v).max(), 1.0) ** 2 * (1.0 / grid.dx + 1.0 / grid.dy)
+    assert abs(t.sum()) <= 64 * np.finfo(float).eps * t.size * bound
+
+
 @pytest.mark.parametrize("scheme", ALL_SCHEMES + [WeightScheme.linear()],
                          ids=lambda s: s.label)
 def test_plain_and_recorded_tendency_are_one_kernel(scheme):

@@ -9,8 +9,11 @@ output on two checkouts is the evidence that a change kept the bits:
     PYTHONPATH=src python tools/fingerprint.py > after.txt
 
 It covers the reconstruction kernels on seeded rows, every field of the
-single-step dissection reports, the final-time tables and a set of
-registry runs (a few seconds on one core).
+single-step dissection reports, the final-time tables, a set of registry
+runs, and RK3 stepping where the solver reuses its buffers: 1D steps at
+N = 5 000, 2D Burgers steps at 160², two schemes stepped alternately on one
+shape, 1D and 2D steps interleaved, and plain and recorded tendencies
+interleaved (a few seconds on one core).
 """
 
 from __future__ import annotations
@@ -29,6 +32,10 @@ from fvweno.dissect import (
     zl_schemes,
 )
 from fvweno.harness.runs import RunConfig, run_problem
+from fvweno.integrate import cfl_dt, rk3_step
+from fvweno.mesh import PERIODIC, Grid1D, Grid2D, cell_average_of
+from fvweno.physics import ADVECTION, BURGERS, FluxPair2D
+from fvweno.solver import SemiDiscreteOp1D, SemiDiscreteOp2D
 from fvweno.weno import WeightScheme, gauss_point_values, interface_states
 
 KERNEL_SCHEMES = (
@@ -51,6 +58,17 @@ RUNS = (("sod", None), ("lax", None), ("burgers1d", None),
         ("nonconvex-riemann", None), ("burgers2d", (20, 20)),
         ("boundary-layer", (20, 20)))
 RUN_SCHEMES = (WeightScheme.js(), WeightScheme.z(), WeightScheme.zl(p=2.0, q=1.0))
+STEP_SCHEMES = (
+    WeightScheme.js(),
+    WeightScheme.m(),
+    WeightScheme.z(),
+    WeightScheme.zr(p=2.0),
+    WeightScheme.zr(p=3.0),
+    WeightScheme.zl(p=2.0, q=1.0),
+    WeightScheme.zl(p=2.0, q=2.0),
+    WeightScheme.linear(),
+)
+BURGERS_2D = FluxPair2D(BURGERS, BURGERS)
 
 
 def digest(value):
@@ -119,7 +137,76 @@ def runs():
                 emit(f"{base}/exact", result.exact.data)
 
 
+def field_1d(n):
+    """A smooth profile with two jumps on [0, 1]."""
+    return cell_average_of(
+        lambda x: np.sin(2 * np.pi * x) + 0.25 * np.sin(14 * np.pi * x)
+        + np.where((x > 0.3) & (x < 0.55), 1.0, 0.0), Grid1D(0.0, 1.0, n))
+
+
+def field_2d(nx, ny):
+    """A smooth bump on a square with one jump along x."""
+    return cell_average_of(
+        lambda x, y: 0.25 + 0.5 * np.sin(np.pi * (x + y)) * np.exp(-2 * (x * x + y * y))
+        + np.where(x > 0.2, 0.5, 0.0), Grid2D(-1.0, 1.0, -1.0, 1.0, nx, ny))
+
+
+def trajectory(u, op, dt, count):
+    """``u`` and the fields after each of ``count`` RK3 steps from it."""
+    fields = [u]
+    for _ in range(count):
+        fields.append(rk3_step(fields[-1], op, dt))
+    return fields
+
+
+def stepping():
+    # every output is kept until the end, so a later call that wrote into an
+    # array handed out earlier changes its hash
+    kept = []
+    u1 = field_1d(5_000)
+    for model in (ADVECTION, BURGERS):
+        dt = cfl_dt(u1, model, 0.4)
+        for s in STEP_SCHEMES:
+            op = SemiDiscreteOp1D(model, s, PERIODIC)
+            kept.append((f"steps/1d/{model.name}/N=5000/{s.label}",
+                         trajectory(u1, op, dt, 10)[-1]))
+    u2 = field_2d(160, 160)
+    dt2 = cfl_dt(u2, BURGERS_2D, 0.4)
+    for s in KERNEL_SCHEMES:
+        op = SemiDiscreteOp2D(BURGERS_2D, s, PERIODIC)
+        kept.append((f"steps/2d/burgers/160x160/{s.label}", trajectory(u2, op, dt2, 3)[-1]))
+    # two schemes on one shape, stepped alternately
+    dt = cfl_dt(u1, BURGERS, 0.4)
+    ops = [SemiDiscreteOp1D(BURGERS, s, PERIODIC)
+           for s in (WeightScheme.m(), WeightScheme.zl(p=2.0, q=2.0))]
+    us = [u1, u1]
+    for k in range(6):
+        for j, op in enumerate(ops):
+            us[j] = rk3_step(us[j], op, dt)
+            kept.append((f"alternating/{op.scheme.label}/step{k}", us[j]))
+    # 1D and 2D steps interleaved, on a 2D grid of unequal sides
+    a, b = field_1d(40), field_2d(24, 17)
+    op_a = SemiDiscreteOp1D(BURGERS, WeightScheme.z(), PERIODIC)
+    op_b = SemiDiscreteOp2D(BURGERS_2D, WeightScheme.z(), PERIODIC)
+    dt_a, dt_b = cfl_dt(a, BURGERS, 0.4), cfl_dt(b, BURGERS_2D, 0.4)
+    for k in range(5):
+        a, b = rk3_step(a, op_a, dt_a), rk3_step(b, op_b, dt_b)
+        kept += [(f"interleaved/1d/step{k}", a), (f"interleaved/2d/step{k}", b)]
+    # plain and recorded tendencies interleaved, on one shape
+    op = SemiDiscreteOp1D(BURGERS, WeightScheme.zr(p=2.0), PERIODIC)
+    for k, u in enumerate(trajectory(u1, op, dt, 3)):
+        plain = op(u)
+        recorded, rec = op.tendency_recorded(u)
+        kept += [(f"tendencies/{k}/plain", plain), (f"tendencies/{k}/recorded", recorded),
+                 (f"tendencies/{k}/omega_minus", rec.omega_minus),
+                 (f"tendencies/{k}/omega_plus", rec.omega_plus),
+                 (f"tendencies/{k}/flux", rec.flux)]
+    for name, value in kept:
+        emit(name, getattr(value, "data", value))
+
+
 if __name__ == "__main__":
     kernels()
     dissection()
     runs()
+    stepping()
