@@ -11,6 +11,7 @@ import sys
 import threading
 
 import numpy as np
+import pytest
 
 from fvweno.integrate import cfl_dt, rk3_step
 from fvweno.mesh import PERIODIC, CellField, Grid1D, Grid2D, cell_average_of, fill_ghosts
@@ -55,20 +56,23 @@ def test_recorded_arrays_and_tendency_survive_later_tendencies():
         assert same_bits(a, snap)
 
 
-def test_operator_result_survives_the_next_call():
-    u, v = _fields()
-    for op in (_op(WeightScheme.zl(p=2, q=2)),
-               SemiDiscreteOp2D(FluxPair2D(BURGERS, BURGERS), WeightScheme.zl(p=2, q=2),
-                                PERIODIC)):
-        if isinstance(op, SemiDiscreteOp2D):
-            grid = Grid2D(-1.0, 1.0, -1.0, 1.0, 12, 9)
-            u, v = (CellField.from_interior(grid, np.sin(np.arange(108.0) * k).reshape(12, 9))
-                    for k in (1, 2))
-        first = op(u)
-        snap = first.data.copy()
-        second = op(v)
-        assert same_bits(first.data, snap)
-        assert not np.shares_memory(first.data, second.data)
+def _fields_2d():
+    grid = Grid2D(-1.0, 1.0, -1.0, 1.0, 12, 9)
+    return [CellField.from_interior(grid, np.sin(np.arange(108.0) * k).reshape(12, 9))
+            for k in (1, 2)]
+
+
+@pytest.mark.parametrize("op, fields", [
+    (_op(WeightScheme.zl(p=2, q=2)), _fields()),
+    (SemiDiscreteOp2D(FluxPair2D(BURGERS, BURGERS), WeightScheme.zl(p=2, q=2), PERIODIC),
+     _fields_2d()),
+], ids=("1d", "2d"))
+def test_operator_result_survives_the_next_call(op, fields):
+    first = op(fields[0])
+    snap = first.data.copy()
+    second = op(fields[1])
+    assert same_bits(first.data, snap)
+    assert not np.shares_memory(first.data, second.data)
 
 
 def _arrays(result):

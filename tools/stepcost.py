@@ -13,8 +13,8 @@ Two untimed steps come first, so the faults counted are those of steady
 stepping.  Faults are the process's own
 ``resource.getrusage(RUSAGE_SELF).ru_minflt`` over the timed steps; the
 script reads no other process and changes no system setting.  It takes
-about a minute and a half on one core; the time per step depends on the
-host and its neighbours, the fault counts do not.
+under a minute on one core; the time per step depends on the host and
+its neighbours, the fault counts do not.
 """
 
 from __future__ import annotations
