@@ -3,9 +3,10 @@
 The 1D operator reconstructs left/right interface traces componentwise and
 applies a global Lax-Friedrichs flux.  The 2D operator uses two sweeps per
 direction: interface WENO along the normal direction produces line averages
-of the trace on each face, then Gauss-point WENO in the transverse
-direction converts those to point values at the three-node quadrature, so a
-face flux is the quadrature average of pointwise Lax-Friedrichs fluxes.
+of the two traces on each face, then one Gauss-point WENO pass over both
+traces, stacked, in the transverse direction converts those to point values
+at the three-node quadrature, so a face flux is the quadrature average of
+pointwise Lax-Friedrichs fluxes.
 """
 
 from __future__ import annotations
@@ -75,18 +76,17 @@ class SemiDiscreteOp1D:
 
 class _Sweep:
     """Workspaces of the face fluxes across one axis of a 2D grid: the
-    interface sweep and the flux (``edge``), the Gauss-node values of the
-    two traces (``minus``, and ``plus``, which shares the temporaries of
-    ``minus``), and the face averages (``face``, made on first use).  A
-    sweep over arrays of the shapes of ``other`` shares its workspaces but
-    not its faces."""
+    interface sweep and the flux (``edge``), the one Gauss pass over both
+    traces and the pair buffer that stacks them (``gauss``), and the face
+    averages (``face``, made on first use).  Both workspaces carve their
+    temporaries from the regions of ``ws``.  A sweep over arrays of the
+    shapes of ``other`` shares its workspaces but not its faces."""
 
-    def __init__(self, other=None):
+    def __init__(self, ws, other=None):
         if other is None:
-            self.edge, self.minus = Workspace(), Workspace()
-            self.plus = Workspace(share=self.minus)
+            self.edge, self.gauss = Workspace(scratch=ws), Workspace(scratch=ws)
         else:
-            self.edge, self.minus, self.plus = other.edge, other.minus, other.plus
+            self.edge, self.gauss = other.edge, other.gauss
         self.face = None
 
 
@@ -114,8 +114,8 @@ class SemiDiscreteOp2D:
         try:
             sweep_x, sweep_y, dy_term = ws.sweeps
         except AttributeError:
-            sweep_x = _Sweep()
-            sweep_y = _Sweep(sweep_x if grid.nx == grid.ny else None)
+            sweep_x = _Sweep(ws)
+            sweep_y = _Sweep(ws, sweep_x if grid.nx == grid.ny else None)
             dy_term = np.empty((grid.nx, grid.ny))
             ws.sweeps = sweep_x, sweep_y, dy_term
         filled = fill_ghosts(field, self._sides, out=ws)
@@ -139,10 +139,17 @@ class SemiDiscreteOp2D:
         n_trans interior cells along its axes: shape (n+1, n_trans)."""
         # Sweep 1: interface WENO along the normal axis, every transverse row.
         u_minus, u_plus = interface_states(d.T, self.scheme, out=sweep.edge)  # (n_trans_tot, n+1)
-        # Sweep 2: transverse Gauss-point reconstruction of the line averages.
-        pts_minus = gauss_point_values(u_minus.T, self.scheme, out=sweep.minus)  # (n+1, K, 3)
-        pts_plus = gauss_point_values(u_plus.T, self.scheme, out=sweep.plus)
-        h = lf_flux(pts_minus, pts_plus, model.flux, alpha, out=sweep.edge)
+        # Sweep 2: transverse Gauss-point reconstruction of the line averages,
+        # both traces in one pass.
+        g = sweep.gauss
+        try:
+            pair = g.pair
+        except AttributeError:
+            pair = g.pair = np.empty((2,) + u_minus.T.shape)
+        np.copyto(pair[0], u_minus.T)
+        np.copyto(pair[1], u_plus.T)
+        pts = gauss_point_values(pair, self.scheme, out=g)  # (2, n+1, K, 3)
+        h = lf_flux(pts[0], pts[1], model.flux, alpha, out=sweep.edge)
         if sweep.face is None:
             sweep.face = np.empty(h.shape[:-1])
         face = np.matmul(h, GAUSS_WEIGHTS, out=sweep.face)

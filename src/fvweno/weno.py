@@ -291,9 +291,9 @@ def _indicators(u, w):
         d, curv, slope, beta = w.indicators
     except AttributeError:
         lead = u.shape[:-1]
-        d, curv, slope, beta = w.indicators = (
-            np.empty(lead + (K + 3,)), np.empty(lead + (K + 2,)),
-            np.empty((3,) + lead + (K,)), np.empty((3,) + lead + (K,)))
+        d, curv, slope, beta = w.indicators = w.take(
+            "indicators", lead + (K + 3,), lead + (K + 2,), (3,) + lead + (K,),
+            (3,) + lead + (K,))
     np.subtract(u[..., 1:], u[..., :-1], out=d)
     np.subtract(d[..., 1:], d[..., :-1], out=curv)
     # first-derivative terms of the three substencils
@@ -314,8 +314,9 @@ def _indicators(u, w):
 def henrick_map(omega, d, *, out=None):
     """Henrick mapping g(omega); fixes d, 0 and 1, flattens near omega=d.
 
-    The result and its temporary are buffers of ``out``, the
-    :class:`Workspace` (a fresh one by default).
+    The result and its temporary are temporaries of ``out``, the
+    :class:`Workspace` (a fresh one by default): the result holds until
+    the next kernel call on it.
     """
     omega = np.asarray(omega, dtype=float)
     d = np.asarray(d, dtype=float)
@@ -324,7 +325,7 @@ def henrick_map(omega, d, *, out=None):
         g, den = w.henrick
     except AttributeError:
         shape = np.broadcast_shapes(omega.shape, d.shape)
-        g, den = w.henrick = np.empty(shape), np.empty(shape)
+        g, den = w.henrick = w.take("henrick", shape, shape)
     # omega (d + d d - 3 d omega + omega omega) / (d d + (1 - 2 d) omega),
     # in numpy's order of evaluation
     np.multiply(3.0 * d, omega, out=g)
@@ -353,13 +354,21 @@ def _factor(beta, scheme: WeightScheme, w):
     indicator triple reverses phi bit for bit (the global indicators are
     symmetric in beta0 and beta2), so one phi serves both reconstruction
     orientations.
+
+    The family's layer holds only the scratch it reads: ``tau`` for the
+    Z-type families, and ``aux`` for the roots of ``zr`` and the logarithms
+    of beta0 and beta2 of ``zl``.
     """
     family, eps, p = scheme.family, scheme.eps, scheme.p
+    layer = "factor_" + family
     try:
-        phi, tau, aux = w.factor
+        phi, tau, aux = getattr(w, layer)
     except AttributeError:
-        phi, tau, aux = w.factor = (np.empty(beta.shape), np.empty(beta.shape[1:]),
-                                    np.empty(beta.shape))
+        rows = {"zr": 3, "zl": 2}.get(family)
+        phi, tau, aux = w.take(layer, beta.shape,
+                               None if family in ("js", "m") else beta.shape[1:],
+                               None if rows is None else (rows,) + beta.shape[1:])
+        setattr(w, layer, (phi, tau, aux))
     if family in ("js", "m"):
         np.add(beta, eps, out=phi)              # (beta + eps) ** 2
         return np.square(phi, out=phi)
@@ -373,7 +382,7 @@ def _factor(beta, scheme: WeightScheme, w):
         np.absolute(tau, out=tau)
         base = root
     else:                                       # zl: tau reads beta0 and beta2 only
-        lg = np.log1p(beta[::2], out=aux[:2])
+        lg = np.log1p(beta[::2], out=aux)
         np.subtract(lg[0], lg[1], out=tau)
         np.absolute(tau, out=tau)
         np.divide(tau, p, out=tau)
@@ -403,7 +412,8 @@ def nonlinear_weights(beta, scheme: WeightScheme, d=D_EDGE, mirror=False, axis=-
     bit for bit what separate calls return.
 
     ``out`` is the :class:`Workspace` the weights and their temporaries go
-    into.
+    into; for ``axis=0`` the weights returned are one of those temporaries
+    and hold until the next kernel call on it.
     """
     if axis not in (0, -1):
         raise ConfigurationError(f"triples lie along axis 0 or -1, not {axis!r}")
@@ -419,15 +429,15 @@ def nonlinear_weights(beta, scheme: WeightScheme, d=D_EDGE, mirror=False, axis=-
     w = Workspace() if out is None else out
     if scheme.family == "linear":
         try:
-            omega = w.linear_weights
+            (omega,) = w.linear_weights
         except AttributeError:
-            omega = w.linear_weights = np.empty(shape)
+            (omega,) = w.linear_weights = w.take("linear_weights", shape)
         np.copyto(omega, d)
     else:
         try:
             omega, total = w.weights
         except AttributeError:
-            omega, total = w.weights = np.empty(shape), np.empty(shape[1:])
+            omega, total = w.weights = w.take("weights", shape, shape[1:])
         phi = _factor(beta, scheme, w)
         combine = np.divide if scheme.family in ("js", "m") else np.multiply
         if mirror:
@@ -525,7 +535,7 @@ def _combine(u, table, omega, w, out):
     try:
         cand, prod = w.combine
     except AttributeError:
-        cand = np.empty(u.shape[:-1] + (len(table), u.shape[-1] - 4))
+        (cand,) = w.take("combine", u.shape[:-1] + (len(table), u.shape[-1] - 4))
         # the products overwrite the candidates they are made of
         prod = _to_front(
             cand.reshape(cand.shape[:-2] + (3, len(table) // 3, cand.shape[-1])), 2)
@@ -562,7 +572,8 @@ def interface_states(upad, scheme: WeightScheme, record=False, *, out=None):
     weight triples used for each returned trace, shape (..., N-5, 3).
 
     All of them are views of buffers in ``out``, the :class:`Workspace`
-    (a fresh one by default).
+    (a fresh one by default); the weights are temporaries there and hold
+    until the next kernel call on it.
     """
     w = Workspace() if out is None else out
     u = _contiguous(upad, w)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fvweno import solver
 from fvweno.errors import ConfigurationError
 from fvweno.integrate import TimeControl, integrate_to
 from fvweno.mesh import (
@@ -20,7 +21,7 @@ from fvweno.mesh import (
 )
 from fvweno.physics import ADVECTION, BURGERS, EULER, FluxPair2D
 from fvweno.solver import SemiDiscreteOp1D, SemiDiscreteOp2D
-from fvweno.weno import WeightScheme
+from fvweno.weno import WeightScheme, gauss_point_values
 
 from oracle_utils import ALL_SCHEMES, SIX_SCHEMES, same_bits
 
@@ -189,6 +190,20 @@ def _rough_field(draw, nx, ny):
 
 _PROPERTY = settings(deadline=None, derandomize=True, max_examples=20)
 _MODELS_2D = [FluxPair2D(ADVECTION, ADVECTION), FluxPair2D(BURGERS, BURGERS)]
+
+
+def test_2d_tendency_makes_one_gauss_pass_per_axis(monkeypatch):
+    # both traces of a sweep go through one call, stacked on a leading axis
+    shapes = []
+
+    def counting(ubar, *args, **kwargs):
+        shapes.append(ubar.shape)
+        return gauss_point_values(ubar, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "gauss_point_values", counting)
+    grid = Grid2D(-1.0, 1.0, -1.0, 1.0, 12, 9)
+    _op2d(WeightScheme.z())(CellField.from_interior(grid, np.ones((12, 9))))
+    assert shapes == [(2, 13, 15), (2, 10, 18)]
 
 
 @pytest.mark.parametrize("model", _MODELS_2D, ids=("advection", "burgers"))

@@ -12,8 +12,9 @@ It covers the reconstruction kernels on seeded rows, every field of the
 single-step dissection reports, the final-time tables, a set of registry
 runs, and RK3 stepping where the solver reuses its buffers: 1D steps at
 N = 5 000, 2D Burgers steps at 160², two schemes stepped alternately on one
-shape, 1D and 2D steps interleaved, and plain and recorded tendencies
-interleaved (a few seconds on one core).
+shape, 1D steps interleaved with 2D steps of five schemes on a grid of
+unequal sides, and plain and recorded tendencies interleaved (a few seconds
+on one core).
 """
 
 from __future__ import annotations
@@ -67,6 +68,13 @@ STEP_SCHEMES = (
     WeightScheme.zl(p=2.0, q=1.0),
     WeightScheme.zl(p=2.0, q=2.0),
     WeightScheme.linear(),
+)
+UNEQUAL_SCHEMES = (
+    WeightScheme.z(),
+    WeightScheme.js(),
+    WeightScheme.m(),
+    WeightScheme.zr(p=2.0),
+    WeightScheme.zl(p=2.0, q=2.0),
 )
 BURGERS_2D = FluxPair2D(BURGERS, BURGERS)
 
@@ -184,14 +192,17 @@ def stepping():
         for j, op in enumerate(ops):
             us[j] = rk3_step(us[j], op, dt)
             kept.append((f"alternating/{op.scheme.label}/step{k}", us[j]))
-    # 1D and 2D steps interleaved, on a 2D grid of unequal sides
-    a, b = field_1d(40), field_2d(24, 17)
+    # 1D and 2D steps interleaved, on a 2D grid of unequal sides, whose x and
+    # y sweeps run on arrays of different shapes
     op_a = SemiDiscreteOp1D(BURGERS, WeightScheme.z(), PERIODIC)
-    op_b = SemiDiscreteOp2D(BURGERS_2D, WeightScheme.z(), PERIODIC)
-    dt_a, dt_b = cfl_dt(a, BURGERS, 0.4), cfl_dt(b, BURGERS_2D, 0.4)
-    for k in range(5):
-        a, b = rk3_step(a, op_a, dt_a), rk3_step(b, op_b, dt_b)
-        kept += [(f"interleaved/1d/step{k}", a), (f"interleaved/2d/step{k}", b)]
+    for s in UNEQUAL_SCHEMES:
+        a, b = field_1d(40), field_2d(24, 17)
+        op_b = SemiDiscreteOp2D(BURGERS_2D, s, PERIODIC)
+        dt_a, dt_b = cfl_dt(a, BURGERS, 0.4), cfl_dt(b, BURGERS_2D, 0.4)
+        for k in range(5):
+            a, b = rk3_step(a, op_a, dt_a), rk3_step(b, op_b, dt_b)
+            kept += [(f"interleaved/{s.label}/1d/step{k}", a),
+                     (f"interleaved/{s.label}/2d/step{k}", b)]
     # plain and recorded tendencies interleaved, on one shape
     op = SemiDiscreteOp1D(BURGERS, WeightScheme.zr(p=2.0), PERIODIC)
     for k, u in enumerate(trajectory(u1, op, dt, 3)):

@@ -15,12 +15,19 @@ stepping.  Faults are the process's own
 script reads no other process and changes no system setting.  It takes
 under a minute on one core; the time per step depends on the host and
 its neighbours, the fault counts do not.
+
+A 2D line also gives the memory of one step: the ``tracemalloc`` peak of
+one more, untimed step, taken after the timed ones in a new thread, whose
+workspaces start empty, so it counts every buffer a step makes.  Like the
+fault counts, and unlike ``ru_maxrss``, it does not depend on the host.
 """
 
 from __future__ import annotations
 
 import resource
+import threading
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -62,6 +69,22 @@ def measure(u, op, dt, steps):
     return best, (_minflt() - faults) / steps
 
 
+def step_peak(u, op, dt):
+    """``tracemalloc`` peak (bytes) of one RK3 step in a new thread."""
+    stepped = []
+    tracemalloc.start()
+    try:
+        worker = threading.Thread(target=lambda: stepped.append(rk3_step(u, op, dt)))
+        worker.start()
+        worker.join()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    if not stepped:
+        raise RuntimeError(f"the step of {op.scheme.label} failed")
+    return peak
+
+
 def field_1d(n):
     grid = Grid1D(0.0, 1.0, n)
     return cell_average_of(
@@ -76,9 +99,10 @@ def field_2d(n):
         grid)
 
 
-def report(label, n, cells, scheme, best, faults):
+def report(label, n, cells, scheme, best, faults, peak=None):
+    memory = "" if peak is None else f"  peak {peak / 2**20:7.1f} MiB"
     print(f"{label:13s} {n:>7d}  {scheme.label:14s} step {best * 1e3:9.3f} ms "
-          f"{best / cells * 1e9:9.1f} ns/cell  faults/step {faults:8.1f}", flush=True)
+          f"{best / cells * 1e9:9.1f} ns/cell  faults/step {faults:8.1f}{memory}", flush=True)
 
 
 def main():
@@ -93,7 +117,7 @@ def main():
         dt = cfl_dt(u, model, 0.4)
         for s in SCHEMES:
             op = SemiDiscreteOp2D(model, s, PERIODIC)
-            report(label, n, n * n, s, *measure(u, op, dt, steps))
+            report(label, n, n * n, s, *measure(u, op, dt, steps), step_peak(u, op, dt))
 
 
 if __name__ == "__main__":
