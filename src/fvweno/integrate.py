@@ -27,6 +27,10 @@ class TimeControl:
             raise ConfigurationError("time-step parameter must be positive and finite")
 
 
+def _rk3_buffers(ws, shape):
+    return np.empty(shape), np.empty(shape, dtype=bool)
+
+
 def rk3_step(u: CellField, L, dt, observer=None) -> CellField:
     """One step of the optimal third-order TVD Runge-Kutta method.
 
@@ -48,10 +52,7 @@ def rk3_step(u: CellField, L, dt, observer=None) -> CellField:
     u0 = u.data
 
     ws = workspace(u0.shape)
-    try:
-        term, finite = ws.rk3
-    except AttributeError:
-        term, finite = ws.rk3 = np.empty(u0.shape), np.empty(u0.shape, dtype=bool)
+    term, finite = getattr(ws, "rk3", None) or ws.bind("rk3", _rk3_buffers, u0.shape)
 
     def tend(field, stage):
         try:

@@ -9,6 +9,7 @@ solver stages; every operation here returns a new field.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -207,35 +208,65 @@ def gauss_average(fn, centers, dx):
     return (fn(centers[:, None] + 0.5 * dx * _GAUSS_NODES) @ _GAUSS_WEIGHTS) / 2.0
 
 
-def _fill_axis(v, n, sides, inflow=None):
-    """Fill the ghosts along axis 1 of ``v`` (GHOST ghosts, n interior
-    cells, GHOST ghosts; ``v`` may be a view of a field) per the (lo, hi)
-    ``sides``, which :func:`_normalize_bc` has checked.
+def _ghost_steps(v, n, sides, inflow=None):
+    """The steps that fill the ghosts along axis 1 of ``v`` (GHOST ghosts,
+    n interior cells, GHOST ghosts; ``v`` is a view of a field buffer) per
+    the (lo, hi) ``sides``, which :func:`_normalize_bc` has checked: a tuple
+    of calls on views of ``v``, bound once.
 
     Periodic and reflective ghosts copy GHOST interior cells, so they need
     at least that many.  An inflow side fills row 0 of its ghost slice
     ``s`` with ``inflow(profile, s)``.
     """
     g = GHOST
+    steps = []
     for hi, bc in enumerate(sides):
         kind = bc.kind
         if n < g and kind in ("periodic", "reflective"):
             raise ConfigurationError(
                 f"{kind} boundaries need at least {g} cells across, got {n}")
         ghosts = slice(n + g, None) if hi else slice(0, g)
+        dst = v[:, ghosts]
         if kind == "periodic":
-            v[:, ghosts] = v[:, g : 2 * g] if hi else v[:, n : n + g]
+            steps.append(partial(np.copyto, dst, v[:, g : 2 * g] if hi else v[:, n : n + g]))
         elif kind == "outflow":
-            v[:, ghosts] = v[:, n + g - 1 : n + g] if hi else v[:, g : g + 1]
+            steps.append(partial(np.copyto, dst,
+                                 v[:, n + g - 1 : n + g] if hi else v[:, g : g + 1]))
         elif kind == "reflective":
             if v.shape[0] != 3:
                 raise ConfigurationError(
                     "reflective boundaries apply only to 3-component Euler fields"
                 )
-            v[:, ghosts] = (v[:, n : n + g] if hi else v[:, g : 2 * g])[:, ::-1]
-            v[1, ghosts] *= -1.0  # momentum
+            steps.append(partial(np.copyto, dst,
+                                 (v[:, n : n + g] if hi else v[:, g : 2 * g])[:, ::-1]))
+            steps.append(partial(np.multiply, dst[1], -1.0, out=dst[1]))  # momentum
         else:
-            v[0, ghosts] = inflow(bc.profile, ghosts)
+            steps.append(partial(_inflow, dst[0], inflow, bc.profile, ghosts))
+    return tuple(steps)
+
+
+def _inflow(row, inflow, profile, ghosts):
+    np.copyto(row, inflow(profile, ghosts))
+
+
+def _fill_views(w, grid, bc, shape):
+    d = w.result("filled", 0, shape)
+    if isinstance(grid, Grid1D):
+        steps = _ghost_steps(d, grid.n, _normalize_bc(bc, 2),
+                             lambda profile, s: gauss_average(
+                                 profile, grid.centers(ghosts=True)[s], grid.dx))
+    else:
+        sides = _normalize_bc(bc, 4)
+        # x first over the interior rows, then y over the full width, so the
+        # corner ghosts come out consistent
+        steps = (_ghost_steps(d[:, :, GHOST:-GHOST], grid.nx, sides[:2])
+                 + _ghost_steps(d.swapaxes(1, 2), grid.ny, sides[2:],
+                                lambda profile, s: gauss_average(
+                                    profile, grid.xcenters(ghosts=True), grid.dx)))
+    # conditions in a list, which may change under the binding, bind for one
+    # call only
+    key = bc if isinstance(bc, (tuple, BoundaryCondition)) else None
+    return d, CellField._of(grid, d), steps, grid, key, shape
 
 
 def fill_ghosts(field: CellField, bc, *, out=None) -> CellField:
@@ -243,31 +274,20 @@ def fill_ghosts(field: CellField, bc, *, out=None) -> CellField:
 
     ``bc`` is a single condition for all sides, a (left, right) pair in 1D,
     or (left, right, bottom, top) in 2D.  Idempotent for a fixed interior.
-    Returns a new field over a buffer of ``out``, a
-    :class:`~fvweno.workspace.Workspace` (a fresh one by default); ``field``
-    is not modified.
+    Returns a field over a buffer of ``out``, a
+    :class:`~fvweno.workspace.Workspace` (a fresh one by default), the same
+    field on every call with the same grid and ``bc``; ``field`` is not
+    modified.
     """
     w = Workspace() if out is None else out
-    try:
-        d = w.filled
-    except AttributeError:
-        d = w.filled = np.empty(field.data.shape)
-    np.copyto(d, field.data)
-    grid = field.grid
-    out = CellField._of(grid, d)
-    if isinstance(grid, Grid1D):
-        _fill_axis(d, grid.n, _normalize_bc(bc, 2),
-                   lambda profile, s: gauss_average(
-                       profile, grid.centers(ghosts=True)[s], grid.dx))
-        return out
-    sides = _normalize_bc(bc, 4)
-    # x first over the interior rows, then y over the full width, so the
-    # corner ghosts come out consistent
-    _fill_axis(d[:, :, GHOST:-GHOST], grid.nx, sides[:2])
-    _fill_axis(d.swapaxes(1, 2), grid.ny, sides[2:],
-               lambda profile, s: gauss_average(
-                   profile, grid.xcenters(ghosts=True), grid.dx))
-    return out
+    data = field.data
+    b = getattr(w, "filled", None)
+    if b is None or b[-3] is not field.grid or b[-2] is not bc or b[-1] != data.shape:
+        b = w.bind("filled", _fill_views, field.grid, bc, data.shape)
+    np.copyto(b[0], data)
+    for step in b[2]:
+        step()
+    return b[1]
 
 
 def cell_average_of(fn, grid) -> CellField:

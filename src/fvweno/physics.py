@@ -139,6 +139,13 @@ class EulerModel:
 EULER = EulerModel()
 
 
+def _lf_views(w, a, b):
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    shape = np.broadcast_shapes(a.shape, b.shape)
+    return w.result("lf", 0, shape), w.result("lf", 1, shape), a, b
+
+
 def lf_flux(a, b, flux, alpha, *, out=None):
     """Lax-Friedrichs flux h(a, b) = (f(a) + f(b) - alpha*(b - a)) / 2.
 
@@ -147,14 +154,11 @@ def lf_flux(a, b, flux, alpha, *, out=None):
     for systems.  The flux and its temporary are buffers of ``out``, a
     :class:`~fvweno.workspace.Workspace` (a fresh one by default).
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
     w = Workspace() if out is None else out
-    try:
-        h, jump = w.lf
-    except AttributeError:
-        shape = np.broadcast_shapes(a.shape, b.shape)
-        h, jump = w.lf = np.empty(shape), np.empty(shape)
+    bound = getattr(w, "lf", None)
+    if bound is None or bound[-2] is not a or bound[-1] is not b:
+        bound = w.bind("lf", _lf_views, a, b)
+    h, jump, a, b = bound
     # in numpy's order of evaluation
     np.add(flux(a), flux(b), out=h)
     np.subtract(b, a, out=jump)

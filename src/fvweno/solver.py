@@ -62,9 +62,12 @@ class SemiDiscreteOp1D:
         alpha = max_wave_speed(filled, self.model)
         states = interface_states(filled.data, self.scheme, record=record, out=ws)
         h = lf_flux(states[0], states[1], self.model.flux, alpha, out=ws)
+        b = getattr(ws, "tendency", None)
+        if b is None or b[-1] is not h:
+            b = ws.bind("tendency", lambda ws, h: (h[..., 1:], h[..., :-1], h), h)
         data = np.zeros(field.data.shape)
         du = data[:, GHOST:-GHOST]
-        np.subtract(h[..., 1:], h[..., :-1], out=du)
+        np.subtract(b[0], b[1], out=du)
         np.divide(du, -grid.dx, out=du)  # == -(du) / dx, signed zeros included
         rec = None
         if record:
@@ -75,19 +78,44 @@ class SemiDiscreteOp1D:
 
 
 class _Sweep:
-    """Workspaces of the face fluxes across one axis of a 2D grid: the
-    interface sweep and the flux (``edge``), the one Gauss pass over both
-    traces and the pair buffer that stacks them (``gauss``), and the face
-    averages (``face``, made on first use).  Both workspaces carve their
-    temporaries from the regions of ``ws``.  A sweep over arrays of the
-    shapes of ``other`` shares its workspaces but not its faces."""
+    """Face fluxes across one axis of a 2D grid: the rows handed to the
+    interface sweep (``source`` itself if it is C-contiguous, else a
+    buffer it is copied into), the workspaces of the interface sweep and
+    the flux (``edge``) and of the one Gauss pass over both traces
+    (``gauss``), and the face averages (``face``, made on first use).  Both
+    workspaces carve their temporaries from the regions of ``ws``.  A sweep
+    over arrays of the shapes of ``other`` shares its rows and workspaces,
+    so every kernel meets the arrays it is bound to, but not its faces."""
 
-    def __init__(self, ws, other=None):
+    def __init__(self, ws, source, other=None):
         if other is None:
             self.edge, self.gauss = Workspace(scratch=ws), Workspace(scratch=ws)
+            self.rows = source if source.flags.c_contiguous else np.empty(source.shape)
         else:
-            self.edge, self.gauss = other.edge, other.gauss
-        self.face = None
+            self.edge, self.gauss, self.rows = other.edge, other.gauss, other.rows
+        # copied into the rows on every call, unless it is the rows
+        self.source = None if self.rows is source else source
+        self.face = self.inner = None
+
+
+def _sweeps(ws, data):
+    """Both sweeps of a padded 2D field buffer ``data`` (1, nx+6, ny+6),
+    and the y-term of the tendency."""
+    d = data[0]
+    sweep_x = _Sweep(ws, d.T)
+    sweep_y = _Sweep(ws, d, sweep_x if d.shape[0] == d.shape[1] else None)
+    return (sweep_x, sweep_y, np.empty((d.shape[0] - 2 * GHOST, d.shape[1] - 2 * GHOST)),
+            data)
+
+
+def _pair_views(g, u_minus, u_plus):
+    pair = g.result("pair", 0, (2,) + u_minus.T.shape)
+    return pair, pair[0], pair[1], u_minus.T, u_plus.T, u_minus, u_plus
+
+
+def _face_views(ws, fx, fy):
+    fy_t = fy.T
+    return fx[1:, :], fx[:-1, :], fy_t[:, 1:], fy_t[:, :-1], fx, fy
 
 
 @dataclass(frozen=True)
@@ -111,49 +139,57 @@ class SemiDiscreteOp2D:
         if field.ncomp != 1:
             raise ConfigurationError("2D solver is scalar only")
         ws = workspace(field.data.shape)
-        try:
-            sweep_x, sweep_y, dy_term = ws.sweeps
-        except AttributeError:
-            sweep_x = _Sweep(ws)
-            sweep_y = _Sweep(ws, sweep_x if grid.nx == grid.ny else None)
-            dy_term = np.empty((grid.nx, grid.ny))
-            ws.sweeps = sweep_x, sweep_y, dy_term
         filled = fill_ghosts(field, self._sides, out=ws)
+        b = getattr(ws, "sweeps", None)
+        if b is None or b[-1] is not filled.data:
+            b = ws.bind("sweeps", _sweeps, filled.data)
+        sweep_x, sweep_y, dy_term, _ = b
         alpha_x, alpha_y = max_wave_speed(filled, self.model)
-        d = filled.data[0]
-        fx = self._face_flux(d, self.model.fx, alpha_x, sweep_x)
-        fy = self._face_flux(d.T, self.model.fy, alpha_y, sweep_y).T
+        fx = self._face_flux(self.model.fx, alpha_x, sweep_x)
+        fy = self._face_flux(self.model.fy, alpha_y, sweep_y)
+        b = getattr(ws, "faces", None)
+        if b is None or b[-2] is not fx or b[-1] is not fy:
+            b = ws.bind("faces", _face_views, fx, fy)
+        fx_hi, fx_lo, fy_hi, fy_lo, _, _ = b
         out = CellField.zeros(grid, ncomp=1)
         # -(fx[1:] - fx[:-1]) / dx - (fy[:, 1:] - fy[:, :-1]) / dy
         dx_term = out.interior[0]
-        np.subtract(fx[1:, :], fx[:-1, :], out=dx_term)
+        np.subtract(fx_hi, fx_lo, out=dx_term)
         np.negative(dx_term, out=dx_term)
         np.divide(dx_term, grid.dx, out=dx_term)
-        np.subtract(fy[:, 1:], fy[:, :-1], out=dy_term)
+        np.subtract(fy_hi, fy_lo, out=dy_term)
         np.divide(dy_term, grid.dy, out=dy_term)
         np.subtract(dx_term, dy_term, out=dx_term)
         return out
 
-    def _face_flux(self, d, model, alpha, sweep):
-        """Face fluxes across the first axis of the padded ``d``, with n and
-        n_trans interior cells along its axes: shape (n+1, n_trans)."""
+    def _face_flux(self, model, alpha, sweep):
+        """Face fluxes across the last axis of the rows of ``sweep``, shape
+        (n_trans+6, n+6) for n and n_trans interior cells along the normal
+        and transverse axes: shape (n+1, n_trans)."""
+        if sweep.source is not None:
+            np.copyto(sweep.rows, sweep.source)
         # Sweep 1: interface WENO along the normal axis, every transverse row.
-        u_minus, u_plus = interface_states(d.T, self.scheme, out=sweep.edge)  # (n_trans_tot, n+1)
+        u_minus, u_plus = interface_states(sweep.rows, self.scheme, out=sweep.edge)
         # Sweep 2: transverse Gauss-point reconstruction of the line averages,
         # both traces in one pass.
         g = sweep.gauss
-        try:
-            pair = g.pair
-        except AttributeError:
-            pair = g.pair = np.empty((2,) + u_minus.T.shape)
-        np.copyto(pair[0], u_minus.T)
-        np.copyto(pair[1], u_plus.T)
+        b = getattr(g, "pair", None)
+        if b is None or b[-2] is not u_minus or b[-1] is not u_plus:
+            b = g.bind("pair", _pair_views, u_minus, u_plus)
+        pair, pair_minus, pair_plus, minus_t, plus_t, _, _ = b
+        np.copyto(pair_minus, minus_t)
+        np.copyto(pair_plus, plus_t)
         pts = gauss_point_values(pair, self.scheme, out=g)  # (2, n+1, K, 3)
-        h = lf_flux(pts[0], pts[1], model.flux, alpha, out=sweep.edge)
+        b = getattr(g, "points", None)
+        if b is None or b[-1] is not pts:
+            b = g.bind("points", lambda g, pts: (pts[0], pts[1], pts), pts)
+        h = lf_flux(b[0], b[1], model.flux, alpha, out=sweep.edge)
         if sweep.face is None:
             sweep.face = np.empty(h.shape[:-1])
+            # Transverse window k covers padded rows k..k+4 and is centered
+            # at row k+2; keep the interior rows, those past the GHOST on
+            # each side.
+            sweep.inner = sweep.face[:, GHOST - 2 : 2 - GHOST]
         face = np.matmul(h, GAUSS_WEIGHTS, out=sweep.face)
         np.multiply(0.5, face, out=face)
-        # Transverse window k covers padded rows k..k+4 and is centered at
-        # row k+2; keep the interior rows, those past the GHOST on each side.
-        return face[:, GHOST - 2 : 2 - GHOST]
+        return sweep.inner

@@ -59,7 +59,14 @@ def _render(exact):
         return float(exact.a) + float(exact.b) * SQRT15
     if isinstance(exact, Fraction):
         return float(exact)
-    return np.array([_render(e) for e in exact])
+    return _frozen(np.array([_render(e) for e in exact]))
+
+
+def _frozen(a):
+    """``a`` made read-only: the module's tables, which the workspaces bind
+    their linear weights and candidates to."""
+    a.flags.writeable = False
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +250,11 @@ def smoothness_indicators(window):
 # The array kernels keep a triple (one value per substencil) on axis 0 and
 # the window positions on the last axis, so every array operation runs
 # along the long axis and the formulas index substencils as beta[0],
-# beta[1], beta[2].  Each layer keeps its buffers in one attribute of the
-# workspace, named after the layer.
+# beta[1], beta[2].  Each layer keeps its buffers and every view it reads or
+# writes in one attribute of the workspace, named after the layer: a tuple
+# made by a ``_*_views`` builder through ``Workspace.bind``, of the buffers,
+# then the views, then what the views are bound to.  A call on those arrays
+# runs only its numpy calls; any other call binds the layer anew.
 
 
 def _shifted(a, count, first=False):
@@ -264,18 +274,38 @@ def _shifted(a, count, first=False):
     return np.ndarray(shape, a.dtype, a, 0, strides)
 
 
+def _rows(a):
+    """Views of the three rows of ``a`` (0-d ones for a single triple)."""
+    return a[0, ...], a[1, ...], a[2, ...]
+
+
+def _source_views(w, a):
+    u = np.asarray(a, dtype=float)
+    if u.flags.c_contiguous:
+        return None, u, u
+    copy = w.result("source", 0, u.shape)
+    return copy, copy, a
+
+
 def _contiguous(a, w):
     """``a`` as a C-contiguous float array: ``a`` itself if it is one, else
-    its copy in ``w``."""
-    a = np.asarray(a, dtype=float)
-    if a.flags.c_contiguous:
-        return a
-    try:
-        copy = w.contiguous
-    except AttributeError:
-        copy = w.contiguous = np.empty(a.shape)
-    np.copyto(copy, a)
-    return copy
+    its copy in ``w``.  Input that is not a float array is converted anew
+    on every call."""
+    b = getattr(w, "source", None)
+    if b is None or b[-1] is not a:
+        b = w.bind("source", _source_views, a)
+    if b[0] is not None:
+        np.copyto(b[0], a)
+    return b[1]
+
+
+def _indicator_views(w, u):
+    K = u.shape[-1] - 4
+    lead = u.shape[:-1]
+    d, curv, slope, beta = w.take("indicators", lead + (K + 3,), lead + (K + 2,),
+                                  (3,) + lead + (K,), (3,) + lead + (K,))
+    return (d, curv, slope, beta, u[..., 1:], u[..., :-1], d[..., 1:], d[..., :-1],
+            *(d[..., k:K + k] for k in range(4)), *slope, _shifted(curv, 3, first=True), u)
 
 
 def _indicators(u, w):
@@ -286,29 +316,54 @@ def _indicators(u, w):
     linear) data cancel exactly: the Z-type global indicators divide by
     eps = 1e-40 and would amplify any spurious residue on flat regions.
     """
-    K = u.shape[-1] - 4
-    try:
-        d, curv, slope, beta = w.indicators
-    except AttributeError:
-        lead = u.shape[:-1]
-        d, curv, slope, beta = w.indicators = w.take(
-            "indicators", lead + (K + 3,), lead + (K + 2,), (3,) + lead + (K,),
-            (3,) + lead + (K,))
-    np.subtract(u[..., 1:], u[..., :-1], out=d)
-    np.subtract(d[..., 1:], d[..., :-1], out=curv)
+    b = getattr(w, "indicators", None)
+    if b is None or b[-1] is not u:
+        b = w.bind("indicators", _indicator_views, u)
+    d, curv, slope, beta, u_hi, u_lo, d_hi, d_lo, d0, d1, d2, d3, s0, s1, s2, c, _ = b
+    np.subtract(u_hi, u_lo, out=d)
+    np.subtract(d_hi, d_lo, out=curv)
     # first-derivative terms of the three substencils
-    np.multiply(3.0, d[..., 1:K + 1], out=slope[0])
-    np.subtract(slope[0], d[..., :K], out=slope[0])
-    np.add(d[..., 1:K + 1], d[..., 2:K + 2], out=slope[1])
-    np.multiply(3.0, d[..., 2:K + 2], out=slope[2])
-    np.subtract(slope[2], d[..., 3:K + 3], out=slope[2])
+    np.multiply(3.0, d1, out=s0)
+    np.subtract(s0, d0, out=s0)
+    np.add(d1, d2, out=s1)
+    np.multiply(3.0, d2, out=s2)
+    np.subtract(s2, d3, out=s2)
     # (13/12) (c c) + 0.25 slope^2
-    c = _shifted(curv, 3, first=True)
     np.multiply(c, c, out=beta)
     np.multiply(13.0 / 12.0, beta, out=beta)
     np.square(slope, out=slope)
     np.multiply(0.25, slope, out=slope)
     return np.add(beta, slope, out=beta)
+
+
+def _henrick_coefficients(d):
+    """The d-only terms of the Henrick map: 3 d, d + d d, d d, 1 - 2 d."""
+    return 3.0 * d, d + d * d, d * d, 1.0 - 2.0 * d
+
+
+def _henrick_views(w, shape):
+    g, den = w.take("henrick", shape, shape)
+    return g, den, _rows(g) if shape[:1] == (3,) else (), shape
+
+
+def _henrick(omega, coefficients, shape, w):
+    """The Henrick map of ``omega`` (any shape broadcasting to ``shape``)
+    from the d-only ``coefficients``: the mapped values and their rows."""
+    b = getattr(w, "henrick", None)
+    if b is None or b[-1] != shape:
+        b = w.bind("henrick", _henrick_views, shape)
+    g, den, rows, _ = b
+    three_d, d_dd, dd, one_2d = coefficients
+    # omega (d + d d - 3 d omega + omega omega) / (d d + (1 - 2 d) omega),
+    # in numpy's order of evaluation
+    np.multiply(three_d, omega, out=g)
+    np.subtract(d_dd, g, out=g)
+    np.multiply(omega, omega, out=den)
+    np.add(g, den, out=g)
+    np.multiply(omega, g, out=g)
+    np.multiply(one_2d, omega, out=den)
+    np.add(dd, den, out=den)
+    return np.divide(g, den, out=g), rows
 
 
 def henrick_map(omega, d, *, out=None):
@@ -321,33 +376,46 @@ def henrick_map(omega, d, *, out=None):
     omega = np.asarray(omega, dtype=float)
     d = np.asarray(d, dtype=float)
     w = Workspace() if out is None else out
-    try:
-        g, den = w.henrick
-    except AttributeError:
-        shape = np.broadcast_shapes(omega.shape, d.shape)
-        g, den = w.henrick = w.take("henrick", shape, shape)
-    # omega (d + d d - 3 d omega + omega omega) / (d d + (1 - 2 d) omega),
-    # in numpy's order of evaluation
-    np.multiply(3.0 * d, omega, out=g)
-    np.subtract(d + d * d, g, out=g)
-    np.multiply(omega, omega, out=den)
-    np.add(g, den, out=g)
-    np.multiply(omega, g, out=g)
-    np.multiply(1.0 - 2.0 * d, omega, out=den)
-    np.add(d * d, den, out=den)
-    return np.divide(g, den, out=g)
+    shape = np.broadcast_shapes(omega.shape, d.shape)
+    return _henrick(omega, _henrick_coefficients(d), shape, w)[0]
 
 
-def _normalize(alpha, total, out):
-    """``alpha / ((alpha[0] + alpha[1]) + alpha[2])`` into ``out``: the same
-    left-to-right sum as a three-term np.sum, in fewer operations."""
-    np.add(alpha[0], alpha[1], out=total)
-    np.add(total, alpha[2], out=total)
+def _normalize(rows, alpha, total, out):
+    """``alpha / ((alpha[0] + alpha[1]) + alpha[2])`` into ``out``, given
+    ``rows``, the three rows of ``alpha``: the same left-to-right sum as a
+    three-term np.sum, in fewer operations."""
+    np.add(rows[0], rows[1], out=total)
+    np.add(total, rows[2], out=total)
     return np.divide(alpha, total, out=out)
 
 
+# The weight factor's layer, per family.
+_FACTOR_LAYERS = {family: f"factor_{family}" for family in ("js", "m", "z", "zr", "zl")}
+
+
+def _factor_views(w, beta, family):
+    rows = {"zr": 3, "zl": 2}.get(family)
+    phi, tau, aux = w.take(_FACTOR_LAYERS[family], beta.shape,
+                           None if family in ("js", "m") else beta.shape[1:],
+                           None if rows is None else (rows,) + beta.shape[1:])
+    # the two indicators tau is the distance of, and the base of the ratio
+    lo = hi = base = None
+    if family == "z":
+        lo, hi, base = beta[0, ...], beta[2, ...], beta
+    elif family == "zr":
+        lo, hi, base = aux[0, ...], aux[2, ...], aux
+    elif family == "zl":
+        lo, hi, base = aux[0, ...], aux[1, ...], beta
+    # phi as the weights read it: itself, reversed for the mirrored triple
+    # (at 3), and with an axis for a stack of weight sets (at 4)
+    return (phi, tau, aux, phi[::-1], phi[:, None], beta[::2] if family == "zl" else None,
+            lo, hi, base, beta)
+
+
 def _factor(beta, scheme: WeightScheme, w):
-    """Per-window factor phi of the unnormalized weights of a family.
+    """Per-window factor phi of the unnormalized weights of a family: the
+    binding of its layer, which holds phi and the views of it the weights
+    read (see :func:`_factor_views`).
 
     ``alpha = d / phi`` for ``js`` and ``m``, ``alpha = d * phi`` for ``z``,
     ``zr`` and ``zl``.  phi does not depend on ``d``, and reversing the
@@ -359,40 +427,53 @@ def _factor(beta, scheme: WeightScheme, w):
     Z-type families, and ``aux`` for the roots of ``zr`` and the logarithms
     of beta0 and beta2 of ``zl``.
     """
-    family, eps, p = scheme.family, scheme.eps, scheme.p
-    layer = "factor_" + family
-    try:
-        phi, tau, aux = getattr(w, layer)
-    except AttributeError:
-        rows = {"zr": 3, "zl": 2}.get(family)
-        phi, tau, aux = w.take(layer, beta.shape,
-                               None if family in ("js", "m") else beta.shape[1:],
-                               None if rows is None else (rows,) + beta.shape[1:])
-        setattr(w, layer, (phi, tau, aux))
+    family, eps = scheme.family, scheme.eps
+    layer = _FACTOR_LAYERS[family]
+    b = getattr(w, layer, None)
+    if b is None or b[-1] is not beta:
+        b = w.bind(layer, _factor_views, beta, family)
+    phi, tau, aux, _, _, ends, lo, hi, base, _ = b
     if family in ("js", "m"):
         np.add(beta, eps, out=phi)              # (beta + eps) ** 2
-        return np.square(phi, out=phi)
-    if family == "z":
-        np.subtract(beta[0], beta[2], out=tau)  # tau = |beta0 - beta2|
-        np.absolute(tau, out=tau)
-        base = beta
-    elif family == "zr":
-        root = np.power(beta, 1.0 / p, out=aux)
-        np.subtract(root[0], root[2], out=tau)
-        np.absolute(tau, out=tau)
-        base = root
-    else:                                       # zl: tau reads beta0 and beta2 only
-        lg = np.log1p(beta[::2], out=aux)
-        np.subtract(lg[0], lg[1], out=tau)
-        np.absolute(tau, out=tau)
-        np.divide(tau, p, out=tau)
-        base = beta
+        np.square(phi, out=phi)
+        return b
+    if family == "zr":
+        np.power(beta, 1.0 / scheme.p, out=aux)
+    elif family == "zl":                        # tau reads beta0 and beta2 only
+        np.log1p(ends, out=aux)
+    np.subtract(lo, hi, out=tau)                # tau = |lo - hi|
+    np.absolute(tau, out=tau)
+    if family == "zl":
+        np.divide(tau, scheme.p, out=tau)
     # 1 + tau / (base + eps), to the power p for zr and q for zl
     np.add(base, eps, out=phi)
     np.divide(tau, phi, out=phi)
     if family != "z":
-        np.power(phi, p if family == "zr" else scheme.q, out=phi)
-    return np.add(1.0, phi, out=phi)
+        np.power(phi, scheme.p if family == "zr" else scheme.q, out=phi)
+    np.add(1.0, phi, out=phi)
+    return b
+
+
+def _weight_views(w, beta, d, mirror, axis, layer):
+    table = np.asarray(d, dtype=float).T  # linear weights on axis 0, sets on 1
+    if mirror and table.ndim > 1:
+        raise ConfigurationError("mirror=True takes one linear-weight triple")
+    extra = (2,) if mirror else table.shape[1:]
+    shape = (3,) + extra + beta.shape[1:]
+    table = table.reshape(table.shape + (1,) * (len(shape) - table.ndim))  # broadcasting
+    if layer == "linear_weights":
+        (omega,), total = w.take(layer, shape), None
+    else:
+        omega, total = w.take(layer, shape, shape[1:])
+    result = omega
+    if axis == -1:
+        lead = (1, 0) if extra else (0,)
+        result = omega.transpose(tuple(range(len(lead), omega.ndim)) + lead)
+    left, right, triple = (omega[:, 0], omega[:, 1], table[:, 0]) if mirror else (None,) * 3
+    # a table that may change under the binding binds for one call only
+    key = d if isinstance(d, np.ndarray) and not d.flags.writeable else None
+    return (omega, total, _rows(omega), left, right, triple, table, 4 if extra else 0,
+            _henrick_coefficients(table), result, beta.shape, key, mirror, axis)
 
 
 def nonlinear_weights(beta, scheme: WeightScheme, d=D_EDGE, mirror=False, axis=-1, *,
@@ -413,46 +494,42 @@ def nonlinear_weights(beta, scheme: WeightScheme, d=D_EDGE, mirror=False, axis=-
 
     ``out`` is the :class:`Workspace` the weights and their temporaries go
     into; for ``axis=0`` the weights returned are one of those temporaries
-    and hold until the next kernel call on it.
+    and hold until the next kernel call on it.  Its weights layer keeps the
+    linear weights, and for M their Henrick coefficients, for as long as it
+    is called with the same read-only table ``d``, as the module's are.
     """
-    if axis not in (0, -1):
-        raise ConfigurationError(f"triples lie along axis 0 or -1, not {axis!r}")
     beta = np.asarray(beta, dtype=float)
     if axis == -1:
         beta = beta.transpose((beta.ndim - 1,) + tuple(range(beta.ndim - 1)))
-    d = np.asarray(d, dtype=float).T      # linear weights on axis 0, sets on 1
-    if mirror and d.ndim > 1:
-        raise ConfigurationError("mirror=True takes one linear-weight triple")
-    extra = (2,) if mirror else d.shape[1:]
-    shape = (3,) + extra + beta.shape[1:]
-    d = d.reshape(d.shape + (1,) * (len(shape) - d.ndim))   # broadcasting
+    elif axis != 0:
+        raise ConfigurationError(f"triples lie along axis 0 or -1, not {axis!r}")
     w = Workspace() if out is None else out
-    if scheme.family == "linear":
-        try:
-            (omega,) = w.linear_weights
-        except AttributeError:
-            (omega,) = w.linear_weights = w.take("linear_weights", shape)
-        np.copyto(omega, d)
+    family = scheme.family
+    if family != "linear":
+        # the factor first: a weights layer growing its region then drops
+        # the factor's views of beta with it
+        factor = _factor(beta, scheme, w)
+    layer = "linear_weights" if family == "linear" else "weights"
+    b = getattr(w, layer, None)
+    if (b is None or b[-3] is not d or b[-2] is not mirror or b[-1] is not axis
+            or b[-4] != beta.shape):
+        b = w.bind(layer, _weight_views, beta, d, mirror, axis, layer)
+    (omega, total, rows, left, right, triple, table, phi_at, coefficients, result,
+     _, _, _, _) = b
+    if family == "linear":
+        np.copyto(omega, table)
     else:
-        try:
-            omega, total = w.weights
-        except AttributeError:
-            omega, total = w.weights = w.take("weights", shape, shape[1:])
-        phi = _factor(beta, scheme, w)
-        combine = np.divide if scheme.family in ("js", "m") else np.multiply
+        combine = np.divide if family in ("js", "m") else np.multiply
         if mirror:
-            combine(d[:, 0], phi, out=omega[:, 0])
-            combine(d[:, 0], phi[::-1], out=omega[:, 1])
+            combine(triple, factor[0], out=left)
+            combine(triple, factor[3], out=right)
         else:
-            combine(d, phi[:, None] if extra else phi, out=omega)
-        _normalize(omega, total, omega)
-        if scheme.family == "m":
-            _normalize(henrick_map(omega, d, out=w), total, omega)
-    if axis == -1:
-        lead = (1, 0) if extra else (0,)
-        omega = omega.transpose(tuple(range(len(lead), omega.ndim)) + lead)
-        omega = np.ascontiguousarray(omega)
-    return omega
+            combine(table, factor[phi_at], out=omega)
+        _normalize(rows, omega, total, omega)
+        if family == "m":
+            g, g_rows = _henrick(omega, coefficients, omega.shape, w)
+            _normalize(g_rows, g, total, omega)
+    return result if axis == 0 else np.ascontiguousarray(result)
 
 
 def _window(window):
@@ -469,15 +546,20 @@ def reconstruct_interface(window, scheme: WeightScheme, orientation="left"):
     """
     if orientation not in ("left", "right"):
         raise ConfigurationError(f"unknown orientation {orientation!r}")
-    v, _ = _edge_values(_window(window), scheme, Workspace())
+    v, _, _ = _edge_values(_window(window), scheme, Workspace())
     return v[int(orientation == "right"), ..., 0]
 
 
 # Linear weights of the Gauss nodes for one weight call: minus, gamma+,
 # plus, gamma-; the split pair in rows 1 and 3 combines into row 1, so rows
 # 0..2 follow GAUSS_NODES.  The linear scheme takes D_GAUSS_CENTER as is.
-_D_GAUSS_SETS = np.stack([D_GAUSS_MINUS, GAMMA_PLUS, D_GAUSS_PLUS, GAMMA_MINUS])
-_D_GAUSS_LINEAR = np.stack([D_GAUSS_MINUS, D_GAUSS_CENTER, D_GAUSS_PLUS])
+_D_GAUSS_SETS = _frozen(np.stack([D_GAUSS_MINUS, GAMMA_PLUS, D_GAUSS_PLUS, GAMMA_MINUS]))
+_D_GAUSS_LINEAR = _frozen(np.stack([D_GAUSS_MINUS, D_GAUSS_CENTER, D_GAUSS_PLUS]))
+
+
+def _split_views(w, omega, at):
+    sets = omega.swapaxes(0, at)
+    return sets[1, ...], sets[3, ...], sets[:3].swapaxes(0, at), omega
 
 
 def _gauss_weights(beta, scheme: WeightScheme, axis, out=None):
@@ -485,14 +567,17 @@ def _gauss_weights(beta, scheme: WeightScheme, axis, out=None):
     stack of ``d`` in :func:`nonlinear_weights`."""
     if scheme.family == "linear":
         return nonlinear_weights(beta, scheme, d=_D_GAUSS_LINEAR, axis=axis, out=out)
-    omega = nonlinear_weights(beta, scheme, d=_D_GAUSS_SETS, axis=axis, out=out)
-    at = 1 if axis == 0 else -2
-    sets = omega.swapaxes(0, at)
+    w = Workspace() if out is None else out
+    omega = nonlinear_weights(beta, scheme, d=_D_GAUSS_SETS, axis=axis, out=w)
+    b = getattr(w, "gauss_split", None)
+    if b is None or b[-1] is not omega:
+        b = w.bind("gauss_split", _split_views, omega, 1 if axis == 0 else -2)
+    plus, minus, nodes, _ = b
     # sigma+ gamma+ - sigma- gamma-; row 3 is not returned
-    np.multiply(SIGMA_PLUS, sets[1], out=sets[1])
-    np.multiply(SIGMA_MINUS, sets[3], out=sets[3])
-    np.subtract(sets[1], sets[3], out=sets[1])
-    return sets[:3].swapaxes(0, at)
+    np.multiply(SIGMA_PLUS, plus, out=plus)
+    np.multiply(SIGMA_MINUS, minus, out=minus)
+    np.subtract(plus, minus, out=plus)
+    return nodes
 
 
 def reconstruct_gauss_point(window, scheme: WeightScheme, node):
@@ -524,39 +609,47 @@ def _to_back(a):
 # Candidate tables of the array kernels, row k*s + j for candidate s at point
 # j.  Edge point 1 is the reflected window's candidate s (the right-biased
 # value at the left edge), to pair with the weights of the reversed triple.
-_CAND_PAIR = np.stack([CAND_EDGE, CAND_EDGE[:, ::-1]], axis=1).reshape(6, 5)
-_CAND_GAUSS = np.stack([CAND_GAUSS_MINUS, CAND_GAUSS_CENTER, CAND_GAUSS_PLUS],
-                       axis=1).reshape(9, 5)
+_CAND_PAIR = _frozen(np.stack([CAND_EDGE, CAND_EDGE[:, ::-1]], axis=1).reshape(6, 5))
+_CAND_GAUSS = _frozen(np.stack([CAND_GAUSS_MINUS, CAND_GAUSS_CENTER, CAND_GAUSS_PLUS],
+                               axis=1).reshape(9, 5))
+
+
+def _combine_views(w, u, table):
+    (cand,) = w.take("combine", u.shape[:-1] + (len(table), u.shape[-1] - 4))
+    # the products overwrite the candidates they are made of
+    prod = _to_front(cand.reshape(cand.shape[:-2] + (3, len(table) // 3, cand.shape[-1])), 2)
+    return (cand, prod, *_rows(prod), _shifted(u, 5), table, u)
 
 
 def _combine(u, table, omega, w, out):
     """Weighted candidate sums at k points for every window of a padded
     array (..., N): ``omega`` (3, k, ..., N-4) -> ``out`` (k, ..., N-4)."""
-    try:
-        cand, prod = w.combine
-    except AttributeError:
-        (cand,) = w.take("combine", u.shape[:-1] + (len(table), u.shape[-1] - 4))
-        # the products overwrite the candidates they are made of
-        prod = _to_front(
-            cand.reshape(cand.shape[:-2] + (3, len(table) // 3, cand.shape[-1])), 2)
-        w.combine = cand, prod
-    np.matmul(table, _shifted(u, 5), out=cand)            # (..., 3k, N-4)
+    b = getattr(w, "combine", None)
+    if b is None or b[-1] is not u or b[-2] is not table:
+        b = w.bind("combine", _combine_views, u, table)
+    cand, prod, p0, p1, p2, windows, _, _ = b
+    np.matmul(table, windows, out=cand)                   # (..., 3k, N-4)
     np.multiply(omega, prod, out=prod)                    # (3, k, ..., N-4)
     # (p0 + p2) + p1: the order in which numpy's einsum sums three products
-    np.add(prod[0], prod[2], out=out)
-    return np.add(out, prod[1], out=out)
+    np.add(p0, p2, out=out)
+    return np.add(out, p1, out=out)
+
+
+def _trace_views(w, u):
+    v = w.result("trace", 0, (2,) + u.shape[:-1] + (u.shape[-1] - 4,))
+    return v, (v[0, ..., :-1], v[1, ..., 1:]), u
 
 
 def _edge_values(u, scheme: WeightScheme, w):
     """Left-biased value at the right edge and right-biased value at the left
     edge of every window of a padded array (..., N), shape (2, ..., N-4),
-    and their weights, shape (3, 2, ..., N-4)."""
+    with the traces :func:`interface_states` returns, and their weights,
+    shape (3, 2, ..., N-4)."""
     omega = nonlinear_weights(_indicators(u, w), scheme, mirror=True, axis=0, out=w)
-    try:
-        v = w.trace
-    except AttributeError:
-        v = w.trace = np.empty(omega.shape[1:])
-    return _combine(u, _CAND_PAIR, omega, w, v), omega
+    b = getattr(w, "trace", None)
+    if b is None or b[-1] is not u:
+        b = w.bind("trace", _trace_views, u)
+    return _combine(u, _CAND_PAIR, omega, w, b[0]), b[1], omega
 
 
 def interface_states(upad, scheme: WeightScheme, record=False, *, out=None):
@@ -579,13 +672,15 @@ def interface_states(upad, scheme: WeightScheme, record=False, *, out=None):
     u = _contiguous(upad, w)
     if u.shape[-1] < 6:
         raise ConfigurationError("padded array too short for a 5-cell stencil")
-    v, omega = _edge_values(u, scheme, w)
-    u_minus = v[0, ..., :-1]
-    u_plus = v[1, ..., 1:]
+    _, traces, omega = _edge_values(u, scheme, w)
     if record:
-        return u_minus, u_plus, (_to_back(omega[:, 0, ..., :-1]),
-                                 _to_back(omega[:, 1, ..., 1:]))
-    return u_minus, u_plus
+        return (*traces, (_to_back(omega[:, 0, ..., :-1]), _to_back(omega[:, 1, ..., 1:])))
+    return traces
+
+
+def _value_views(w, u):
+    vals = w.result("values", 0, u.shape[:-1] + (u.shape[-1] - 4, 3))
+    return vals, _to_front(vals.swapaxes(-1, -2), 1), u
 
 
 def gauss_point_values(ubar, scheme: WeightScheme, *, out=None):
@@ -600,11 +695,8 @@ def gauss_point_values(ubar, scheme: WeightScheme, *, out=None):
     w = Workspace() if out is None else out
     u = _contiguous(ubar, w)
     omega = _gauss_weights(_indicators(u, w), scheme, 0, w)
-    try:
-        vals, points_first = w.out_vals
-    except AttributeError:
-        vals = np.empty(u.shape[:-1] + (u.shape[-1] - 4, 3))
-        points_first = _to_front(vals.swapaxes(-1, -2), 1)
-        w.out_vals = vals, points_first
-    _combine(u, _CAND_GAUSS, omega, w, points_first)
-    return vals
+    b = getattr(w, "values", None)
+    if b is None or b[-1] is not u:
+        b = w.bind("values", _value_views, u)
+    _combine(u, _CAND_GAUSS, omega, w, b[1])
+    return b[0]

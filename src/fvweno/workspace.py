@@ -1,5 +1,5 @@
-"""Reused buffers: every temporary of a tendency, kept from call to call and
-planned by lifetime.
+"""Reused buffers and the views bound to them: every temporary of a
+tendency, kept from call to call and planned by lifetime.
 
 A kernel (``fill_ghosts``, ``interface_states``, ``gauss_point_values``,
 ``nonlinear_weights``, ``henrick_map``, ``lf_flux``) takes a
@@ -17,6 +17,15 @@ once, so a region is as large as its largest user.  ``Workspace(scratch=ws)``
 carves from the regions of ``ws``: kernels on the two may run one after the
 other, never one inside the other, and a temporary (the weights included)
 holds only until the next kernel call on either.
+
+The binding rule.  Each layer keeps, with its buffers, every view it reads
+or writes: slices and shifted windows of its input and of its buffers, the
+rows of its triples, its linear weights reshaped for broadcasting.  The
+views are bound to the array objects the layer is called with (and to the
+read-only linear-weight tables), made by :meth:`Workspace.bind` the first
+time a layer meets them, so a steady call on the same arrays runs only its
+numpy calls.  They live in the layer's attribute, and a region that grows
+drops them with the layers carved from it or viewing it (:data:`READS`).
 
 The semi-discrete operators and ``rk3_step`` fetch the calling thread's
 workspace for the padded field shape once per call, with
@@ -56,6 +65,19 @@ LAYOUT = {
     "henrick": "ac",
     "combine": "a",
 }
+# Regions of other layers' temporaries whose views a layer keeps: the weight
+# factor keeps rows of beta, and the Gauss split the rows of the weights.
+# Such a layer binds only to temporaries carved since their region last
+# grew (the weights carve after the factor), so dropped with that region it
+# keeps none of the memory the region gave up.
+READS = {
+    **{f"factor_{family}": "b" for family in ("js", "m", "z", "zr", "zl")},
+    "gauss_split": "b",
+}
+# The layers a growing region drops, per region.
+_DROPS = {region: tuple(name for name in {**LAYOUT, **READS}
+                        if region in LAYOUT.get(name, "") + READS.get(name, ""))
+          for region in "abc"}
 # Carved buffers start on 64-byte boundaries (8 float64 values).
 _ALIGN = 8
 
@@ -71,10 +93,11 @@ class _Regions:
 class Workspace:
     """A namespace of reused buffers.
 
-    Each kernel keeps its buffers in one attribute named after its layer,
-    made by the first call that finds it missing, so every call given one
-    workspace must pass arrays of the shapes the first one did.  A layer
-    named in :data:`LAYOUT` makes its temporaries with :meth:`take`.
+    Each kernel keeps its buffers and views in one attribute named after
+    its layer: a tuple of the buffers, then the views, then what the views
+    are bound to, made by :meth:`bind` when a call finds it missing or
+    bound to other arrays.  A layer named in :data:`LAYOUT` makes its
+    temporaries with :meth:`take`.
     """
 
     def __init__(self, scratch=None):
@@ -86,8 +109,9 @@ class Workspace:
         gives None), carved from the regions :data:`LAYOUT` names for it.
 
         A region too small for them is replaced by a larger one, and every
-        layer that carved from the old one, in every workspace sharing it,
-        is dropped, to be made again on its next call.
+        layer that carved from the old one or keeps views of it
+        (:data:`READS`), in every workspace sharing it, is dropped, to be
+        bound again on its next call.
         """
         regions = self._regions
         placed, ends = [], {}
@@ -101,13 +125,28 @@ class Workspace:
         for region, end in ends.items():
             if region not in regions.memory or regions.memory[region].size < end:
                 for ws in regions.members:
-                    for name, used in LAYOUT.items():
-                        if region in used:
-                            ws.__dict__.pop(name, None)
+                    for name in _DROPS[region]:
+                        ws.__dict__.pop(name, None)
                 regions.memory[region] = np.empty(end)
         return [None if p is None
                 else regions.memory[p[0]][p[1]:p[1] + math.prod(p[2])].reshape(p[2])
                 for p in placed]
+
+    def result(self, layer, index, shape):
+        """The result buffer at ``index`` of the binding of ``layer`` if it
+        has ``shape``, else a new one: a layer bound anew keeps its results.
+        """
+        old = self.__dict__.get(layer)
+        buffer = None if old is None else old[index]
+        return buffer if buffer is not None and buffer.shape == shape else np.empty(shape)
+
+    def bind(self, layer, build, *args):
+        """Bind ``layer`` anew: ``build(self, *args)`` makes its buffers,
+        then its views, then what they are bound to, in one tuple that
+        replaces the layer's attribute.  Returns the tuple.
+        """
+        views = self.__dict__[layer] = build(self, *args)
+        return views
 
 
 class _Store(threading.local):

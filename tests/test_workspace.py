@@ -4,7 +4,9 @@ The operators write every temporary into the calling thread's workspace
 for the field shape, shared by all operators on that shape.  These tests
 keep what a call hands out, make further calls on the same shape, and
 require the kept arrays to be unchanged and every result to match a run
-with nothing else interleaved.
+with nothing else interleaved.  The views a workspace keeps are bound to
+the arrays a kernel is called with: other arrays bind them anew, steady
+stepping binds none, and a grown region takes them with it.
 """
 
 import sys
@@ -15,7 +17,15 @@ import numpy as np
 import pytest
 
 from fvweno.integrate import cfl_dt, rk3_step
-from fvweno.mesh import PERIODIC, CellField, Grid1D, Grid2D, cell_average_of, fill_ghosts
+from fvweno.mesh import (
+    OUTFLOW,
+    PERIODIC,
+    CellField,
+    Grid1D,
+    Grid2D,
+    cell_average_of,
+    fill_ghosts,
+)
 from fvweno.physics import BURGERS, FluxPair2D, lf_flux
 from fvweno.solver import SemiDiscreteOp1D, SemiDiscreteOp2D
 from fvweno.weno import (
@@ -77,9 +87,12 @@ def test_operator_result_survives_the_next_call(op, fields):
 
 
 def _arrays(result):
-    """The arrays of a kernel's result, nested in tuples to any depth."""
+    """The arrays of a kernel's result, nested in tuples to any depth; what
+    is neither is left out."""
     if isinstance(result, np.ndarray):
         return [result]
+    if not isinstance(result, tuple):
+        return []
     return [a for part in result for a in _arrays(part)]
 
 
@@ -211,6 +224,18 @@ def test_a_grown_region_drops_the_layers_carved_from_it():
     assert hasattr(base, "weights")           # regions b and c are as they were
     small = Workspace(scratch=base).take("combine", (2, 10))[0]
     assert np.shares_memory(small, sibling.take("combine", (4, 11))[0])
+    # the views a layer keeps go with it: once region b grows, nothing the
+    # workspace keeps holds its old memory, the factor's views of beta
+    # included (the second call binds every layer of the first anew)
+    rows = np.random.default_rng(7).normal(size=(3, 40))
+    for _ in range(2):
+        interface_states(rows, WeightScheme.z(), out=base)
+    assert all(hasattr(base, layer) for layer in ("indicators", "factor_z", "weights"))
+    old = base._regions.memory["b"]
+    sibling.take("linear_weights", (old.size + 1,))
+    assert not any(np.shares_memory(a, old) for a in _arrays(tuple(vars(base).values())))
+    assert not any(hasattr(base, layer) for layer in ("indicators", "factor_z", "weights"))
+    assert hasattr(base, "combine")           # region a is as it was
 
 
 def _step_peak_per_cell(scheme, n=96):
@@ -242,3 +267,95 @@ def _step_peak_per_cell(scheme, n=96):
                          ids=("z", "m"))
 def test_2d_step_memory_per_padded_cell(scheme, bound):
     assert _step_peak_per_cell(scheme) <= bound
+
+
+SCHEMES = (WeightScheme.js(), WeightScheme.m(), WeightScheme.z(), WeightScheme.zr(p=2),
+           WeightScheme.zl(p=2, q=2), WeightScheme.linear())
+
+
+@pytest.mark.parametrize("scheme", SCHEMES, ids=lambda s: s.label)
+def test_two_inputs_alternated_on_one_workspace_match_fresh_calls(scheme):
+    # each layer keeps views bound to the arrays it was called with; a call
+    # on other arrays of the same shape must bind anew, not read the old ones
+    rng = np.random.default_rng(11)
+    rows = [rng.normal(size=(3, 40)) for _ in range(2)]
+    rows[1][:, 20:] += 5.0
+    betas = [np.abs(r[:, :30]) for r in rows]
+    calls = [
+        (rows, lambda x, w: interface_states(x, scheme, record=True, out=w)),
+        (rows, lambda x, w: gauss_point_values(x, scheme, out=w)),
+        (betas, lambda x, w: nonlinear_weights(x, scheme, axis=0, out=w)),
+        (betas, lambda x, w: nonlinear_weights(x, scheme, mirror=True, axis=0, out=w)),
+    ]
+    for inputs, call in calls:
+        w = Workspace()
+        for k in range(4):
+            x = inputs[k % 2]
+            got, want = _arrays(call(x, w)), _arrays(call(x, Workspace()))
+            assert len(got) == len(want)
+            assert all(same_bits(a, b) for a, b in zip(got, want))
+
+
+def test_arguments_that_may_change_are_read_anew_on_every_call():
+    # the weights keep their linear weights and Henrick coefficients only
+    # for a read-only table, as the module's are, and the ghost fill its
+    # steps only for conditions in a tuple
+    beta = np.abs(np.random.default_rng(12).normal(size=(3, 20)))
+    d = np.array([0.2, 0.5, 0.3])
+    w = Workspace()
+    for _ in range(2):                      # the second call finds every layer bound
+        nonlinear_weights(beta, WeightScheme.m(), d=d, axis=0, out=w)
+    d[:] = [0.1, 0.6, 0.3]
+    got = nonlinear_weights(beta, WeightScheme.m(), d=d, axis=0, out=w)
+    assert same_bits(got, nonlinear_weights(beta, WeightScheme.m(), d=d.copy(), axis=0))
+    field = _fields(12, 1)[0]
+    sides = [OUTFLOW, OUTFLOW]
+    for _ in range(2):
+        fill_ghosts(field, sides, out=w)
+    sides[:] = [PERIODIC, PERIODIC]
+    got = fill_ghosts(field, sides, out=w)
+    assert same_bits(got.data, fill_ghosts(field, tuple(sides)).data)
+
+
+def _stepping_case(label):
+    """A field, an operator for a scheme, and a time step."""
+    if label == "1d":
+        return _fields(20, 1)[0], _op, 0.01
+    nx, ny = map(int, label[3:].split("x"))
+    u = cell_average_of(lambda x, y: 0.25 + 0.5 * np.sin(np.pi * (x + y)),
+                        Grid2D(-1.0, 1.0, -1.0, 1.0, nx, ny))
+    return u, lambda s: SemiDiscreteOp2D(FluxPair2D(BURGERS, BURGERS), s, PERIODIC), 0.01
+
+
+@pytest.mark.parametrize("label", ["1d", "2d-12x12", "2d-13x9"])
+def test_steady_stepping_binds_no_views(label, monkeypatch):
+    # after two warm-up steps every kernel meets the arrays it is bound to:
+    # on the square grid the x and y sweeps share their workspaces
+    u, make_op, dt = _stepping_case(label)
+    builds = []
+    bind = Workspace.bind
+
+    def counted(self, layer, build, *args):
+        builds.append(layer)
+        return bind(self, layer, build, *args)
+
+    monkeypatch.setattr(Workspace, "bind", counted)
+    counts = {}
+
+    def work():                     # a new thread: its workspaces start empty
+        for s in SCHEMES:
+            v, op = u, make_op(s)
+            del builds[:]
+            for _ in range(2):
+                v = rk3_step(v, op, dt)
+            warm = len(builds)
+            for _ in range(5):
+                v = rk3_step(v, op, dt)
+            counts[s.label] = (warm, builds[warm:])
+
+    worker = threading.Thread(target=work)
+    worker.start()
+    worker.join(timeout=60)
+    assert len(counts) == len(SCHEMES)
+    for name, (warm, steady) in counts.items():
+        assert warm > 0 and steady == [], (label, name, steady)

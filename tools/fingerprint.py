@@ -8,13 +8,14 @@ output on two checkouts is the evidence that a change kept the bits:
 
     PYTHONPATH=src python tools/fingerprint.py > after.txt
 
-It covers the reconstruction kernels on seeded rows, every field of the
-single-step dissection reports, the final-time tables, a set of registry
-runs, and RK3 stepping where the solver reuses its buffers: 1D steps at
-N = 5 000, 2D Burgers steps at 160², two schemes stepped alternately on one
-shape, 1D steps interleaved with 2D steps of five schemes on a grid of
-unequal sides, and plain and recorded tendencies interleaved (a few seconds
-on one core).
+It covers the reconstruction kernels on seeded rows, also with two inputs
+alternated on one workspace, every field of the single-step dissection
+reports, the final-time tables, a set of registry runs, and RK3 stepping
+where the solver reuses its buffers: 1D steps at N = 5 000, 2D Burgers
+steps at 160², two schemes stepped alternately on one 1D shape and on a
+square 2D grid (whose x and y sweeps share workspaces), 1D steps
+interleaved with 2D steps of five schemes on a grid of unequal sides, and
+plain and recorded tendencies interleaved (a few seconds on one core).
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ from fvweno.integrate import cfl_dt, rk3_step
 from fvweno.mesh import PERIODIC, Grid1D, Grid2D, cell_average_of
 from fvweno.physics import ADVECTION, BURGERS, FluxPair2D
 from fvweno.solver import SemiDiscreteOp1D, SemiDiscreteOp2D
-from fvweno.weno import WeightScheme, gauss_point_values, interface_states
+from fvweno.weno import WeightScheme, gauss_point_values, interface_states, nonlinear_weights
+from fvweno.workspace import Workspace
 
 KERNEL_SCHEMES = (
     WeightScheme.js(),
@@ -106,6 +108,24 @@ def kernels():
                         ("omega_minus", w_minus), ("omega_plus", w_plus)):
             emit(f"interface_states/{s.label}/{name}", a)
         emit(f"gauss_point_values/{s.label}", gauss_point_values(rows, s))
+    # two inputs of one shape alternated on one workspace per kernel; each
+    # result is hashed before the next call overwrites it
+    inputs = (rows, rows[::-1] * 3.0 + 1.0)
+    betas = tuple(np.abs(x[:3, :40]) for x in inputs)
+    for s in KERNEL_SCHEMES:
+        calls = {
+            "interface_states": (inputs, lambda x, w: interface_states(x, s, out=w)),
+            "gauss_point_values": (inputs, lambda x, w: gauss_point_values(x, s, out=w)),
+            "nonlinear_weights": (betas, lambda x, w: nonlinear_weights(x, s, axis=0, out=w)),
+            "nonlinear_weights/mirror": (
+                betas, lambda x, w: nonlinear_weights(x, s, mirror=True, axis=0, out=w)),
+        }
+        for name, (xs, call) in calls.items():
+            w = Workspace()
+            for k in range(4):
+                result = call(xs[k % 2], w)
+                for j, a in enumerate(result if isinstance(result, tuple) else (result,)):
+                    emit(f"alternating_inputs/{s.label}/{name}/call{k}/{j}", a)
 
 
 def dissection():
@@ -192,6 +212,16 @@ def stepping():
         for j, op in enumerate(ops):
             us[j] = rk3_step(us[j], op, dt)
             kept.append((f"alternating/{op.scheme.label}/step{k}", us[j]))
+    # two schemes stepped alternately on a square 2D grid
+    sq = field_2d(20, 20)
+    dt_sq = cfl_dt(sq, BURGERS_2D, 0.4)
+    ops = [SemiDiscreteOp2D(BURGERS_2D, s, PERIODIC)
+           for s in (WeightScheme.m(), WeightScheme.zl(p=2.0, q=2.0))]
+    sqs = [sq, sq]
+    for k in range(4):
+        for j, op in enumerate(ops):
+            sqs[j] = rk3_step(sqs[j], op, dt_sq)
+            kept.append((f"alternating/2d/20x20/{op.scheme.label}/step{k}", sqs[j]))
     # 1D and 2D steps interleaved, on a 2D grid of unequal sides, whose x and
     # y sweeps run on arrays of different shapes
     op_a = SemiDiscreteOp1D(BURGERS, WeightScheme.z(), PERIODIC)
