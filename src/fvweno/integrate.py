@@ -99,7 +99,8 @@ def cfl_dt(field: CellField, model, cfl, remaining=None):
     """
     if not cfl > 0.0:
         raise ConfigurationError("cfl must be positive")
-    alpha = max_wave_speed(field, model)
+    # the bound's scratch is shared with the operators on this shape
+    alpha = max_wave_speed(field, model, out=workspace(field.data.shape))
     if isinstance(field.grid, Grid1D):
         dt = cfl * field.grid.dx / alpha if alpha > 0.0 else np.inf
     else:

@@ -1,5 +1,13 @@
 """Flux catalog: scalar model problems, the 1D Euler system, and the
-Lax-Friedrichs numerical flux with a global wave-speed bound."""
+Lax-Friedrichs numerical flux with a global wave-speed bound.
+
+Every model's ``flux(u, out=None)`` returns f(u): into ``out``, an array of
+u's shape, or ``u`` itself (advection) or a new array; without ``out`` into
+a fresh array.  Its ``speed_bound(u, out=None)`` may use ``out``, an array
+of u's shape, as scratch.  The Euler and Burgers fluxes and bounds write
+into ``out`` in numpy's order of evaluation, so they keep the bits of the
+allocating expressions.
+"""
 
 from __future__ import annotations
 
@@ -19,9 +27,9 @@ GAMMA = 1.4
 class ScalarFluxModel:
     """A scalar conservation-law flux f(u) with a wave-speed bound.
 
-    ``speed_bound(u)`` returns max |f'| over the range of the values ``u``;
-    the Lax-Friedrichs dissipation coefficient is this bound over the
-    current data.
+    ``speed_bound(u, out=None)`` returns max |f'| over the range of the
+    values ``u``; the Lax-Friedrichs dissipation coefficient is this bound
+    over the current data.
     """
 
     name: str
@@ -30,19 +38,29 @@ class ScalarFluxModel:
     speed_bound: Callable
 
 
-def _advection_speed(u):
+def _advection_flux(u, out=None):
+    return np.asarray(u, dtype=float)
+
+
+def _advection_speed(u, out=None):
     return 1.0
 
 
-def _burgers_speed(u):
-    return float(np.abs(u).max())
+def _burgers_flux(u, out=None):
+    # == 0.5 * np.square(u)
+    out = np.square(u, out=np.empty(np.shape(u)) if out is None else out)
+    return np.multiply(0.5, out, out=out)
+
+
+def _burgers_speed(u, out=None):
+    return float(np.absolute(u, out=out).max())
 
 
 def _interval_speed(dflux, critical):
     """Bound of |f'| over [min u, max u]: |f'| peaks at an endpoint or at an
     interior critical point of f' (a root of f'')."""
 
-    def speed_bound(u):
+    def speed_bound(u, out=None):
         lo, hi = float(u.min()), float(u.max())
         cands = [lo, hi] + [c for c in critical if lo < c < hi]
         return float(max(abs(dflux(c)) for c in cands))
@@ -50,7 +68,7 @@ def _interval_speed(dflux, critical):
     return speed_bound
 
 
-def _quartic_flux(u):
+def _quartic_flux(u, out=None):
     u = np.asarray(u, dtype=float)
     return 0.25 * (u * u - 1.0) * (u * u - 4.0)
 
@@ -60,7 +78,7 @@ def _quartic_dflux(u):
     return u * (u * u - 2.5)
 
 
-def _buckley_flux(u):
+def _buckley_flux(u, out=None):
     u = np.asarray(u, dtype=float)
     return 4.0 * u * u / (4.0 * u * u + (1.0 - u) ** 2)
 
@@ -70,10 +88,10 @@ def _buckley_dflux(u):
     return 8.0 * u * (1.0 - u) / (4.0 * u * u + (1.0 - u) ** 2) ** 2
 
 
-ADVECTION = ScalarFluxModel("advection", lambda u: np.asarray(u, dtype=float),
+ADVECTION = ScalarFluxModel("advection", _advection_flux,
                             lambda u: np.ones_like(np.asarray(u, dtype=float)),
                             _advection_speed)
-BURGERS = ScalarFluxModel("burgers", lambda u: 0.5 * np.square(u),
+BURGERS = ScalarFluxModel("burgers", _burgers_flux,
                           lambda u: np.asarray(u, dtype=float), _burgers_speed)
 # f'' = 3u^2 - 5/2
 QUARTIC_NONCONVEX = ScalarFluxModel(
@@ -93,9 +111,9 @@ class FluxPair2D:
     fx: ScalarFluxModel
     fy: ScalarFluxModel
 
-    def speed_bound(self, u):
+    def speed_bound(self, u, out=None):
         """The pair (alpha_x, alpha_y) of directional bounds."""
-        return self.fx.speed_bound(u), self.fy.speed_bound(u)
+        return self.fx.speed_bound(u, out), self.fy.speed_bound(u, out)
 
 
 @dataclass(frozen=True)
@@ -116,24 +134,55 @@ class EulerModel:
         P = (GAMMA - 1.0) * (U[2] - 0.5 * U[1] * u)
         return rho, u, P
 
-    def flux(self, U):
-        rho, u, P = self.primitive(U)
-        return np.stack([U[1], U[1] * u + P, u * (U[2] + P)])
+    @staticmethod
+    def _primitive_into(U, u, P):
+        """primitive(U), with u and P written into the arrays ``u`` and
+        ``P`` in numpy's order of evaluation."""
+        np.divide(U[1], U[0], out=u)
+        np.multiply(0.5, U[1], out=P)
+        np.multiply(P, u, out=P)
+        np.subtract(U[2], P, out=P)
+        np.multiply(GAMMA - 1.0, P, out=P)
+        return U[0], u, P
 
-    def validate(self, U):
-        """Primitives (rho, u, P) of ``U``; a nonpositive density or pressure
-        raises :class:`StateError`."""
-        rho, u, P = self.primitive(U)
-        if not np.all(rho > 0.0):
-            raise StateError(f"nonpositive density (min {np.min(rho):.3e})")
-        if not np.all(P > 0.0):
-            raise StateError(f"nonpositive pressure (min {np.min(P):.3e})")
+    def flux(self, U, out=None):
+        # rows: u and P, then U1 u + P, then u (U2 + P), then U1; [k, ...]
+        # keeps a row of a (3,) state an array
+        f = np.empty(np.shape(U)) if out is None else out
+        _, u, P = self._primitive_into(U, f[0, ...], f[2, ...])
+        m = f[1, ...]
+        np.multiply(U[1], u, out=m)
+        np.add(m, P, out=m)
+        np.add(U[2], P, out=P)
+        np.multiply(u, P, out=P)
+        np.copyto(u, U[1])
+        return f
+
+    def validate(self, U, out=None):
+        """Primitives (rho, u, P) of ``U``, u and P in rows 1 and 2 of
+        ``out`` (an array of U's shape, fresh by default); a nonpositive
+        density or pressure raises :class:`StateError`."""
+        w = np.empty(np.shape(U)) if out is None else out
+        rho, u, P = self._primitive_into(U, w[1, ...], w[2, ...])
+        # min() is NaN if any value is: a NaN state fails too
+        low = rho.min()
+        if not low > 0.0:
+            raise StateError(f"nonpositive density (min {low:.3e})")
+        low = P.min()
+        if not low > 0.0:
+            raise StateError(f"nonpositive pressure (min {low:.3e})")
         return rho, u, P
 
-    def speed_bound(self, U):
-        """max(|u| + c) over the states ``U``, validated on the way."""
-        rho, u, P = self.validate(U)
-        return float(np.max(np.abs(u) + np.sqrt(GAMMA * P / rho)))
+    def speed_bound(self, U, out=None):
+        """max(|u| + c) over the states ``U``, validated on the way, with
+        ``out`` (an array of U's shape) as scratch."""
+        rho, u, c = self.validate(U, out)
+        # == np.abs(u) + np.sqrt(GAMMA * P / rho)
+        np.multiply(GAMMA, c, out=c)
+        np.divide(c, rho, out=c)
+        np.sqrt(c, out=c)
+        np.absolute(u, out=u)
+        return float(np.add(u, c, out=u).max())
 
 
 EULER = EulerModel()
@@ -152,7 +201,8 @@ def lf_flux(a, b, flux, alpha, *, out=None):
     ``alpha`` must bound the wave speed over the relevant range; the flux is
     then monotone (nondecreasing in a, nonincreasing in b).  Componentwise
     for systems.  The flux and its temporary are buffers of ``out``, a
-    :class:`~fvweno.workspace.Workspace` (a fresh one by default).
+    :class:`~fvweno.workspace.Workspace` (a fresh one by default); f(a) is
+    evaluated into the temporary and f(b) into the flux.
     """
     w = Workspace() if out is None else out
     bound = getattr(w, "lf", None)
@@ -160,17 +210,35 @@ def lf_flux(a, b, flux, alpha, *, out=None):
         bound = w.bind("lf", _lf_views, a, b)
     h, jump, a, b = bound
     # in numpy's order of evaluation
-    np.add(flux(a), flux(b), out=h)
+    np.add(flux(a, jump), flux(b, h), out=h)
     np.subtract(b, a, out=jump)
     np.multiply(alpha, jump, out=jump)
     np.subtract(h, jump, out=h)
     return np.multiply(0.5, h, out=h)
 
 
-def max_wave_speed(field: CellField, model):
+def _speed_views(w, field):
+    interior = field.interior
+    return *w.take("speed", interior.shape), interior, field.data
+
+
+def max_wave_speed(field: CellField, model, *, out=None):
     """Global wave-speed bound of the interior data: the model's own
-    ``speed_bound`` (a float, or an (alpha_x, alpha_y) pair in 2D)."""
-    return model.speed_bound(field.interior)
+    ``speed_bound`` (a float, or an (alpha_x, alpha_y) pair in 2D).
+
+    Its scratch is a temporary of ``out``, a
+    :class:`~fvweno.workspace.Workspace` (a fresh one by default), bound
+    with the interior view to the first field array of the shape it meets.
+    The interior of another array of that shape (``cfl_dt`` meets a new one
+    every step) is sliced on the call, onto the same scratch.
+    """
+    w = Workspace() if out is None else out
+    bound = getattr(w, "speed", None)
+    if bound is not None and bound[-1] is field.data:
+        return model.speed_bound(bound[1], bound[0])
+    if bound is None or bound[-1].shape != field.data.shape:
+        bound = w.bind("speed", _speed_views, field)
+    return model.speed_bound(field.interior, bound[0])
 
 
 # ---------------------------------------------------------------------------

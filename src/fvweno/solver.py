@@ -59,7 +59,7 @@ class SemiDiscreteOp1D:
             raise ConfigurationError("SemiDiscreteOp1D requires a 1D field")
         ws = workspace(field.data.shape)
         filled = fill_ghosts(field, self._sides, out=ws)
-        alpha = max_wave_speed(filled, self.model)
+        alpha = max_wave_speed(filled, self.model, out=ws)
         states = interface_states(filled.data, self.scheme, record=record, out=ws)
         h = lf_flux(states[0], states[1], self.model.flux, alpha, out=ws)
         b = getattr(ws, "tendency", None)
@@ -144,7 +144,7 @@ class SemiDiscreteOp2D:
         if b is None or b[-1] is not filled.data:
             b = ws.bind("sweeps", _sweeps, filled.data)
         sweep_x, sweep_y, dy_term, _ = b
-        alpha_x, alpha_y = max_wave_speed(filled, self.model)
+        alpha_x, alpha_y = max_wave_speed(filled, self.model, out=ws)
         fx = self._face_flux(self.model.fx, alpha_x, sweep_x)
         fy = self._face_flux(self.model.fy, alpha_y, sweep_y)
         b = getattr(ws, "faces", None)

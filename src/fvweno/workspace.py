@@ -2,10 +2,13 @@
 tendency, kept from call to call and planned by lifetime.
 
 A kernel (``fill_ghosts``, ``interface_states``, ``gauss_point_values``,
-``nonlinear_weights``, ``henrick_map``, ``lf_flux``) takes a
-:class:`Workspace` as its keyword-only ``out`` and writes its result and all
-of its temporaries into buffers kept there.  Without one it makes a fresh
-workspace, so what it returns belongs to the caller.
+``nonlinear_weights``, ``henrick_map``, ``lf_flux``, ``max_wave_speed``)
+takes a :class:`Workspace` as its keyword-only ``out`` and writes its result
+and all of its temporaries into buffers kept there.  Without one it makes a
+fresh workspace, so what it returns belongs to the caller.  The model layer
+below them takes arrays: ``lf_flux`` hands the model flux two of its
+buffers, and ``max_wave_speed`` hands the model's wave-speed bound its
+scratch.
 
 The lifetime rule.  Results are never shared: the ``out*`` buffers, the
 interface traces, the ghost-filled field, the Lax-Friedrichs flux and
@@ -56,6 +59,7 @@ SHAPES = 8
 #   weights     phi makes omega (b); each normalisation sums into total (c);
 #   henrick     M maps omega through g (a) and den (c), then normalises again;
 #   combine     the candidates (a) and omega make the result.
+# The wave-speed bound (speed) runs between reconstructions, on scratch in a.
 # Each temporary is dead before the next one of its region is written.
 LAYOUT = {
     "indicators": "aaab",
@@ -64,6 +68,7 @@ LAYOUT = {
     "linear_weights": "b",
     "henrick": "ac",
     "combine": "a",
+    "speed": "a",
 }
 # Regions of other layers' temporaries whose views a layer keeps: the weight
 # factor keeps rows of beta, and the Gauss split the rows of the weights.

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fvweno.errors import StateError
 from fvweno.mesh import CellField, Grid1D, Grid2D
@@ -10,12 +11,17 @@ from fvweno.physics import (
     BUCKLEY_LEVERETT,
     BURGERS,
     EULER,
+    GAMMA,
     QUARTIC_NONCONVEX,
+    EulerModel,
     FluxPair2D,
     exact_riemann,
     lf_flux,
     max_wave_speed,
 )
+from fvweno.workspace import Workspace
+
+from oracle_utils import same_bits
 
 MODELS = [ADVECTION, BURGERS, QUARTIC_NONCONVEX, BUCKLEY_LEVERETT]
 
@@ -163,6 +169,127 @@ def test_max_wave_speed_rejects_negative_pressure():
                   np.array([1.0, 0.0, -1.0])], axis=1)
     with pytest.raises(StateError):
         max_wave_speed(_field(U), EULER)
+
+
+# The model layer writes into reused buffers; these formulas allocate, in
+# the plain numpy expressions of the models.
+def _euler_flux(U):
+    _, u, P = EULER.primitive(U)
+    return np.stack([U[1], U[1] * u + P, u * (U[2] + P)])
+
+
+def _euler_speed(U):
+    rho, u, P = EULER.primitive(U)
+    return float(np.max(np.abs(u) + np.sqrt(GAMMA * P / rho)))
+
+
+def _burgers_flux(u):
+    return 0.5 * np.square(u)
+
+
+def _burgers_speed(u):
+    return float(np.abs(u).max())
+
+
+@st.composite
+def _euler_pair(draw):
+    """Two (3, n) conserved states of positive density and pressure, with
+    up to two jumps, at one of three scales."""
+    n = draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1e-2, 1.0, 1e2]))
+    pair = []
+    for _ in range(2):
+        rho = rng.uniform(0.01, 10.0, n) * scale
+        u = rng.uniform(-10.0, 10.0, n)
+        P = rng.uniform(0.01, 10.0, n) * scale
+        for cut in draw(st.lists(st.integers(0, n - 1), max_size=2)):
+            P[cut:] *= draw(st.sampled_from([0.1, 10.0]))
+        pair.append(EULER.conserved(rho, u, P))
+    return pair
+
+
+@st.composite
+def _scalar_pair(draw):
+    """Two arrays of one shape at one of three scales, with signed zeros."""
+    shape = draw(st.sampled_from([(1,), (17,), (1, 21), (2, 5, 3)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pair = [rng.normal(size=shape) * draw(st.sampled_from([1e-3, 1.0, 1e3]))
+            for _ in range(2)]
+    pair[1].flat[0] = -0.0
+    return pair
+
+
+_MODEL_CASES = {
+    "euler": (EULER, _euler_flux, _euler_speed, _euler_pair()),
+    "burgers": (BURGERS, _burgers_flux, _burgers_speed, _scalar_pair()),
+}
+
+
+@pytest.mark.parametrize("case", list(_MODEL_CASES))
+@settings(deadline=None, derandomize=True, max_examples=30)
+@given(data=st.data())
+def test_in_place_flux_and_bound_match_the_allocating_formulas(case, data):
+    model, flux, speed, pairs = _MODEL_CASES[case]
+    a, b = data.draw(pairs)
+    for x in (a, b):
+        assert same_bits(model.flux(x), flux(x))
+        assert model.speed_bound(x) == speed(x)
+    # one reused buffer fed the two inputs alternately
+    out, scratch = np.empty_like(a), np.empty_like(a)
+    for k in range(4):
+        x = (a, b)[k % 2]
+        got = model.flux(x, out)
+        assert got is out and same_bits(got, flux(x))
+        assert model.speed_bound(x, scratch) == speed(x)
+    alpha = speed(np.concatenate((a, b), axis=-1))
+    want = 0.5 * (flux(a) + flux(b) - alpha * (b - a))
+    w = Workspace()
+    for k in range(3):
+        assert same_bits(lf_flux(a, b, model.flux, alpha, out=w), want)
+        assert same_bits(lf_flux(b, a, model.flux, alpha, out=w),
+                         0.5 * (flux(b) + flux(a) - alpha * (a - b)))
+    assert same_bits(lf_flux(a, b, model.flux, alpha), want)
+
+
+_BAD_STATES = [
+    # density 1 and -0.1; density is checked before pressure
+    (np.array([[1.0, -0.1], [0.0, 0.0], [1.0, -1.0]]), "nonpositive density (min -1.000e-01)"),
+    # pressure 0.4 * 1 and 0.4 * -1
+    (np.array([[1.0, 1.0], [0.0, 0.0], [1.0, -1.0]]), "nonpositive pressure (min -4.000e-01)"),
+    (np.array([[1.0, np.nan], [0.0, 0.0], [1.0, 1.0]]), "nonpositive density (min nan)"),
+    (np.array([[1.0, 1.0], [0.0, 0.0], [1.0, np.nan]]), "nonpositive pressure (min nan)"),
+]
+
+
+@pytest.mark.parametrize("U, message", _BAD_STATES, ids=("density", "pressure",
+                                                         "nan-density", "nan-pressure"))
+def test_inadmissible_states_raise_with_the_failing_minimum(U, message):
+    field = _field(U)
+    calls = [lambda: EULER.validate(U), lambda: EULER.speed_bound(U),
+             lambda: EULER.speed_bound(U, np.empty_like(U)),
+             lambda: max_wave_speed(field, EULER),
+             lambda: max_wave_speed(field, EULER, out=Workspace())]
+    for call in calls:
+        with pytest.raises(StateError) as info:
+            call()
+        assert str(info.value) == message
+
+
+def test_speed_bound_validates_through_the_class_attribute(monkeypatch):
+    # a tracer that wraps EulerModel.validate counts every bound
+    calls = []
+    validate = EulerModel.validate
+
+    def counted(self, U, out=None):
+        calls.append(U.shape)
+        return validate(self, U, out)
+
+    monkeypatch.setattr(EulerModel, "validate", counted)
+    U = EULER.conserved(np.array([1.0, 0.5]), np.array([0.3, -0.2]), np.array([1.0, 0.1]))
+    max_wave_speed(_field(U), EULER, out=Workspace())
+    EULER.speed_bound(U)
+    assert calls == [(3, 2), (3, 2)]
 
 
 def test_exact_riemann_sod_star_state():

@@ -16,7 +16,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fvweno.integrate import cfl_dt, rk3_step
+from fvweno.harness.problems import get_problem
+from fvweno.integrate import cfl_dt, integrate_to, rk3_step
 from fvweno.mesh import (
     OUTFLOW,
     PERIODIC,
@@ -26,7 +27,7 @@ from fvweno.mesh import (
     cell_average_of,
     fill_ghosts,
 )
-from fvweno.physics import BURGERS, FluxPair2D, lf_flux
+from fvweno.physics import BURGERS, EULER, FluxPair2D, lf_flux
 from fvweno.solver import SemiDiscreteOp1D, SemiDiscreteOp2D
 from fvweno.weno import (
     WeightScheme,
@@ -318,20 +319,37 @@ def test_arguments_that_may_change_are_read_anew_on_every_call():
 
 
 def _stepping_case(label):
-    """A field, an operator for a scheme, and a time step."""
+    """A field, an operator for a scheme, and a function that steps the
+    field with the operator, calling ``after(step)`` after each of at least
+    seven steps."""
+    if label == "sod-40":
+        # integrate_to in CFL mode: cfl_dt bounds the wave speed every step
+        sod = get_problem("sod")
+
+        def run(u, op, after):
+            integrate_to(u, op, 0.6, sod.time, step_callback=lambda step, t, v: after(step))
+
+        return (sod.initial(sod.make_grid(40)),
+                lambda s: SemiDiscreteOp1D(EULER, s, sod.bc), run)
+
+    def run(u, op, after):
+        for step in range(1, 8):
+            u = rk3_step(u, op, 0.01)
+            after(step)
+
     if label == "1d":
-        return _fields(20, 1)[0], _op, 0.01
+        return _fields(20, 1)[0], _op, run
     nx, ny = map(int, label[3:].split("x"))
     u = cell_average_of(lambda x, y: 0.25 + 0.5 * np.sin(np.pi * (x + y)),
                         Grid2D(-1.0, 1.0, -1.0, 1.0, nx, ny))
-    return u, lambda s: SemiDiscreteOp2D(FluxPair2D(BURGERS, BURGERS), s, PERIODIC), 0.01
+    return u, lambda s: SemiDiscreteOp2D(FluxPair2D(BURGERS, BURGERS), s, PERIODIC), run
 
 
-@pytest.mark.parametrize("label", ["1d", "2d-12x12", "2d-13x9"])
+@pytest.mark.parametrize("label", ["1d", "2d-12x12", "2d-13x9", "sod-40"])
 def test_steady_stepping_binds_no_views(label, monkeypatch):
     # after two warm-up steps every kernel meets the arrays it is bound to:
     # on the square grid the x and y sweeps share their workspaces
-    u, make_op, dt = _stepping_case(label)
+    u, make_op, run = _stepping_case(label)
     builds = []
     bind = Workspace.bind
 
@@ -344,18 +362,14 @@ def test_steady_stepping_binds_no_views(label, monkeypatch):
 
     def work():                     # a new thread: its workspaces start empty
         for s in SCHEMES:
-            v, op = u, make_op(s)
             del builds[:]
-            for _ in range(2):
-                v = rk3_step(v, op, dt)
-            warm = len(builds)
-            for _ in range(5):
-                v = rk3_step(v, op, dt)
-            counts[s.label] = (warm, builds[warm:])
+            marks = {}              # binds made by the end of each step
+            run(u, make_op(s), lambda step: marks.setdefault(step, len(builds)))
+            counts[s.label] = (len(marks), marks[2], builds[marks[2]:])
 
     worker = threading.Thread(target=work)
     worker.start()
     worker.join(timeout=60)
     assert len(counts) == len(SCHEMES)
-    for name, (warm, steady) in counts.items():
-        assert warm > 0 and steady == [], (label, name, steady)
+    for name, (steps, warm, steady) in counts.items():
+        assert steps >= 7 and warm > 0 and steady == [], (label, name, steps, steady)

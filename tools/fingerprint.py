@@ -9,13 +9,16 @@ output on two checkouts is the evidence that a change kept the bits:
     PYTHONPATH=src python tools/fingerprint.py > after.txt
 
 It covers the reconstruction kernels on seeded rows, also with two inputs
-alternated on one workspace, every field of the single-step dissection
-reports, the final-time tables, a set of registry runs, and RK3 stepping
-where the solver reuses its buffers: 1D steps at N = 5 000, 2D Burgers
-steps at 160², two schemes stepped alternately on one 1D shape and on a
-square 2D grid (whose x and y sweeps share workspaces), 1D steps
-interleaved with 2D steps of five schemes on a grid of unequal sides, and
-plain and recorded tendencies interleaved (a few seconds on one core).
+alternated on one workspace, the model fluxes, wave-speed bounds and
+Lax-Friedrichs fluxes on seeded states, every field of the single-step
+dissection reports, the final-time tables, a set of registry runs, and RK3
+stepping where the solver reuses its buffers: 1D steps at N = 5 000, 2D
+Burgers steps at 160², two schemes stepped alternately on one 1D shape and
+on a square 2D grid (whose x and y sweeps share workspaces), two Euler
+schemes stepped alternately on one shape with a CFL time step every step,
+blast-wave steps between reflective walls, 1D steps interleaved with 2D
+steps of five schemes on a grid of unequal sides, and plain and recorded
+tendencies interleaved (a few seconds on one core).
 """
 
 from __future__ import annotations
@@ -33,10 +36,20 @@ from fvweno.dissect import (
     render_table,
     zl_schemes,
 )
+from fvweno.harness.problems import get_problem
 from fvweno.harness.runs import RunConfig, run_problem
 from fvweno.integrate import cfl_dt, rk3_step
-from fvweno.mesh import PERIODIC, Grid1D, Grid2D, cell_average_of
-from fvweno.physics import ADVECTION, BURGERS, FluxPair2D
+from fvweno.mesh import PERIODIC, CellField, Grid1D, Grid2D, cell_average_of
+from fvweno.physics import (
+    ADVECTION,
+    BUCKLEY_LEVERETT,
+    BURGERS,
+    EULER,
+    QUARTIC_NONCONVEX,
+    FluxPair2D,
+    lf_flux,
+    max_wave_speed,
+)
 from fvweno.solver import SemiDiscreteOp1D, SemiDiscreteOp2D
 from fvweno.weno import WeightScheme, gauss_point_values, interface_states, nonlinear_weights
 from fvweno.workspace import Workspace
@@ -126,6 +139,34 @@ def kernels():
                 result = call(xs[k % 2], w)
                 for j, a in enumerate(result if isinstance(result, tuple) else (result,)):
                     emit(f"alternating_inputs/{s.label}/{name}/call{k}/{j}", a)
+
+
+def models():
+    rng = np.random.default_rng(2027)
+    # Euler states of positive density and pressure, with a jump
+    rho = rng.uniform(0.1, 3.0, size=(2, 41))
+    vel = rng.uniform(-2.0, 2.0, size=(2, 41))
+    P = rng.uniform(0.05, 5.0, size=(2, 41))
+    P[:, 20:] *= 40.0
+    states = [EULER.conserved(rho[k], vel[k], P[k]) for k in range(2)]
+    scalars = [rng.normal(size=(1, 41)), rng.uniform(-0.5, 1.5, size=(1, 41))]
+    cases = [(EULER, states)] + [(m, scalars) for m in (
+        ADVECTION, BURGERS, QUARTIC_NONCONVEX, BUCKLEY_LEVERETT)]
+    for model, (a, b) in cases:
+        name = getattr(model, "name", "euler")
+        emit(f"models/{name}/flux", model.flux(a))
+        emit(f"models/{name}/speed_bound", model.speed_bound(np.concatenate((a, b), -1)))
+        alpha = model.speed_bound(a)
+        emit(f"models/{name}/lf_flux", lf_flux(a, b, model.flux, alpha))
+        # two pairs alternated on one workspace; each result is hashed
+        # before the next call overwrites it
+        w = Workspace()
+        for k in range(4):
+            x, y = (a, b) if k % 2 == 0 else (b, a)
+            emit(f"models/{name}/lf_flux/alternating/call{k}",
+                 lf_flux(x, y, model.flux, alpha, out=w))
+        field = CellField.from_interior(Grid1D(0.0, 1.0, 41), a)
+        emit(f"models/{name}/max_wave_speed", max_wave_speed(field, model))
 
 
 def dissection():
@@ -222,6 +263,26 @@ def stepping():
         for j, op in enumerate(ops):
             sqs[j] = rk3_step(sqs[j], op, dt_sq)
             kept.append((f"alternating/2d/20x20/{op.scheme.label}/step{k}", sqs[j]))
+    # two Euler schemes on one shape, stepped alternately, each with its own
+    # CFL time step
+    sod = get_problem("sod")
+    ops = [SemiDiscreteOp1D(EULER, s, sod.bc)
+           for s in (WeightScheme.m(), WeightScheme.zl(p=2.0, q=2.0))]
+    tubes = [sod.initial(sod.make_grid(100))] * 2
+    for k in range(6):
+        for j, op in enumerate(ops):
+            dt_tube = cfl_dt(tubes[j], EULER, 0.4)
+            tubes[j] = rk3_step(tubes[j], op, dt_tube)
+            kept += [(f"euler/alternating/{op.scheme.label}/step{k}", tubes[j]),
+                     (f"euler/alternating/{op.scheme.label}/dt{k}", dt_tube)]
+    # the blast wave between reflective walls, a few steps only
+    blast = get_problem("blastwave")
+    for s in (WeightScheme.js(), WeightScheme.z()):
+        op = SemiDiscreteOp1D(EULER, s, blast.bc)
+        v = blast.initial(blast.make_grid(200))
+        for k in range(3):
+            v = rk3_step(v, op, cfl_dt(v, EULER, 0.4))
+            kept.append((f"euler/blastwave/{s.label}/step{k}", v))
     # 1D and 2D steps interleaved, on a 2D grid of unequal sides, whose x and
     # y sweeps run on arrays of different shapes
     op_a = SemiDiscreteOp1D(BURGERS, WeightScheme.z(), PERIODIC)
@@ -248,6 +309,7 @@ def stepping():
 
 if __name__ == "__main__":
     kernels()
+    models()
     dissection()
     runs()
     stepping()

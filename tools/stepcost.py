@@ -2,12 +2,18 @@
 
     PYTHONPATH=src python tools/stepcost.py
 
-Each line gives the fastest of a run of steps (and that time per cell) and
-the minor page faults a step, for JS, M, Z, ZR(2) and ZL(2,2) on:
+Each line gives the fastest of a run of steps (and that time per cell),
+the median step beside it, and the minor page faults a step, for JS, M, Z,
+ZR(2) and ZL(2,2) on:
 
 - 1D periodic advection of a smooth profile with jumps, N = 20, 5 000 and
   100 000 cells, dt = 0.1 dx;
+- the 1D Euler Sod shock tube of the problem registry, N = 200, with a
+  CFL 0.4 time step (``cfl_dt``) taken in every timed step;
 - 2D periodic Burgers of a smooth bump, 40², 160² and 400² cells, CFL 0.4.
+
+A median well above the fastest step says the host was busy during the
+run, not that the family is slower.
 
 Two untimed steps come first, so the faults counted are those of steady
 stepping.  Faults are the process's own
@@ -31,9 +37,10 @@ import tracemalloc
 
 import numpy as np
 
+from fvweno.harness.problems import get_problem
 from fvweno.integrate import cfl_dt, rk3_step
 from fvweno.mesh import PERIODIC, Grid1D, Grid2D, cell_average_of
-from fvweno.physics import ADVECTION, BURGERS, FluxPair2D
+from fvweno.physics import ADVECTION, BURGERS, EULER, FluxPair2D
 from fvweno.solver import SemiDiscreteOp1D, SemiDiscreteOp2D
 from fvweno.weno import WeightScheme
 
@@ -47,6 +54,7 @@ SCHEMES = (
 # (label, cells across, timed steps)
 CASES_1D = (("1d-advection", 20, 400), ("1d-advection", 5_000, 40),
             ("1d-advection", 100_000, 8))
+CASES_EULER = (("1d-euler-sod", 200, 100),)
 CASES_2D = (("2d-burgers", 40, 40), ("2d-burgers", 160, 8), ("2d-burgers", 400, 3))
 WARMUP = 2
 
@@ -56,17 +64,19 @@ def _minflt():
 
 
 def measure(u, op, dt, steps):
-    """Fastest step (s) and minor faults a step over ``steps`` timed steps
-    after ``WARMUP`` untimed ones."""
+    """Fastest and median step (s) and minor faults a step over ``steps``
+    timed steps after ``WARMUP`` untimed ones; ``dt(u)`` is the time step
+    from ``u``, taken within the step."""
     for _ in range(WARMUP):
-        u = rk3_step(u, op, dt)
-    best = np.inf
+        u = rk3_step(u, op, dt(u))
+    times = []
     faults = _minflt()
     for _ in range(steps):
         t0 = time.perf_counter()
-        u = rk3_step(u, op, dt)
-        best = min(best, time.perf_counter() - t0)
-    return best, (_minflt() - faults) / steps
+        u = rk3_step(u, op, dt(u))
+        times.append(time.perf_counter() - t0)
+    faults = (_minflt() - faults) / steps
+    return min(times), float(np.median(times)), faults
 
 
 def step_peak(u, op, dt):
@@ -74,7 +84,7 @@ def step_peak(u, op, dt):
     stepped = []
     tracemalloc.start()
     try:
-        worker = threading.Thread(target=lambda: stepped.append(rk3_step(u, op, dt)))
+        worker = threading.Thread(target=lambda: stepped.append(rk3_step(u, op, dt(u))))
         worker.start()
         worker.join()
         peak = tracemalloc.get_traced_memory()[1]
@@ -83,6 +93,11 @@ def step_peak(u, op, dt):
     if not stepped:
         raise RuntimeError(f"the step of {op.scheme.label} failed")
     return peak
+
+
+def fixed(dt):
+    """A time step that does not depend on the field."""
+    return lambda u: dt
 
 
 def field_1d(n):
@@ -99,10 +114,11 @@ def field_2d(n):
         grid)
 
 
-def report(label, n, cells, scheme, best, faults, peak=None):
+def report(label, n, cells, scheme, best, median, faults, peak=None):
     memory = "" if peak is None else f"  peak {peak / 2**20:7.1f} MiB"
     print(f"{label:13s} {n:>7d}  {scheme.label:14s} step {best * 1e3:9.3f} ms "
-          f"{best / cells * 1e9:9.1f} ns/cell  faults/step {faults:8.1f}{memory}", flush=True)
+          f"{best / cells * 1e9:9.1f} ns/cell  median {median * 1e3:9.3f} ms  "
+          f"faults/step {faults:8.1f}{memory}", flush=True)
 
 
 def main():
@@ -110,11 +126,17 @@ def main():
         u = field_1d(n)
         for s in SCHEMES:
             op = SemiDiscreteOp1D(ADVECTION, s, (PERIODIC, PERIODIC))
-            report(label, n, n, s, *measure(u, op, 0.1 * u.grid.dx, steps))
+            report(label, n, n, s, *measure(u, op, fixed(0.1 * u.grid.dx), steps))
+    sod = get_problem("sod")
+    for label, n, steps in CASES_EULER:
+        u = sod.initial(sod.make_grid(n))
+        for s in SCHEMES:
+            op = SemiDiscreteOp1D(EULER, s, sod.bc)
+            report(label, n, n, s, *measure(u, op, lambda v: cfl_dt(v, EULER, 0.4), steps))
     model = FluxPair2D(BURGERS, BURGERS)
     for label, n, steps in CASES_2D:
         u = field_2d(n)
-        dt = cfl_dt(u, model, 0.4)
+        dt = fixed(cfl_dt(u, model, 0.4))
         for s in SCHEMES:
             op = SemiDiscreteOp2D(model, s, PERIODIC)
             report(label, n, n * n, s, *measure(u, op, dt, steps), step_peak(u, op, dt))
