@@ -22,6 +22,9 @@ from .workspace import Workspace
 # masks the scheme's convergence order).
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(5)
 
+# Rows of cells a 2D cell average evaluates its function on at once.
+_AVERAGE_ROWS = 32
+
 # Ghost cells on each side of every axis.  The fifth-order reconstruction
 # reads five-cell windows, so the traces at the n+1 faces of n cells reach
 # exactly three cells beyond each end.
@@ -216,7 +219,7 @@ def _ghost_steps(v, n, sides, inflow=None):
 
     Periodic and reflective ghosts copy GHOST interior cells, so they need
     at least that many.  An inflow side fills row 0 of its ghost slice
-    ``s`` with ``inflow(profile, s)``.
+    ``s`` with ``inflow(profile, s)``, evaluated here, once.
     """
     g = GHOST
     steps = []
@@ -241,12 +244,8 @@ def _ghost_steps(v, n, sides, inflow=None):
                                  (v[:, n : n + g] if hi else v[:, g : 2 * g])[:, ::-1]))
             steps.append(partial(np.multiply, dst[1], -1.0, out=dst[1]))  # momentum
         else:
-            steps.append(partial(_inflow, dst[0], inflow, bc.profile, ghosts))
+            steps.append(partial(np.copyto, dst[0], inflow(bc.profile, ghosts)))
     return tuple(steps)
-
-
-def _inflow(row, inflow, profile, ghosts):
-    np.copyto(row, inflow(profile, ghosts))
 
 
 def _fill_views(w, grid, bc, shape):
@@ -294,16 +293,21 @@ def cell_average_of(fn, grid) -> CellField:
     """Cell averages of a pointwise function by 5-point Gauss-Legendre
     quadrature.
 
-    1D ``fn(x)`` and 2D ``fn(x, y)`` must accept arrays.  Ghost cells are
-    left at zero; fill them with :func:`fill_ghosts`.
+    1D ``fn(x)`` and 2D ``fn(x, y)`` must accept arrays.  In 2D ``fn`` gets
+    the nodes of :data:`_AVERAGE_ROWS` rows of cells at a time, so its
+    temporaries stay small.  Ghost cells are left at zero; fill them with
+    :func:`fill_ghosts`.
     """
     if isinstance(grid, Grid1D):
         return CellField.from_interior(grid, gauss_average(fn, grid.centers(), grid.dx))
     xq = grid.xcenters()[:, None] + 0.5 * grid.dx * _GAUSS_NODES
     yq = grid.ycenters()[:, None] + 0.5 * grid.dy * _GAUSS_NODES
-    vals = fn(xq[:, None, :, None], yq[None, :, None, :])
-    values = np.einsum("ijkl,k,l->ij", vals, _GAUSS_WEIGHTS, _GAUSS_WEIGHTS) / 4.0
-    return CellField.from_interior(grid, values)
+    field = CellField.zeros(grid)
+    for i in range(0, grid.nx, _AVERAGE_ROWS):
+        vals = fn(xq[i:i + _AVERAGE_ROWS, None, :, None], yq[None, :, None, :])
+        field.interior[0, i:i + _AVERAGE_ROWS] = np.einsum(
+            "ijkl,k,l->ij", vals, _GAUSS_WEIGHTS, _GAUSS_WEIGHTS) / 4.0
+    return field
 
 
 def step_function_average(grid: Grid1D, x0, left, right) -> CellField:

@@ -78,11 +78,12 @@ class SemiDiscreteOp1D:
 
 
 class _Sweep:
-    """Face fluxes across one axis of a 2D grid: the rows handed to the
-    interface sweep (``source`` itself if it is C-contiguous, else a
-    buffer it is copied into), the workspaces of the interface sweep and
-    the flux (``edge``) and of the one Gauss pass over both traces
-    (``gauss``), and the face averages (``face``, made on first use).  Both
+    """Face fluxes across one axis of a 2D grid: the n_trans+4 padded
+    transverse rows the Gauss windows of the faces read, handed to the
+    interface sweep (``source`` itself if it is C-contiguous, else a buffer
+    it is copied into), the workspaces of the interface sweep and the flux
+    (``edge``) and of the one Gauss pass over both traces (``gauss``), and
+    the face averages, one per window (``face``, made on first use).  Both
     workspaces carve their temporaries from the regions of ``ws``.  A sweep
     over arrays of the shapes of ``other`` shares its rows and workspaces,
     so every kernel meets the arrays it is bound to, but not its faces."""
@@ -95,15 +96,16 @@ class _Sweep:
             self.edge, self.gauss, self.rows = other.edge, other.gauss, other.rows
         # copied into the rows on every call, unless it is the rows
         self.source = None if self.rows is source else source
-        self.face = self.inner = None
+        self.face = None
 
 
 def _sweeps(ws, data):
     """Both sweeps of a padded 2D field buffer ``data`` (1, nx+6, ny+6),
-    and the y-term of the tendency."""
+    each over the padded transverse rows 1..n_trans+4, and the y-term of
+    the tendency."""
     d = data[0]
-    sweep_x = _Sweep(ws, d.T)
-    sweep_y = _Sweep(ws, d, sweep_x if d.shape[0] == d.shape[1] else None)
+    sweep_x = _Sweep(ws, d.T[1:-1])
+    sweep_y = _Sweep(ws, d[1:-1], sweep_x if d.shape[0] == d.shape[1] else None)
     return (sweep_x, sweep_y, np.empty((d.shape[0] - 2 * GHOST, d.shape[1] - 2 * GHOST)),
             data)
 
@@ -164,14 +166,15 @@ class SemiDiscreteOp2D:
 
     def _face_flux(self, model, alpha, sweep):
         """Face fluxes across the last axis of the rows of ``sweep``, shape
-        (n_trans+6, n+6) for n and n_trans interior cells along the normal
+        (n_trans+4, n+6) for n and n_trans interior cells along the normal
         and transverse axes: shape (n+1, n_trans)."""
         if sweep.source is not None:
             np.copyto(sweep.rows, sweep.source)
-        # Sweep 1: interface WENO along the normal axis, every transverse row.
+        # Sweep 1: interface WENO along the normal axis, every row read.
         u_minus, u_plus = interface_states(sweep.rows, self.scheme, out=sweep.edge)
         # Sweep 2: transverse Gauss-point reconstruction of the line averages,
-        # both traces in one pass.
+        # both traces in one pass.  Window k covers rows k..k+4 and is
+        # centered at interior cell k.
         g = sweep.gauss
         b = getattr(g, "pair", None)
         if b is None or b[-2] is not u_minus or b[-1] is not u_plus:
@@ -179,17 +182,10 @@ class SemiDiscreteOp2D:
         pair, pair_minus, pair_plus, minus_t, plus_t, _, _ = b
         np.copyto(pair_minus, minus_t)
         np.copyto(pair_plus, plus_t)
-        pts = gauss_point_values(pair, self.scheme, out=g)  # (2, n+1, K, 3)
+        pts = gauss_point_values(pair, self.scheme, out=g)  # (2, n+1, n_trans, 3)
         b = getattr(g, "points", None)
         if b is None or b[-1] is not pts:
             b = g.bind("points", lambda g, pts: (pts[0], pts[1], pts), pts)
         h = lf_flux(b[0], b[1], model.flux, alpha, out=sweep.edge)
-        if sweep.face is None:
-            sweep.face = np.empty(h.shape[:-1])
-            # Transverse window k covers padded rows k..k+4 and is centered
-            # at row k+2; keep the interior rows, those past the GHOST on
-            # each side.
-            sweep.inner = sweep.face[:, GHOST - 2 : 2 - GHOST]
-        face = np.matmul(h, GAUSS_WEIGHTS, out=sweep.face)
-        np.multiply(0.5, face, out=face)
-        return sweep.inner
+        sweep.face = np.matmul(h, GAUSS_WEIGHTS, out=sweep.face)
+        return np.multiply(0.5, sweep.face, out=sweep.face)

@@ -595,12 +595,6 @@ def reconstruct_gauss_point(window, scheme: WeightScheme, node):
 # ---------------------------------------------------------------------------
 
 
-def _to_front(a, k):
-    """``a`` with the ``k`` axes before its last one moved to the front."""
-    n = a.ndim - 1
-    return a.transpose(tuple(range(n - k, n)) + tuple(range(n - k)) + (n,))
-
-
 def _to_back(a):
     """``a`` with its first axis moved to the end."""
     return a.transpose(tuple(range(1, a.ndim)) + (0,))
@@ -615,10 +609,12 @@ _CAND_GAUSS = _frozen(np.stack([CAND_GAUSS_MINUS, CAND_GAUSS_CENTER, CAND_GAUSS_
 
 
 def _combine_views(w, u, table):
-    (cand,) = w.take("combine", u.shape[:-1] + (len(table), u.shape[-1] - 4))
-    # the products overwrite the candidates they are made of
-    prod = _to_front(cand.reshape(cand.shape[:-2] + (3, len(table) // 3, cand.shape[-1])), 2)
-    return (cand, prod, *_rows(prod), _shifted(u, 5), table, u)
+    # rows first, so products and sums run over contiguous blocks; the
+    # matmul writes through a view with the rows where it puts them, and the
+    # products overwrite the candidates they are made of
+    (cand,) = w.take("combine", (len(table),) + u.shape[:-1] + (u.shape[-1] - 4,))
+    prod = cand.reshape((3, len(table) // 3) + cand.shape[1:])
+    return (np.moveaxis(cand, 0, -2), prod, *_rows(prod), _shifted(u, 5), table, u)
 
 
 def _combine(u, table, omega, w, out):
@@ -680,7 +676,7 @@ def interface_states(upad, scheme: WeightScheme, record=False, *, out=None):
 
 def _value_views(w, u):
     vals = w.result("values", 0, u.shape[:-1] + (u.shape[-1] - 4, 3))
-    return vals, _to_front(vals.swapaxes(-1, -2), 1), u
+    return vals, np.moveaxis(vals, -1, 0), u
 
 
 def gauss_point_values(ubar, scheme: WeightScheme, *, out=None):

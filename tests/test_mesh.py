@@ -19,6 +19,7 @@ from fvweno.mesh import (
     polygon_indicator_average,
     step_function_average,
 )
+from fvweno.workspace import Workspace
 
 from oracle_utils import oracle_polygon_average, same_bits
 
@@ -155,6 +156,30 @@ def test_fill_1d_inflow_ghosts_are_profile_averages():
         np.testing.assert_allclose(got, (anti(edges + g.dx) - anti(edges)) / g.dx,
                                    rtol=1e-13, atol=1e-15)
     np.testing.assert_array_equal(f.interior[0], 1.0)
+
+
+@pytest.mark.parametrize("grid, sides", [
+    (Grid1D(0.0, 1.0, 8), lambda bc: (bc, OUTFLOW)),
+    (Grid2D(0.0, 2 * np.pi, 0.0, 1.0, 8, 5), lambda bc: (PERIODIC, PERIODIC, bc, OUTFLOW)),
+], ids=("1d", "2d"))
+def test_inflow_profile_is_evaluated_once_per_binding(grid, sides):
+    # the ghost fill binds its steps once, inflow averages included: a fill
+    # on the same workspace copies them instead of evaluating the profile
+    calls = []
+
+    def prof(x):
+        calls.append(x.shape)
+        return np.sin(3.0 * x)
+
+    bc = sides(inflow(prof))
+    shape = (grid.n,) if isinstance(grid, Grid1D) else (grid.nx, grid.ny)
+    field = CellField.from_interior(grid, np.random.default_rng(5).normal(size=shape))
+    w = Workspace()
+    first = fill_ghosts(field, bc, out=w).data.copy()
+    second = fill_ghosts(field, bc, out=w).data
+    assert len(calls) == 1
+    assert same_bits(second, first)
+    assert same_bits(second, fill_ghosts(field, bc).data)
 
 
 def test_fill_2d_outflow_copies_nearest_interior_cell():

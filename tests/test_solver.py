@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from fvweno import solver
 from fvweno.errors import ConfigurationError
+from fvweno.harness.problems import get_problem
 from fvweno.integrate import TimeControl, integrate_to
 from fvweno.mesh import (
     OUTFLOW,
@@ -19,9 +20,9 @@ from fvweno.mesh import (
     inflow,
     step_function_average,
 )
-from fvweno.physics import ADVECTION, BURGERS, EULER, FluxPair2D
+from fvweno.physics import ADVECTION, BURGERS, EULER, FluxPair2D, lf_flux, max_wave_speed
 from fvweno.solver import SemiDiscreteOp1D, SemiDiscreteOp2D
-from fvweno.weno import WeightScheme, gauss_point_values
+from fvweno.weno import GAUSS_WEIGHTS, WeightScheme, gauss_point_values, interface_states
 
 from oracle_utils import ALL_SCHEMES, SIX_SCHEMES, same_bits
 
@@ -193,7 +194,8 @@ _MODELS_2D = [FluxPair2D(ADVECTION, ADVECTION), FluxPair2D(BURGERS, BURGERS)]
 
 
 def test_2d_tendency_makes_one_gauss_pass_per_axis(monkeypatch):
-    # both traces of a sweep go through one call, stacked on a leading axis
+    # both traces of a sweep go through one call, stacked on a leading axis,
+    # over the n_trans+4 transverse rows its n_trans windows read
     shapes = []
 
     def counting(ubar, *args, **kwargs):
@@ -203,7 +205,48 @@ def test_2d_tendency_makes_one_gauss_pass_per_axis(monkeypatch):
     monkeypatch.setattr(solver, "gauss_point_values", counting)
     grid = Grid2D(-1.0, 1.0, -1.0, 1.0, 12, 9)
     _op2d(WeightScheme.z())(CellField.from_interior(grid, np.ones((12, 9))))
-    assert shapes == [(2, 13, 15), (2, 10, 18)]
+    assert shapes == [(2, 13, 13), (2, 10, 16)]
+
+
+def _full_rows_tendency(op, field):
+    """The 2D tendency from the public kernels, each sweep over all n_t+6
+    padded transverse rows and all n_t+2 Gauss windows, the interior ones
+    kept: the full reconstruction, whose bits the operator must keep."""
+    filled = fill_ghosts(field, op.bc)
+    d = filled.data[0]
+    faces = []
+    for rows, flux, alpha in zip((d.T, d), (op.model.fx, op.model.fy),
+                                 max_wave_speed(filled, op.model)):
+        u_minus, u_plus = interface_states(rows, op.scheme)
+        pts = gauss_point_values(np.stack([u_minus.T, u_plus.T]), op.scheme)
+        face = 0.5 * (lf_flux(pts[0], pts[1], flux.flux, alpha) @ GAUSS_WEIGHTS)
+        faces.append(face[:, 1:-1])
+    fx, fy = faces[0], faces[1].T
+    return (-(fx[1:] - fx[:-1]) / field.grid.dx) - (fy[:, 1:] - fy[:, :-1]) / field.grid.dy
+
+
+def _periodic_burgers(scheme):
+    grid = Grid2D(-1.0, 1.0, -1.0, 1.0, 11, 11)
+    return _op2d(scheme), grid
+
+
+def _boundary_layer(scheme):
+    problem = get_problem("boundary-layer")
+    return SemiDiscreteOp2D(problem.model, scheme, problem.bc), problem.make_grid((24, 16))
+
+
+@pytest.mark.parametrize("case", (_periodic_burgers, _boundary_layer),
+                         ids=("periodic-square", "boundary-layer-24x16"))
+@pytest.mark.parametrize("scheme", SIX_SCHEMES, ids=lambda s: s.label)
+def test_2d_tendency_matches_full_row_reconstruction(scheme, case):
+    # the sweeps reconstruct only the transverse rows and Gauss windows the
+    # faces read; every face keeps the bits of the full reconstruction
+    op, grid = case(scheme)
+    rng = np.random.default_rng(17)
+    v = rng.uniform(-1.0, 1.0, (grid.nx, grid.ny))
+    v[grid.nx // 3:, : grid.ny // 2] += 2.0                    # two jumps
+    for field in (CellField.from_interior(grid, v), CellField.from_interior(grid, v[::-1])):
+        assert same_bits(op(field).interior[0], _full_rows_tendency(op, field))
 
 
 @pytest.mark.parametrize("model", _MODELS_2D, ids=("advection", "burgers"))

@@ -262,7 +262,9 @@ def _step_peak_per_cell(scheme, n=96):
 
 # Before the temporaries were planned by lifetime and the two traces stacked
 # for one Gauss pass, a step took 764.6 (Z) and 1032.2 (M) bytes per padded
-# cell here; now it takes 621.8 and 782.6.
+# cell here; then 621.8 and 782.6, 584.2 and 768.9 with the model fluxes in
+# place, and now, the sweeps reconstructing only the rows their faces read,
+# 567.7 and 753.8.
 @pytest.mark.parametrize("scheme, bound", [(WeightScheme.z(), 625.0),
                                            (WeightScheme.m(), 785.0)],
                          ids=("z", "m"))

@@ -11,14 +11,15 @@ output on two checkouts is the evidence that a change kept the bits:
 It covers the reconstruction kernels on seeded rows, also with two inputs
 alternated on one workspace, the model fluxes, wave-speed bounds and
 Lax-Friedrichs fluxes on seeded states, every field of the single-step
-dissection reports, the final-time tables, a set of registry runs, and RK3
-stepping where the solver reuses its buffers: 1D steps at N = 5 000, 2D
-Burgers steps at 160², two schemes stepped alternately on one 1D shape and
-on a square 2D grid (whose x and y sweeps share workspaces), two Euler
-schemes stepped alternately on one shape with a CFL time step every step,
-blast-wave steps between reflective walls, 1D steps interleaved with 2D
-steps of five schemes on a grid of unequal sides, and plain and recorded
-tendencies interleaved (a few seconds on one core).
+dissection reports, the final-time tables, a set of registry runs (among
+them a boundary layer on a grid of unequal sides, with inflow and outflow
+ghosts), and RK3 stepping where the solver reuses its buffers: 1D steps at
+N = 5 000, 2D Burgers steps at 160², two schemes stepped alternately on one
+1D shape and on a square 2D grid (whose x and y sweeps share workspaces),
+two Euler schemes stepped alternately on one shape with a CFL time step
+every step, blast-wave steps between reflective walls, 1D steps interleaved
+with 2D steps of five schemes on a grid of unequal sides, and plain and
+recorded tendencies interleaved (a few seconds on one core).
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ REPORT_FIELDS = ("x_interfaces", "x_cells", "weights", "combos", "fluxes",
                  "mismatches")
 RUNS = (("sod", None), ("lax", None), ("burgers1d", None),
         ("nonconvex-riemann", None), ("burgers2d", (20, 20)),
-        ("boundary-layer", (20, 20)))
+        ("boundary-layer", (20, 20)), ("boundary-layer", (24, 16)))
 RUN_SCHEMES = (WeightScheme.js(), WeightScheme.z(), WeightScheme.zl(p=2.0, q=1.0))
 STEP_SCHEMES = (
     WeightScheme.js(),
@@ -199,7 +200,8 @@ def runs():
     for pid, n in RUNS:
         for s in RUN_SCHEMES:
             result = run_problem(RunConfig(pid, s, n=n, with_reference=False))
-            base = f"run_problem/{pid}/{s.label}"
+            size = "" if n is None else "/{}x{}".format(*n)
+            base = f"run_problem/{pid}{size}/{s.label}"
             emit(f"{base}/final", result.final.data)
             emit(f"{base}/steps", float(result.steps))
             if result.exact is not None:

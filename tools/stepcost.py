@@ -10,7 +10,10 @@ ZR(2) and ZL(2,2) on:
   100 000 cells, dt = 0.1 dx;
 - the 1D Euler Sod shock tube of the problem registry, N = 200, with a
   CFL 0.4 time step (``cfl_dt``) taken in every timed step;
-- 2D periodic Burgers of a smooth bump, 40², 160² and 400² cells, CFL 0.4.
+- 2D periodic Burgers of a smooth bump, 40², 160² and 400² cells, CFL 0.4;
+- the 2D accuracy study's advected diamond of the problem registry, 10²
+  and 20² cells, dt = 0.4 dx, the sizes of the benchmark's accuracy-2d
+  workload.
 
 A median well above the fastest step says the host was busy during the
 run, not that the family is slower.
@@ -56,6 +59,7 @@ CASES_1D = (("1d-advection", 20, 400), ("1d-advection", 5_000, 40),
             ("1d-advection", 100_000, 8))
 CASES_EULER = (("1d-euler-sod", 200, 100),)
 CASES_2D = (("2d-burgers", 40, 40), ("2d-burgers", 160, 8), ("2d-burgers", 400, 3))
+CASES_ACCURACY = (("2d-diamond", 10, 200), ("2d-diamond", 20, 100))
 WARMUP = 2
 
 
@@ -139,6 +143,13 @@ def main():
         dt = fixed(cfl_dt(u, model, 0.4))
         for s in SCHEMES:
             op = SemiDiscreteOp2D(model, s, PERIODIC)
+            report(label, n, n * n, s, *measure(u, op, dt, steps), step_peak(u, op, dt))
+    diamond = get_problem("advection2d-accuracy")
+    for label, n, steps in CASES_ACCURACY:
+        u = diamond.initial(diamond.make_grid((n, n)))
+        dt = fixed(0.4 * u.grid.dx)
+        for s in SCHEMES:
+            op = SemiDiscreteOp2D(diamond.model, s, diamond.bc)
             report(label, n, n * n, s, *measure(u, op, dt, steps), step_peak(u, op, dt))
 
 
