@@ -8,6 +8,15 @@ output on two checkouts is the evidence that a change kept the bits:
 
     PYTHONPATH=src python tools/fingerprint.py > after.txt
 
+A change that moves bits says what moved and by how much.  ``--save``
+keeps every hashed value in an ``.npz`` as well, and ``--compare`` prints,
+for each name whose bits differ between two such files, the count of
+differing values, the largest |difference| and the largest
+|difference| / |reference| (the first file is the reference):
+
+    PYTHONPATH=src python tools/fingerprint.py --save before.npz > before.txt
+    PYTHONPATH=src python tools/fingerprint.py --compare before.npz after.npz
+
 It covers the reconstruction kernels on seeded rows, also with two inputs
 alternated on one workspace, the model fluxes, wave-speed bounds and
 Lax-Friedrichs fluxes on seeded states, every field of the single-step
@@ -24,6 +33,7 @@ recorded tendencies interleaved (a few seconds on one core).
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 
 import numpy as np
@@ -52,7 +62,13 @@ from fvweno.physics import (
     max_wave_speed,
 )
 from fvweno.solver import SemiDiscreteOp1D, SemiDiscreteOp2D
-from fvweno.weno import WeightScheme, gauss_point_values, interface_states, nonlinear_weights
+from fvweno.weno import (
+    D_EDGE,
+    WeightScheme,
+    gauss_point_values,
+    interface_states,
+    nonlinear_weights,
+)
 from fvweno.workspace import Workspace
 
 KERNEL_SCHEMES = (
@@ -93,6 +109,12 @@ UNEQUAL_SCHEMES = (
     WeightScheme.zl(p=2.0, q=2.0),
 )
 BURGERS_2D = FluxPair2D(BURGERS, BURGERS)
+# The linear weights of the edge pair as a read-only stack: the right-biased
+# set is the left-biased one reversed.
+EDGE_PAIR = np.stack([D_EDGE, D_EDGE[::-1]])
+EDGE_PAIR.flags.writeable = False
+# Every hashed value by name, when the run is saved.
+SAVED = None
 
 
 def digest(value):
@@ -107,7 +129,45 @@ def digest(value):
 
 
 def emit(name, value):
+    if SAVED is not None:
+        SAVED[name] = np.array(value) if isinstance(value, str) else \
+            np.array(value, dtype=np.float64)
     print(f"{name} {digest(value)}", flush=True)
+
+
+def compare(before, after):
+    """Print, per name whose bits differ between two ``--save`` files, the
+    count of differing values, max |after - before| and max |after -
+    before| / |before|; then how many names differ."""
+    a, b = np.load(before), np.load(after)
+    names = list(a.files) + [n for n in b.files if n not in a.files]
+    moved = 0
+    for name in names:
+        if name not in a.files or name not in b.files:
+            print(f"{name} only in {before if name in a.files else after}")
+            moved += 1
+            continue
+        x, y = a[name], b[name]
+        if x.dtype.kind == "U" or y.dtype.kind == "U":
+            if x.shape != y.shape or not (x == y).all():
+                print(f"{name} text differs")
+                moved += 1
+            continue
+        if x.shape != y.shape:
+            print(f"{name} shape {x.shape} -> {y.shape}")
+            moved += 1
+            continue
+        differ = x.view(np.uint64) != y.view(np.uint64)
+        count = int(differ.sum())
+        if count == 0:
+            continue
+        moved += 1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            delta = np.abs(y[differ] - x[differ])
+            rel = delta / np.abs(x[differ])
+        print(f"{name} {count}/{x.size} values, max|d| {np.nanmax(delta):.3e}, "
+              f"max|d|/|ref| {np.nanmax(rel):.3e}")
+    print(f"{moved} of {len(names)} names differ")
 
 
 def kernels():
@@ -131,8 +191,8 @@ def kernels():
             "interface_states": (inputs, lambda x, w: interface_states(x, s, out=w)),
             "gauss_point_values": (inputs, lambda x, w: gauss_point_values(x, s, out=w)),
             "nonlinear_weights": (betas, lambda x, w: nonlinear_weights(x, s, axis=0, out=w)),
-            "nonlinear_weights/mirror": (
-                betas, lambda x, w: nonlinear_weights(x, s, mirror=True, axis=0, out=w)),
+            "nonlinear_weights/edge_pair": (
+                betas, lambda x, w: nonlinear_weights(x, s, d=EDGE_PAIR, axis=0, out=w)),
         }
         for name, (xs, call) in calls.items():
             w = Workspace()
@@ -309,9 +369,26 @@ def stepping():
         emit(name, getattr(value, "data", value))
 
 
-if __name__ == "__main__":
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument("--save", metavar="PATH.npz",
+                        help="also keep every hashed value in this file")
+    parser.add_argument("--compare", nargs=2, metavar=("A.npz", "B.npz"),
+                        help="list what differs between two saved runs, A the reference")
+    args = parser.parse_args(argv)
+    if args.compare:
+        compare(*args.compare)
+        return
+    global SAVED
+    SAVED = {} if args.save else None
     kernels()
     models()
     dissection()
     runs()
     stepping()
+    if args.save:
+        np.savez(args.save, **SAVED)
+
+
+if __name__ == "__main__":
+    main()
