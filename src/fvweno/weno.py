@@ -381,11 +381,14 @@ def henrick_map(omega, d, *, out=None):
 
 
 def _normalize(rows, alpha, total, out):
-    """``alpha / ((alpha[0] + alpha[1]) + alpha[2])`` into ``out``, given
-    ``rows``, the three rows of ``alpha``: the same left-to-right sum as a
-    three-term np.sum, in fewer operations."""
-    np.add(rows[0], rows[1], out=total)
-    np.add(total, rows[2], out=total)
+    """``alpha / ((alpha[0] + alpha[2]) + alpha[1])`` into ``out``, given
+    ``rows``, the three rows of ``alpha``.
+
+    The outer pair is summed first, so the sum does not change when the
+    triple is reversed, and the weights of a reflected window are the
+    weights of the window reversed, bit for bit."""
+    np.add(rows[0], rows[2], out=total)
+    np.add(total, rows[1], out=total)
     return np.divide(alpha, total, out=out)
 
 

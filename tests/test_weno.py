@@ -195,14 +195,13 @@ _INDICATOR = st.one_of(st.just(0.0), st.floats(0.0, 1e3), st.floats(0.0, 1e-6))
 @given(triples=st.lists(st.tuples(_INDICATOR, _INDICATOR, _INDICATOR), min_size=1, max_size=8))
 def test_weights_reflection_symmetry(scheme, triples):
     # reversing the substencils (the indicator triple and the linear
-    # weights) reverses the weights; not bit for bit, since the normalization
-    # sums (alpha0 + alpha1) + alpha2
+    # weights) reverses the weights bit for bit: the normalization sums
+    # (alpha0 + alpha2) + alpha1
     beta = np.array(triples)
     for d in (D_EDGE, weno.D_GAUSS_MINUS, weno.D_GAUSS_PLUS, weno.GAMMA_PLUS,
               weno.GAMMA_MINUS):
         mirrored = nonlinear_weights(beta[:, ::-1], scheme, d=d[::-1])
-        assert np.abs(mirrored - nonlinear_weights(beta, scheme, d=d)[:, ::-1]).max() \
-            <= 16 * EPS, d
+        assert same_bits(mirrored, nonlinear_weights(beta, scheme, d=d)[:, ::-1]), d
 
 
 @pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda s: s.label)
