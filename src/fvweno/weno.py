@@ -392,13 +392,9 @@ def _normalize(rows, alpha, total, out):
     return np.divide(alpha, total, out=out)
 
 
-# The weight factor's layer, per family.
-_FACTOR_LAYERS = {family: f"factor_{family}" for family in ("js", "m", "z", "zr", "zl")}
-
-
 def _factor_views(w, beta, family):
     rows = {"zr": 3, "zl": 2}.get(family)
-    phi, tau, aux = w.take(_FACTOR_LAYERS[family], beta.shape,
+    phi, tau, aux = w.take("factor", beta.shape,
                            None if family in ("js", "m") else beta.shape[1:],
                            None if rows is None else (rows,) + beta.shape[1:])
     # the two indicators tau is the distance of, and the base of the ratio
@@ -409,33 +405,31 @@ def _factor_views(w, beta, family):
         lo, hi, base = aux[0, ...], aux[2, ...], aux
     elif family == "zl":
         lo, hi, base = aux[0, ...], aux[1, ...], beta
-    # phi as the weights read it: itself, reversed for the mirrored triple
-    # (at 3), and with an axis for a stack of weight sets (at 4)
-    return (phi, tau, aux, phi[::-1], phi[:, None], beta[::2] if family == "zl" else None,
-            lo, hi, base, beta)
+    # phi as the weights read it: itself, and with an axis for a stack of
+    # weight sets (at 3)
+    return (phi, tau, aux, phi[:, None], beta[::2] if family == "zl" else None,
+            lo, hi, base, family, beta)
 
 
 def _factor(beta, scheme: WeightScheme, w):
     """Per-window factor phi of the unnormalized weights of a family: the
-    binding of its layer, which holds phi and the views of it the weights
-    read (see :func:`_factor_views`).
+    binding of the factor layer, which holds phi and the views of it the
+    weights read (see :func:`_factor_views`), bound to beta and the family.
 
     ``alpha = d / phi`` for ``js`` and ``m``, ``alpha = d * phi`` for ``z``,
-    ``zr`` and ``zl``.  phi does not depend on ``d``, and reversing the
-    indicator triple reverses phi bit for bit (the global indicators are
-    symmetric in beta0 and beta2), so one phi serves both reconstruction
-    orientations.
+    ``zr`` and ``zl``.  phi does not depend on ``d``, so one phi serves
+    every linear-weight set of a window: the edge pair of both
+    reconstruction orientations and the Gauss sets.
 
-    The family's layer holds only the scratch it reads: ``tau`` for the
+    The layer holds only the scratch the family reads: ``tau`` for the
     Z-type families, and ``aux`` for the roots of ``zr`` and the logarithms
     of beta0 and beta2 of ``zl``.
     """
     family, eps = scheme.family, scheme.eps
-    layer = _FACTOR_LAYERS[family]
-    b = getattr(w, layer, None)
-    if b is None or b[-1] is not beta:
-        b = w.bind(layer, _factor_views, beta, family)
-    phi, tau, aux, _, _, ends, lo, hi, base, _ = b
+    b = getattr(w, "factor", None)
+    if b is None or b[-1] is not beta or b[-2] != family:
+        b = w.bind("factor", _factor_views, beta, family)
+    phi, tau, aux, _, ends, lo, hi, base, _, _ = b
     if family in ("js", "m"):
         np.add(beta, eps, out=phi)              # (beta + eps) ** 2
         np.square(phi, out=phi)
@@ -457,30 +451,23 @@ def _factor(beta, scheme: WeightScheme, w):
     return b
 
 
-def _weight_views(w, beta, d, mirror, axis, layer):
+def _weight_views(w, beta, d, axis):
     table = np.asarray(d, dtype=float).T  # linear weights on axis 0, sets on 1
-    if mirror and table.ndim > 1:
-        raise ConfigurationError("mirror=True takes one linear-weight triple")
-    extra = (2,) if mirror else table.shape[1:]
+    extra = table.shape[1:]
     shape = (3,) + extra + beta.shape[1:]
     table = table.reshape(table.shape + (1,) * (len(shape) - table.ndim))  # broadcasting
-    if layer == "linear_weights":
-        (omega,), total = w.take(layer, shape), None
-    else:
-        omega, total = w.take(layer, shape, shape[1:])
+    omega, total = w.take("weights", shape, shape[1:])
     result = omega
     if axis == -1:
         lead = (1, 0) if extra else (0,)
         result = omega.transpose(tuple(range(len(lead), omega.ndim)) + lead)
-    left, right, triple = (omega[:, 0], omega[:, 1], table[:, 0]) if mirror else (None,) * 3
     # a table that may change under the binding binds for one call only
     key = d if isinstance(d, np.ndarray) and not d.flags.writeable else None
-    return (omega, total, _rows(omega), left, right, triple, table, 4 if extra else 0,
-            _henrick_coefficients(table), result, beta.shape, key, mirror, axis)
+    return (omega, total, _rows(omega), table, 3 if extra else 0,
+            _henrick_coefficients(table), result, beta.shape, key, axis)
 
 
-def nonlinear_weights(beta, scheme: WeightScheme, d=D_EDGE, mirror=False, axis=-1, *,
-                      out=None):
+def nonlinear_weights(beta, scheme: WeightScheme, d=D_EDGE, axis=-1, *, out=None):
     """Nonlinear weights of the given family for indicator triples ``beta``.
 
     ``d`` are the linear weights of the evaluation point (any positive
@@ -490,10 +477,13 @@ def nonlinear_weights(beta, scheme: WeightScheme, d=D_EDGE, mirror=False, axis=-
 
     A stack of k triples ``d``, shape (k, 3), puts the weights of each set
     on a new axis: shape ``(..., k, 3)`` for ``axis=-1``, ``(3, k, ...)``
-    for ``axis=0``.  ``mirror=True`` (one triple ``d``) puts there the
-    weights of ``beta`` and of the reflected ``beta[..., ::-1]`` (the
-    right-biased reconstruction).  One per-window factor serves them all,
-    bit for bit what separate calls return.
+    for ``axis=0``.  One per-window factor serves them all, bit for bit
+    what separate calls return.  The kernels take every set of a window in
+    one call: the Gauss nodes' sets, and the edge pair ``(D_EDGE,
+    D_EDGE[::-1])``.  Reflection is exact: the weights of ``beta[...,
+    ::-1]`` with ``d[::-1]`` are those of ``beta`` with ``d``, reversed bit
+    for bit, so the edge pair's second set, reversed, is the weights of
+    the reflected window (the right-biased reconstruction).
 
     ``out`` is the :class:`Workspace` the weights and their temporaries go
     into; for ``axis=0`` the weights returned are one of those temporaries
@@ -512,22 +502,15 @@ def nonlinear_weights(beta, scheme: WeightScheme, d=D_EDGE, mirror=False, axis=-
         # the factor first: a weights layer growing its region then drops
         # the factor's views of beta with it
         factor = _factor(beta, scheme, w)
-    layer = "linear_weights" if family == "linear" else "weights"
-    b = getattr(w, layer, None)
-    if (b is None or b[-3] is not d or b[-2] is not mirror or b[-1] is not axis
-            or b[-4] != beta.shape):
-        b = w.bind(layer, _weight_views, beta, d, mirror, axis, layer)
-    (omega, total, rows, left, right, triple, table, phi_at, coefficients, result,
-     _, _, _, _) = b
+    b = getattr(w, "weights", None)
+    if b is None or b[-2] is not d or b[-1] is not axis or b[-3] != beta.shape:
+        b = w.bind("weights", _weight_views, beta, d, axis)
+    omega, total, rows, table, phi_at, coefficients, result, _, _, _ = b
     if family == "linear":
         np.copyto(omega, table)
     else:
         combine = np.divide if family in ("js", "m") else np.multiply
-        if mirror:
-            combine(triple, factor[0], out=left)
-            combine(triple, factor[3], out=right)
-        else:
-            combine(table, factor[phi_at], out=omega)
+        combine(table, factor[phi_at], out=omega)
         _normalize(rows, omega, total, omega)
         if family == "m":
             g, g_rows = _henrick(omega, coefficients, omega.shape, w)
@@ -604,9 +587,11 @@ def _to_back(a):
 
 
 # Candidate tables of the array kernels, row k*s + j for candidate s at point
-# j.  Edge point 1 is the reflected window's candidate s (the right-biased
-# value at the left edge), to pair with the weights of the reversed triple.
-_CAND_PAIR = _frozen(np.stack([CAND_EDGE, CAND_EDGE[:, ::-1]], axis=1).reshape(6, 5))
+# j.  Edge point 1 is the reflected window's candidate 2-s (the right-biased
+# value at the left edge), to pair with weight s of D_EDGE[::-1], which is
+# weight 2-s of the reflected window.
+_D_EDGE_PAIR = _frozen(np.stack([D_EDGE, D_EDGE[::-1]]))
+_CAND_PAIR = _frozen(np.stack([CAND_EDGE, CAND_EDGE[::-1, ::-1]], axis=1).reshape(6, 5))
 _CAND_GAUSS = _frozen(np.stack([CAND_GAUSS_MINUS, CAND_GAUSS_CENTER, CAND_GAUSS_PLUS],
                                axis=1).reshape(9, 5))
 
@@ -644,7 +629,7 @@ def _edge_values(u, scheme: WeightScheme, w):
     edge of every window of a padded array (..., N), shape (2, ..., N-4),
     with the traces :func:`interface_states` returns, and their weights,
     shape (3, 2, ..., N-4)."""
-    omega = nonlinear_weights(_indicators(u, w), scheme, mirror=True, axis=0, out=w)
+    omega = nonlinear_weights(_indicators(u, w), scheme, d=_D_EDGE_PAIR, axis=0, out=w)
     b = getattr(w, "trace", None)
     if b is None or b[-1] is not u:
         b = w.bind("trace", _trace_views, u)
@@ -661,7 +646,9 @@ def interface_states(upad, scheme: WeightScheme, record=False, *, out=None):
     side these are exactly its n+1 interfaces.
 
     With ``record=True`` also returns ``(omega_minus, omega_plus)``, the
-    weight triples used for each returned trace, shape (..., N-5, 3).
+    weight triples of each returned trace, shape (..., N-5, 3): for u+ the
+    weights of the reflected window, substencil s being the window's
+    candidate 2-s.
 
     All of them are views of buffers in ``out``, the :class:`Workspace`
     (a fresh one by default); the weights are temporaries there and hold
@@ -673,7 +660,7 @@ def interface_states(upad, scheme: WeightScheme, record=False, *, out=None):
         raise ConfigurationError("padded array too short for a 5-cell stencil")
     _, traces, omega = _edge_values(u, scheme, w)
     if record:
-        return (*traces, (_to_back(omega[:, 0, ..., :-1]), _to_back(omega[:, 1, ..., 1:])))
+        return (*traces, (_to_back(omega[:, 0, ..., :-1]), _to_back(omega[::-1, 1, ..., 1:])))
     return traces
 
 

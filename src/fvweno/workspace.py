@@ -55,17 +55,19 @@ SHAPES = 8
 # them.  A reconstruction runs the layers in this order:
 #   indicators  d, curv and slope (a) make beta (b);
 #   factor      beta makes phi (a), with tau and aux (c) where the family
-#               reads them;
-#   weights     phi makes omega (b); each normalisation sums into total (c);
+#               reads them; one layer for every family, bound to beta and
+#               the family;
+#   weights     phi makes omega (b), every linear-weight set of a window in
+#               one stack (the linear family copies its table); each
+#               normalisation sums into total (c);
 #   henrick     M maps omega through g (a) and den (c), then normalises again;
 #   combine     the candidates (a) and omega make the result.
 # The wave-speed bound (speed) runs between reconstructions, on scratch in a.
 # Each temporary is dead before the next one of its region is written.
 LAYOUT = {
     "indicators": "aaab",
-    **{f"factor_{family}": "acc" for family in ("js", "m", "z", "zr", "zl")},
+    "factor": "acc",
     "weights": "bc",
-    "linear_weights": "b",
     "henrick": "ac",
     "combine": "a",
     "speed": "a",
@@ -75,10 +77,7 @@ LAYOUT = {
 # Such a layer binds only to temporaries carved since their region last
 # grew (the weights carve after the factor), so dropped with that region it
 # keeps none of the memory the region gave up.
-READS = {
-    **{f"factor_{family}": "b" for family in ("js", "m", "z", "zr", "zl")},
-    "gauss_split": "b",
-}
+READS = {"factor": "b", "gauss_split": "b"}
 # The layers a growing region drops, per region.
 _DROPS = {region: tuple(name for name in {**LAYOUT, **READS}
                         if region in LAYOUT.get(name, "") + READS.get(name, ""))

@@ -30,6 +30,7 @@ from fvweno.mesh import (
 from fvweno.physics import BURGERS, EULER, FluxPair2D, lf_flux
 from fvweno.solver import SemiDiscreteOp1D, SemiDiscreteOp2D
 from fvweno.weno import (
+    _D_EDGE_PAIR,
     WeightScheme,
     gauss_point_values,
     henrick_map,
@@ -206,7 +207,7 @@ def test_sibling_workspaces_share_temporaries_not_results():
     traces = interface_states(rows[0], WeightScheme.m(), out=base)
     h = lf_flux(traces[0], traces[1], BURGERS.flux, 2.0, out=base)
     assert same_bits(vals, kept)
-    layers = ("indicators", "factor_m", "weights", "henrick", "combine")
+    layers = ("indicators", "factor", "weights", "henrick", "combine")
     for layer in layers:
         assert np.shares_memory(getattr(base, layer)[0], getattr(sibling, layer)[0])
     temporaries = [a for ws in (base, sibling) for layer in layers
@@ -231,11 +232,11 @@ def test_a_grown_region_drops_the_layers_carved_from_it():
     rows = np.random.default_rng(7).normal(size=(3, 40))
     for _ in range(2):
         interface_states(rows, WeightScheme.z(), out=base)
-    assert all(hasattr(base, layer) for layer in ("indicators", "factor_z", "weights"))
+    assert all(hasattr(base, layer) for layer in ("indicators", "factor", "weights"))
     old = base._regions.memory["b"]
-    sibling.take("linear_weights", (old.size + 1,))
+    sibling.take("weights", (old.size + 1,), None)
     assert not any(np.shares_memory(a, old) for a in _arrays(tuple(vars(base).values())))
-    assert not any(hasattr(base, layer) for layer in ("indicators", "factor_z", "weights"))
+    assert not any(hasattr(base, layer) for layer in ("indicators", "factor", "weights"))
     assert hasattr(base, "combine")           # region a is as it was
 
 
@@ -288,7 +289,7 @@ def test_two_inputs_alternated_on_one_workspace_match_fresh_calls(scheme):
         (rows, lambda x, w: interface_states(x, scheme, record=True, out=w)),
         (rows, lambda x, w: gauss_point_values(x, scheme, out=w)),
         (betas, lambda x, w: nonlinear_weights(x, scheme, axis=0, out=w)),
-        (betas, lambda x, w: nonlinear_weights(x, scheme, mirror=True, axis=0, out=w)),
+        (betas, lambda x, w: nonlinear_weights(x, scheme, d=_D_EDGE_PAIR, axis=0, out=w)),
     ]
     for inputs, call in calls:
         w = Workspace()
