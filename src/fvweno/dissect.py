@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .integrate import rk3_step, integrate_to, TimeControl
-from .mesh import CellField, Grid1D, OUTFLOW
+from .mesh import Grid1D, OUTFLOW, step_function_average
 from .physics import ADVECTION
 from .solver import SemiDiscreteOp1D
 from .weno import WeightScheme
@@ -226,22 +226,6 @@ def _jump_grid(left, right):
     return Grid1D(-left * DX, right * DX, left + right)
 
 
-def _step(grid, i0, shift_cells, delta):
-    """Exact averages of the jump from ``delta`` down to 0, moved
-    ``shift_cells`` cells right of the left edge of cell ``i0``.
-
-    Index-based so the constant states are bit-exact; the single cut cell
-    (if the jump is interior to one) gets the volume-fraction average.
-    """
-    s = i0 + shift_cells
-    k = int(np.floor(s + 1e-12))
-    frac = s - k
-    values = np.where(np.arange(grid.n) < k, float(delta), 0.0)
-    if 1e-12 < frac < 1.0 - 1e-12 and 0 <= k < grid.n:
-        values[k] = delta * frac
-    return CellField.from_interior(grid, values)
-
-
 def analyze_step(setup: RiemannSetup):
     """Run one RK3 step per scheme, capture stages, evaluate error formulas.
 
@@ -249,7 +233,7 @@ def analyze_step(setup: RiemannSetup):
     """
     i0 = 15
     grid = _jump_grid(i0, 22)
-    exact = _step(grid, i0, setup.nu, setup.delta).interior[0]
+    exact = step_function_average(grid, setup.nu * DX, setup.delta, 0.0).interior[0]
     dt = setup.nu * DX
 
     iface_sel = slice(i0 + IFACE_LO + 1, i0 + IFACE_HI + 2)
@@ -266,7 +250,7 @@ def analyze_step(setup: RiemannSetup):
     for scheme in setup.schemes:
         label = scheme.label
         op = SemiDiscreteOp1D(ADVECTION, scheme, (OUTFLOW, OUTFLOW))
-        u0 = _step(grid, i0, 0.0, setup.delta)
+        u0 = step_function_average(grid, 0.0, setup.delta, 0.0)
         captured = {}
 
         def observer(stage, stage_field, rec, captured=captured):
@@ -389,14 +373,14 @@ def final_time_comparison(setup: RiemannSetup, t_final=1.0) -> Table:
     margin = 0.35 * max(t_final, 0.1)
     i0 = int(np.ceil(margin / DX))
     grid = _jump_grid(i0, int(np.ceil((t_final + margin) / DX)))
-    exact = _step(grid, i0, t_final / DX, setup.delta)
+    exact = step_function_average(grid, t_final, setup.delta, 0.0)
     centers = grid.centers()
     sel = np.abs(centers - t_final) < 0.04
 
     labels, rows = [], []
     for scheme in setup.schemes:
         op = SemiDiscreteOp1D(ADVECTION, scheme, (OUTFLOW, OUTFLOW))
-        u = integrate_to(_step(grid, i0, 0.0, setup.delta), op, t_final,
+        u = integrate_to(step_function_average(grid, 0.0, setup.delta, 0.0), op, t_final,
                          TimeControl("dt_scale", setup.nu))
         labels.append(scheme.label)
         rows.append(u.interior[0][sel])
