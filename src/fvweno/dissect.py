@@ -191,7 +191,7 @@ def stage2_error_formulas(view, nu, delta, e1):
         1: 0.25 * nu * delta
         + (-(v.D(0) + 2.0 * v.A(0) + 2.0 * v.w(0, 1)) + (v.D(0) + v.E(1)) * nu)
         * nu * delta / 24.0,
-        2: (2.0 * v.w(0, 1) - (v.B(1) + 2.0 * v.w(0, 2)) * nu) * nu * delta / 24.0,
+        2: (2.0 * v.w(0, 1) - (v.E(1) + 2.0 * v.w(0, 2)) * nu) * nu * delta / 24.0,
         3: nu * nu * delta * v.w(0, 2) / 12.0,
     }
     out = {j: nu / 24.0 * _carry(v, nu, e1, j) for j in range(-2, 6)}
