@@ -114,13 +114,13 @@ def cfl_dt(field: CellField, model, cfl, remaining=None):
     return dt
 
 
-def integrate_to(u: CellField, op, t_final, time: TimeControl, observer=None,
-                 step_callback=None) -> CellField:
+def integrate_to(u: CellField, op, t_final, time: TimeControl, step_callback=None) -> CellField:
     """Advance ``u`` to ``t_final`` with RK3 steps under the given policy.
 
     ``op`` is a semi-discrete operator exposing ``model`` and grid metadata
-    (a :class:`~fvweno.solver.SemiDiscreteOp1D` or 2D).  A divergence is
-    re-raised with the failing step number attached.
+    (a :class:`~fvweno.solver.SemiDiscreteOp1D` or 2D).  ``step_callback``,
+    if given, is called after each step as ``step_callback(step, t, u)``.
+    A divergence is re-raised with the failing step number attached.
     """
     if not 0.0 <= t_final < np.inf:
         raise ConfigurationError("t_final must be finite and nonnegative")
@@ -141,7 +141,7 @@ def integrate_to(u: CellField, op, t_final, time: TimeControl, observer=None,
                 raise DivergenceError(str(exc), stage=3, step=step) from exc
         step += 1
         try:
-            u = rk3_step(u, op, dt, observer=observer)
+            u = rk3_step(u, op, dt)
         except DivergenceError as exc:
             exc.step = step
             raise
