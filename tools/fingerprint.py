@@ -113,8 +113,6 @@ BURGERS_2D = FluxPair2D(BURGERS, BURGERS)
 # set is the left-biased one reversed.
 EDGE_PAIR = np.stack([D_EDGE, D_EDGE[::-1]])
 EDGE_PAIR.flags.writeable = False
-# Every hashed value by name, when the run is saved.
-SAVED = None
 
 
 def digest(value):
@@ -128,11 +126,15 @@ def digest(value):
     return h.hexdigest()
 
 
-def emit(name, value):
-    if SAVED is not None:
-        SAVED[name] = np.array(value) if isinstance(value, str) else \
-            np.array(value, dtype=np.float64)
-    print(f"{name} {digest(value)}", flush=True)
+def printer(saved=None):
+    """``emit(name, value)``: print the line of ``value``, and keep a copy
+    of it in the dict ``saved`` if one is given."""
+    def emit(name, value):
+        if saved is not None:
+            saved[name] = np.array(value) if isinstance(value, str) else \
+                np.array(value, dtype=np.float64)
+        print(f"{name} {digest(value)}", flush=True)
+    return emit
 
 
 def compare(before, after):
@@ -170,7 +172,7 @@ def compare(before, after):
     print(f"{moved} of {len(names)} names differ")
 
 
-def kernels():
+def kernels(emit):
     rng = np.random.default_rng(2026)
     rows = rng.normal(size=(4, 48))
     rows[1, 24:] += 10.0                                   # one jump
@@ -202,7 +204,7 @@ def kernels():
                     emit(f"alternating_inputs/{s.label}/{name}/call{k}/{j}", a)
 
 
-def models():
+def models(emit):
     rng = np.random.default_rng(2027)
     # Euler states of positive density and pressure, with a jump
     rho = rng.uniform(0.1, 3.0, size=(2, 41))
@@ -230,7 +232,7 @@ def models():
         emit(f"models/{name}/max_wave_speed", max_wave_speed(field, model))
 
 
-def dissection():
+def dissection(emit):
     for nu in (0.1, 0.3, 0.5):
         for set_name, schemes in DISSECT_SETS.items():
             for rep in analyze_step(RiemannSetup(nu=nu, schemes=schemes)):
@@ -256,7 +258,7 @@ def dissection():
             emit(f"{base}/text", table.to_text())
 
 
-def runs():
+def runs(emit):
     for pid, n in RUNS:
         for s in RUN_SCHEMES:
             result = run_problem(RunConfig(pid, s, n=n, with_reference=False))
@@ -290,7 +292,7 @@ def trajectory(u, op, dt, count):
     return fields
 
 
-def stepping():
+def stepping(emit):
     # every output is kept until the end, so a later call that wrote into an
     # array handed out earlier changes its hash
     kept = []
@@ -379,15 +381,12 @@ def main(argv=None):
     if args.compare:
         compare(*args.compare)
         return
-    global SAVED
-    SAVED = {} if args.save else None
-    kernels()
-    models()
-    dissection()
-    runs()
-    stepping()
+    saved = {} if args.save else None
+    emit = printer(saved)
+    for part in (kernels, models, dissection, runs, stepping):
+        part(emit)
     if args.save:
-        np.savez(args.save, **SAVED)
+        np.savez(args.save, **saved)
 
 
 if __name__ == "__main__":
