@@ -479,11 +479,11 @@ def nonlinear_weights(beta, scheme: WeightScheme, d=D_EDGE, axis=-1, *, out=None
     on a new axis: shape ``(..., k, 3)`` for ``axis=-1``, ``(3, k, ...)``
     for ``axis=0``.  One per-window factor serves them all, bit for bit
     what separate calls return.  The kernels take every set of a window in
-    one call: the Gauss nodes' sets, and the edge pair ``(D_EDGE,
-    D_EDGE[::-1])``.  Reflection is exact: the weights of ``beta[...,
-    ::-1]`` with ``d[::-1]`` are those of ``beta`` with ``d``, reversed bit
-    for bit, so the edge pair's second set, reversed, is the weights of
-    the reflected window (the right-biased reconstruction).
+    one call: the Gauss nodes' sets, and the edge pair
+    ``(D_EDGE, D_EDGE[::-1])``.  Reflection is exact: the weights of
+    ``beta[..., ::-1]`` with ``d[::-1]`` are those of ``beta`` with ``d``,
+    reversed bit for bit, so the edge pair's second set, reversed, is the
+    weights of the reflected window (the right-biased reconstruction).
 
     ``out`` is the :class:`Workspace` the weights and their temporaries go
     into; for ``axis=0`` the weights returned are one of those temporaries
