@@ -62,6 +62,7 @@ class SemiDiscreteOp1D:
         alpha = max_wave_speed(filled, self.model, out=ws)
         states = interface_states(filled.data, self.scheme, record=record, out=ws)
         h = lf_flux(states[0], states[1], self.model.flux, alpha, out=ws)
+        # kept, not sliced on the call: about 2 % of a step at N = 20
         b = getattr(ws, "tendency", None)
         if b is None or b[-1] is not h:
             b = ws.bind("tendency", lambda ws, h: (h[..., 1:], h[..., :-1], h), h)
@@ -82,18 +83,23 @@ class _Sweep:
     transverse rows the Gauss windows of the faces read, handed to the
     interface sweep (``source`` itself if it is C-contiguous, else a buffer
     it is copied into), the workspaces of the interface sweep and the flux
-    (``edge``) and of the one Gauss pass over both traces (``gauss``), and
-    the face averages, one per window (``face``, made on first use).  Both
+    (``edge``) and of the one Gauss pass over both traces (``gauss``), the
+    two traces stacked for that pass, transposed (``pair``), and the face
+    averages, one per window (``face``, made on first use).  Both
     workspaces carve their temporaries from the regions of ``ws``.  A sweep
-    over arrays of the shapes of ``other`` shares its rows and workspaces,
-    so every kernel meets the arrays it is bound to, but not its faces."""
+    over arrays of the shapes of ``other`` shares its rows, pair and
+    workspaces, so every kernel meets the arrays it is bound to, but not
+    its faces."""
 
     def __init__(self, ws, source, other=None):
         if other is None:
             self.edge, self.gauss = Workspace(scratch=ws), Workspace(scratch=ws)
             self.rows = source if source.flags.c_contiguous else np.empty(source.shape)
+            n_rows, n_padded = source.shape
+            self.pair = np.empty((2, n_padded - 5, n_rows))
         else:
-            self.edge, self.gauss, self.rows = other.edge, other.gauss, other.rows
+            self.edge, self.gauss = other.edge, other.gauss
+            self.rows, self.pair = other.rows, other.pair
         # copied into the rows on every call, unless it is the rows
         self.source = None if self.rows is source else source
         self.face = None
@@ -108,16 +114,6 @@ def _sweeps(ws, data):
     sweep_y = _Sweep(ws, d[1:-1], sweep_x if d.shape[0] == d.shape[1] else None)
     return (sweep_x, sweep_y, np.empty((d.shape[0] - 2 * GHOST, d.shape[1] - 2 * GHOST)),
             data)
-
-
-def _pair_views(g, u_minus, u_plus):
-    pair = g.result("pair", 0, (2,) + u_minus.T.shape)
-    return pair, pair[0], pair[1], u_minus.T, u_plus.T, u_minus, u_plus
-
-
-def _face_views(ws, fx, fy):
-    fy_t = fy.T
-    return fx[1:, :], fx[:-1, :], fy_t[:, 1:], fy_t[:, :-1], fx, fy
 
 
 @dataclass(frozen=True)
@@ -148,18 +144,14 @@ class SemiDiscreteOp2D:
         sweep_x, sweep_y, dy_term, _ = b
         alpha_x, alpha_y = max_wave_speed(filled, self.model, out=ws)
         fx = self._face_flux(self.model.fx, alpha_x, sweep_x)
-        fy = self._face_flux(self.model.fy, alpha_y, sweep_y)
-        b = getattr(ws, "faces", None)
-        if b is None or b[-2] is not fx or b[-1] is not fy:
-            b = ws.bind("faces", _face_views, fx, fy)
-        fx_hi, fx_lo, fy_hi, fy_lo, _, _ = b
+        fy = self._face_flux(self.model.fy, alpha_y, sweep_y).T
         out = CellField.zeros(grid, ncomp=1)
         # -(fx[1:] - fx[:-1]) / dx - (fy[:, 1:] - fy[:, :-1]) / dy
         dx_term = out.interior[0]
-        np.subtract(fx_hi, fx_lo, out=dx_term)
+        np.subtract(fx[1:, :], fx[:-1, :], out=dx_term)
         np.negative(dx_term, out=dx_term)
         np.divide(dx_term, grid.dx, out=dx_term)
-        np.subtract(fy_hi, fy_lo, out=dy_term)
+        np.subtract(fy[:, 1:], fy[:, :-1], out=dy_term)
         np.divide(dy_term, grid.dy, out=dy_term)
         np.subtract(dx_term, dy_term, out=dx_term)
         return out
@@ -175,13 +167,9 @@ class SemiDiscreteOp2D:
         # Sweep 2: transverse Gauss-point reconstruction of the line averages,
         # both traces in one pass.  Window k covers rows k..k+4 and is
         # centered at interior cell k.
-        g = sweep.gauss
-        b = getattr(g, "pair", None)
-        if b is None or b[-2] is not u_minus or b[-1] is not u_plus:
-            b = g.bind("pair", _pair_views, u_minus, u_plus)
-        pair, pair_minus, pair_plus, minus_t, plus_t, _, _ = b
-        np.copyto(pair_minus, minus_t)
-        np.copyto(pair_plus, plus_t)
+        g, pair = sweep.gauss, sweep.pair
+        np.copyto(pair[0], u_minus.T)
+        np.copyto(pair[1], u_plus.T)
         pts = gauss_point_values(pair, self.scheme, out=g)  # (2, n+1, n_trans, 3)
         b = getattr(g, "points", None)
         if b is None or b[-1] is not pts:

@@ -33,6 +33,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError
 from .workspace import Workspace
@@ -250,53 +251,17 @@ def smoothness_indicators(window):
 # The array kernels keep a triple (one value per substencil) on axis 0 and
 # the window positions on the last axis, so every array operation runs
 # along the long axis and the formulas index substencils as beta[0],
-# beta[1], beta[2].  Each layer keeps its buffers and every view it reads or
-# writes in one attribute of the workspace, named after the layer: a tuple
-# made by a ``_*_views`` builder through ``Workspace.bind``, of the buffers,
-# then the views, then what the views are bound to.  A call on those arrays
-# runs only its numpy calls; any other call binds the layer anew.
-
-
-def _shifted(a, count, first=False):
-    """View of ``count`` shifted copies of ``a`` along its last axis,
-    ``[..., j, k] == a[..., j + k]`` with shape (..., count, N-count+1); the
-    shift axis comes first instead with ``first=True``.  Swapping the last
-    two axes gives every ``count``-cell window.  Internal: never written
-    through.  ``a`` must be C-contiguous, as the kernel entry points make
-    it: a plain ndarray view needs a contiguous buffer.
-    """
-    K = a.shape[-1] - count + 1
-    step = a.strides[-1]
-    if first:
-        shape, strides = (count,) + a.shape[:-1] + (K,), (step,) + a.strides
-    else:
-        shape, strides = a.shape[:-1] + (count, K), a.strides[:-1] + (step, step)
-    return np.ndarray(shape, a.dtype, a, 0, strides)
+# beta[1], beta[2].  Each layer keeps its buffers, and the views the binding
+# rule of :mod:`.workspace` lets it keep, in one attribute of the workspace
+# named after the layer: a tuple made by a ``_*_views`` builder through
+# ``Workspace.bind``, of the buffers, then the views, then what the views
+# are bound to.  A call on those arrays slices nothing it keeps; any other
+# call binds the layer anew.
 
 
 def _rows(a):
     """Views of the three rows of ``a`` (0-d ones for a single triple)."""
     return a[0, ...], a[1, ...], a[2, ...]
-
-
-def _source_views(w, a):
-    u = np.asarray(a, dtype=float)
-    if u.flags.c_contiguous:
-        return None, u, u
-    copy = w.result("source", 0, u.shape)
-    return copy, copy, a
-
-
-def _contiguous(a, w):
-    """``a`` as a C-contiguous float array: ``a`` itself if it is one, else
-    its copy in ``w``.  Input that is not a float array is converted anew
-    on every call."""
-    b = getattr(w, "source", None)
-    if b is None or b[-1] is not a:
-        b = w.bind("source", _source_views, a)
-    if b[0] is not None:
-        np.copyto(b[0], a)
-    return b[1]
 
 
 def _indicator_views(w, u):
@@ -305,7 +270,8 @@ def _indicator_views(w, u):
     d, curv, slope, beta = w.take("indicators", lead + (K + 3,), lead + (K + 2,),
                                   (3,) + lead + (K,), (3,) + lead + (K,))
     return (d, curv, slope, beta, u[..., 1:], u[..., :-1], d[..., 1:], d[..., :-1],
-            *(d[..., k:K + k] for k in range(4)), *slope, _shifted(curv, 3, first=True), u)
+            *(d[..., k:K + k] for k in range(4)), *slope,
+            np.moveaxis(sliding_window_view(curv, 3, axis=-1), -1, 0), u)
 
 
 def _indicators(u, w):
@@ -366,18 +332,12 @@ def _henrick(omega, coefficients, shape, w):
     return np.divide(g, den, out=g), rows
 
 
-def henrick_map(omega, d, *, out=None):
-    """Henrick mapping g(omega); fixes d, 0 and 1, flattens near omega=d.
-
-    The result and its temporary are temporaries of ``out``, the
-    :class:`Workspace` (a fresh one by default): the result holds until
-    the next kernel call on it.
-    """
+def henrick_map(omega, d):
+    """Henrick mapping g(omega); fixes d, 0 and 1, flattens near omega=d."""
     omega = np.asarray(omega, dtype=float)
     d = np.asarray(d, dtype=float)
-    w = Workspace() if out is None else out
     shape = np.broadcast_shapes(omega.shape, d.shape)
-    return _henrick(omega, _henrick_coefficients(d), shape, w)[0]
+    return _henrick(omega, _henrick_coefficients(d), shape, Workspace())[0]
 
 
 def _normalize(rows, alpha, total, out):
@@ -543,27 +503,20 @@ _D_GAUSS_SETS = _frozen(np.stack([D_GAUSS_MINUS, GAMMA_PLUS, D_GAUSS_PLUS, GAMMA
 _D_GAUSS_LINEAR = _frozen(np.stack([D_GAUSS_MINUS, D_GAUSS_CENTER, D_GAUSS_PLUS]))
 
 
-def _split_views(w, omega, at):
-    sets = omega.swapaxes(0, at)
-    return sets[1, ...], sets[3, ...], sets[:3].swapaxes(0, at), omega
-
-
 def _gauss_weights(beta, scheme: WeightScheme, axis, out=None):
     """Weights of the Gauss nodes from one weight call, laid out as for a
     stack of ``d`` in :func:`nonlinear_weights`."""
     if scheme.family == "linear":
         return nonlinear_weights(beta, scheme, d=_D_GAUSS_LINEAR, axis=axis, out=out)
-    w = Workspace() if out is None else out
-    omega = nonlinear_weights(beta, scheme, d=_D_GAUSS_SETS, axis=axis, out=w)
-    b = getattr(w, "gauss_split", None)
-    if b is None or b[-1] is not omega:
-        b = w.bind("gauss_split", _split_views, omega, 1 if axis == 0 else -2)
-    plus, minus, nodes, _ = b
+    omega = nonlinear_weights(beta, scheme, d=_D_GAUSS_SETS, axis=axis, out=out)
+    at = 1 if axis == 0 else -2                 # the axis of the sets
+    sets = omega.swapaxes(0, at)
+    plus, minus = sets[1, ...], sets[3, ...]
     # sigma+ gamma+ - sigma- gamma-; row 3 is not returned
     np.multiply(SIGMA_PLUS, plus, out=plus)
     np.multiply(SIGMA_MINUS, minus, out=minus)
     np.subtract(plus, minus, out=plus)
-    return nodes
+    return sets[:3].swapaxes(0, at)
 
 
 def reconstruct_gauss_point(window, scheme: WeightScheme, node):
@@ -602,7 +555,8 @@ def _combine_views(w, u, table):
     # products overwrite the candidates they are made of
     (cand,) = w.take("combine", (len(table),) + u.shape[:-1] + (u.shape[-1] - 4,))
     prod = cand.reshape((3, len(table) // 3) + cand.shape[1:])
-    return (np.moveaxis(cand, 0, -2), prod, *_rows(prod), _shifted(u, 5), table, u)
+    windows = sliding_window_view(u, 5, axis=-1).swapaxes(-1, -2)     # (..., 5, N-4)
+    return np.moveaxis(cand, 0, -2), prod, *_rows(prod), windows, table, u
 
 
 def _combine(u, table, omega, w, out):
@@ -652,10 +606,11 @@ def interface_states(upad, scheme: WeightScheme, record=False, *, out=None):
 
     All of them are views of buffers in ``out``, the :class:`Workspace`
     (a fresh one by default); the weights are temporaries there and hold
-    until the next kernel call on it.
+    until the next kernel call on it.  ``upad`` that is not a C-contiguous
+    float array is copied on every call.
     """
     w = Workspace() if out is None else out
-    u = _contiguous(upad, w)
+    u = np.ascontiguousarray(upad, dtype=float)
     if u.shape[-1] < 6:
         raise ConfigurationError("padded array too short for a 5-cell stencil")
     _, traces, omega = _edge_values(u, scheme, w)
@@ -676,10 +631,11 @@ def gauss_point_values(ubar, scheme: WeightScheme, *, out=None):
     axis ordered (minus, center, plus).  The smoothness indicators and the
     weights of all three nodes come from one evaluation per window.  The
     values are a buffer of ``out``, the :class:`Workspace` (a fresh one by
-    default).
+    default).  ``ubar`` that is not a C-contiguous float array is copied on
+    every call.
     """
     w = Workspace() if out is None else out
-    u = _contiguous(ubar, w)
+    u = np.ascontiguousarray(ubar, dtype=float)
     omega = _gauss_weights(_indicators(u, w), scheme, 0, w)
     b = getattr(w, "values", None)
     if b is None or b[-1] is not u:

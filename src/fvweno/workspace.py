@@ -2,9 +2,9 @@
 tendency, kept from call to call and planned by lifetime.
 
 A kernel (``fill_ghosts``, ``interface_states``, ``gauss_point_values``,
-``nonlinear_weights``, ``henrick_map``, ``lf_flux``, ``max_wave_speed``)
-takes a :class:`Workspace` as its keyword-only ``out`` and writes its result
-and all of its temporaries into buffers kept there.  Without one it makes a
+``nonlinear_weights``, ``lf_flux``, ``max_wave_speed``) takes a
+:class:`Workspace` as its keyword-only ``out`` and writes its result and
+all of its temporaries into buffers kept there.  Without one it makes a
 fresh workspace, so what it returns belongs to the caller.  The model layer
 below them takes arrays: ``lf_flux`` hands the model flux two of its
 buffers, and ``max_wave_speed`` hands the model's wave-speed bound its
@@ -21,14 +21,22 @@ carves from the regions of ``ws``: kernels on the two may run one after the
 other, never one inside the other, and a temporary (the weights included)
 holds only until the next kernel call on either.
 
-The binding rule.  Each layer keeps, with its buffers, every view it reads
-or writes: slices and shifted windows of its input and of its buffers, the
-rows of its triples, its linear weights reshaped for broadcasting.  The
-views are bound to the array objects the layer is called with (and to the
-read-only linear-weight tables), made by :meth:`Workspace.bind` the first
-time a layer meets them, so a steady call on the same arrays runs only its
-numpy calls.  They live in the layer's attribute, and a region that grows
-drops them with the layers carved from it or viewing it (:data:`READS`).
+The binding rule.  A layer keeps, with its buffers, a view it reads or
+writes only when one of these holds:
+
+* a later kernel binds to that same object: ``lf_flux`` to the traces and
+  to the two halves of the Gauss-point values, every layer to its input;
+* the view holds memory of its own (results, temporaries);
+* slicing it on every call would cost a measurable share of a 1D step at
+  the paper's sizes: the indicators alone read 13 views a call, at about
+  0.2-0.3 us each, against a step of about 100 us at N = 20.
+
+Every other view is sliced on the call.  The views kept are bound to the
+array objects the layer is called with (and to the read-only
+linear-weight tables), made by :meth:`Workspace.bind` the first time a
+layer meets them.  They live in the layer's attribute, and a region that
+grows drops them with the layers carved from it or viewing it
+(:data:`READS`).
 
 The semi-discrete operators and ``rk3_step`` fetch the calling thread's
 workspace for the padded field shape once per call, with
@@ -59,7 +67,8 @@ SHAPES = 8
 #               the family;
 #   weights     phi makes omega (b), every linear-weight set of a window in
 #               one stack (the linear family copies its table); each
-#               normalisation sums into total (c);
+#               normalisation sums into total (c); the Gauss pass then
+#               folds the split centre pair of omega in place;
 #   henrick     M maps omega through g (a) and den (c), then normalises again;
 #   combine     the candidates (a) and omega make the result.
 # The wave-speed bound (speed) runs between reconstructions, on scratch in a.
@@ -73,11 +82,10 @@ LAYOUT = {
     "speed": "a",
 }
 # Regions of other layers' temporaries whose views a layer keeps: the weight
-# factor keeps rows of beta, and the Gauss split the rows of the weights.
-# Such a layer binds only to temporaries carved since their region last
-# grew (the weights carve after the factor), so dropped with that region it
-# keeps none of the memory the region gave up.
-READS = {"factor": "b", "gauss_split": "b"}
+# factor keeps rows of beta.  It binds only to a beta carved since region b
+# last grew (the weights carve after the factor), so dropped with that
+# region it keeps none of the memory the region gave up.
+READS = {"factor": "b"}
 # The layers a growing region drops, per region.
 _DROPS = {region: tuple(name for name in {**LAYOUT, **READS}
                         if region in LAYOUT.get(name, "") + READS.get(name, ""))
