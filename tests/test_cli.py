@@ -49,7 +49,7 @@ def test_run_rejects_non_finite_scheme_parameters(capsys):
 
 
 @pytest.mark.parametrize("args", [["--tfinal", "nan"], ["--tfinal", "inf"], ["--tfinal", "-1"],
-                                  ["--cfl", "inf"], ["--dt-scale", "inf"]])
+                                  ["--cfl", "inf"], ["--dt-scale", "inf"], ["--cfl", "50"]])
 def test_run_rejects_bad_time_inputs(args, capsys):
     # a configuration error, not a run of 0 steps (or one step to T)
     rc = main(["run", "burgers1d", "--scheme", "z", "--n", "20", *args])

@@ -177,6 +177,10 @@ def test_time_control_validation():
         for value in (-1.0, 0.0, np.inf, np.nan):
             with pytest.raises(ConfigurationError):
                 TimeControl(mode, value)
+    for value in (1.5, 50.0):               # above the SSP coefficient of TVD-RK3
+        with pytest.raises(ConfigurationError):
+            TimeControl("cfl", value)
+    TimeControl("cfl", 1.0)
     grid = Grid1D(-1.0, 1.0, 20)
     u = cell_average_of(lambda x: np.sin(np.pi * x), grid)
     op = SemiDiscreteOp1D(ADVECTION, WeightScheme.z(), PERIODIC)
