@@ -49,37 +49,39 @@ def solve_characteristics(u0, du0, x, t, lo, hi):
     """Solve u = u0(x - u*t) pointwise by Newton, bisection as fallback.
 
     Valid before characteristics cross (monotone residual); ``lo``/``hi``
-    bracket the data range.
+    bracket the data range.  Each point stops iterating once it has
+    converged, so its value does not depend on the other points.
     """
     x = np.asarray(x, dtype=float)
     if t == 0.0:
         return u0(x)
+    shape, x = x.shape, x.ravel()
     u = np.clip(u0(x), lo, hi)
-    converged = np.zeros(u.shape, dtype=bool)
+    active = np.arange(x.size)          # the points still iterating
     for _ in range(CHARACTERISTICS_MAX_ITER):
-        xi = x - u * t
-        f = u - u0(xi)
+        ua = u[active]
+        xi = x[active] - ua * t
+        f = ua - u0(xi)
         df = 1.0 + t * du0(xi)
         ok = np.abs(df) > 1e-14
-        new_u = np.where(ok, u - f / np.where(ok, df, 1.0), u)
-        new_u = np.clip(new_u, lo, hi)
-        converged = np.abs(new_u - u) <= CHARACTERISTICS_TOL * np.maximum(1.0, np.abs(new_u))
-        u = new_u
-        if converged.all():
+        new_u = np.clip(np.where(ok, ua - f / np.where(ok, df, 1.0), ua), lo, hi)
+        u[active] = new_u
+        converged = np.abs(new_u - ua) <= CHARACTERISTICS_TOL * np.maximum(1.0, np.abs(new_u))
+        active = active[~converged]
+        if active.size == 0:
             break
-    if not converged.all():
-        # bisection on the stalled entries; the residual is nondecreasing in u
-        mask = ~converged
-        a = np.full(u[mask].shape, lo)
-        b = np.full(u[mask].shape, hi)
-        xm = x[mask]
+    if active.size:
+        # bisection on the stalled points; the residual is nondecreasing in u
+        a = np.full(active.shape, lo)
+        b = np.full(active.shape, hi)
+        xm = x[active]
         for _ in range(200):
             mid = 0.5 * (a + b)
             fm = mid - u0(xm - mid * t)
             a = np.where(fm < 0.0, mid, a)
             b = np.where(fm < 0.0, b, mid)
-        u[mask] = 0.5 * (a + b)
-    return u
+        u[active] = 0.5 * (a + b)
+    return u.reshape(shape)
 
 
 @dataclass(frozen=True)

@@ -85,6 +85,19 @@ def test_solve_characteristics_odd_symmetry():
     np.testing.assert_allclose(u, -u[::-1], atol=1e-12)
 
 
+def test_solve_characteristics_is_pointwise():
+    # each point gets the bits of a call on that point alone: burgers2d's
+    # data along s = (x + y) / 2 at its final time
+    u0 = lambda s: 0.25 + 0.5 * np.sin(np.pi * s)
+    du0 = lambda s: 0.5 * np.pi * np.cos(np.pi * s)
+    s = np.linspace(-1.0, 1.0, 4001)
+    t = 2.0 / np.pi
+    whole = solve_characteristics(u0, du0, s, t, -0.25, 0.75)
+    alone = [solve_characteristics(u0, du0, s[k:k + 1], t, -0.25, 0.75)[0]
+             for k in range(s.size)]
+    assert np.array_equal(whole, alone)
+
+
 def test_burgers_exact_hook_matches_characteristics():
     prob = get_problem("burgers1d")
     grid = prob.make_grid(40)
