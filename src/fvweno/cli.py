@@ -63,8 +63,7 @@ def _parse_n(text):
 
 
 def _add_scheme_args(sub):
-    sub.add_argument("--scheme", required=True,
-                     choices=["js", "m", "z", "zr", "zl", "linear"])
+    sub.add_argument("--scheme", required=True, choices=list(FAMILIES))
     sub.add_argument("--p", type=float, default=None,
                      help="zr root exponent / zl logarithm tuner")
     sub.add_argument("--q", type=float, default=None, help="zl power (>= 1)")
