@@ -15,9 +15,7 @@ from .workspace import workspace
 @dataclass(frozen=True)
 class TimeControl:
     """Time-step policy: ``cfl`` mode picks dt from the current wave speed,
-    ``dt_scale`` fixes dt = value * dx (the accuracy-table convention).
-
-    A CFL number is at most 1, the SSP coefficient of TVD-RK3."""
+    ``dt_scale`` fixes dt = value * dx (the accuracy-table convention)."""
 
     mode: str
     value: float
@@ -28,7 +26,8 @@ class TimeControl:
         if not 0.0 < self.value < np.inf:
             raise ConfigurationError("time-step parameter must be positive and finite")
         if self.mode == "cfl" and self.value > 1.0:
-            raise ConfigurationError("the CFL number must be at most 1")
+            raise ConfigurationError("the CFL number must be at most 1, the SSP "
+                                     "coefficient of TVD-RK3")
 
 
 def _rk3_buffers(ws, shape):

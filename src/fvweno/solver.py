@@ -62,7 +62,7 @@ class SemiDiscreteOp1D:
         alpha = max_wave_speed(filled, self.model, out=ws)
         states = interface_states(filled.data, self.scheme, record=record, out=ws)
         h = lf_flux(states[0], states[1], self.model.flux, alpha, out=ws)
-        # kept, not sliced on the call: about 2 % of a step at N = 20
+        # kept, not sliced on the call: 1-2 % of a step at N = 20
         b = getattr(ws, "tendency", None)
         if b is None or b[-1] is not h:
             b = ws.bind("tendency", lambda ws, h: (h[..., 1:], h[..., :-1], h), h)
