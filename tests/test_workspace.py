@@ -16,6 +16,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fvweno import workspace as workspace_module
+from fvweno.errors import DivergenceError
 from fvweno.harness.problems import get_problem
 from fvweno.integrate import cfl_dt, integrate_to, rk3_step
 from fvweno.mesh import (
@@ -376,3 +378,73 @@ def test_steady_stepping_binds_no_views(label, monkeypatch):
     assert len(counts) == len(SCHEMES)
     for name, (steps, warm, steady) in counts.items():
         assert steps >= 7 and warm > 0 and steady == [], (label, name, steps, steady)
+
+
+# --- the buffer plan against a plan with a region per temporary --------------
+
+
+def _plan_outputs():
+    """Copies of what the kernels hand out and of two RK3 steps, under the
+    plan in force: the interface traces with their weights and the
+    Gauss-point values on a (2, 37) jump for six schemes, and two steps of
+    Sod at N = 40, of the 12² diamond and of 13×9 burgers2d for five."""
+    x = np.arange(37.0)
+    jump = np.stack([np.where(x < 18, 1.0, 0.0) + 0.1 * np.sin(x), np.where(x < 9, -2.0, 0.5)])
+    outputs = []
+    for s in SCHEMES:
+        outputs += [a.copy() for a in _arrays(interface_states(jump, s, record=True))]
+        outputs.append(gauss_point_values(jump, s).copy())
+    for pid, n in (("sod", 40), ("advection2d-accuracy", 12), ("burgers2d", (13, 9))):
+        prob = get_problem(pid)
+        u = prob.initial(prob.make_grid(n))
+        make_op = SemiDiscreteOp2D if isinstance(prob.model, FluxPair2D) else SemiDiscreteOp1D
+        dt = cfl_dt(u, prob.model, 0.4)
+        for s in SCHEMES[:5]:
+            op, v = make_op(prob.model, s, prob.bc), u
+            for _ in range(2):
+                v = rk3_step(v, op, dt)
+            outputs.append(v.data)
+    return outputs
+
+
+def _under_plan(monkeypatch, layout, reads):
+    """``_plan_outputs`` in a new thread, whose workspaces start empty, with
+    the temporaries carved by ``layout`` and ``reads`` in place of the
+    package's plan; what it raises is returned."""
+    drops = {region: tuple(name for name in {**layout, **reads}
+                           if region in layout.get(name, "") + reads.get(name, ""))
+             for region in set("".join(layout.values()))}
+    with monkeypatch.context() as patch:
+        patch.setattr(workspace_module, "LAYOUT", layout)
+        patch.setattr(workspace_module, "READS", reads)
+        patch.setattr(workspace_module, "_DROPS", drops)
+        result = []
+
+        def work():
+            try:
+                result.append(_plan_outputs())
+            except DivergenceError as exc:
+                result.append(exc)
+
+        worker = threading.Thread(target=work)
+        worker.start()
+        worker.join(timeout=120)
+    assert not worker.is_alive() and result
+    return result[0]
+
+
+def test_shared_plan_matches_a_region_per_temporary(monkeypatch):
+    # a temporary read after a region-mate overwrote it shows here, where a
+    # fresh and a reused call, carved by the same plan, agree
+    layout, reads = workspace_module.LAYOUT, workspace_module.READS
+    shared = _under_plan(monkeypatch, layout, reads)
+    names = iter("ABCDEFGHIJKLMNOPQRSTUVWXYZ")
+    own = {layer: "".join(next(names) for _ in regions) for layer, regions in layout.items()}
+    alone = _under_plan(monkeypatch, own, {"factor": own["indicators"][-1]})  # beta's region
+    assert len(shared) == len(alone) == 45
+    assert all(same_bits(a, b) for a, b in zip(shared, alone))
+    # the oracle sees a plan that puts the weights in the factor's region,
+    # where phi is still read
+    broken = _under_plan(monkeypatch, {**layout, "weights": "ac"}, reads)
+    assert isinstance(broken, DivergenceError) or not all(
+        same_bits(a, b) for a, b in zip(shared, broken))
