@@ -20,8 +20,10 @@ differing values, the largest |difference| and the largest
 It covers the reconstruction kernels on seeded rows, also with two inputs
 alternated on one workspace, the model fluxes, wave-speed bounds and
 Lax-Friedrichs fluxes on seeded states, every field of the single-step
-dissection reports, the final-time tables, a set of registry runs (among
-them a boundary layer on a grid of unequal sides, with inflow and outflow
+dissection reports, the final-time tables, the initial data of every
+registry problem on a small grid (and its exact solution at t = 0 and at
+its final time where it has one), a set of registry runs (among them a
+boundary layer on a grid of unequal sides, with inflow and outflow
 ghosts), and RK3 stepping where the solver reuses its buffers: 1D steps at
 N = 5 000, 2D Burgers steps at 160², two schemes stepped alternately on one
 1D shape and on a square 2D grid (whose x and y sweeps share workspaces),
@@ -47,7 +49,7 @@ from fvweno.dissect import (
     render_table,
     zl_schemes,
 )
-from fvweno.harness.problems import get_problem
+from fvweno.harness.problems import REGISTRY, get_problem
 from fvweno.harness.runs import RunConfig, run_problem
 from fvweno.integrate import cfl_dt, rk3_step
 from fvweno.mesh import PERIODIC, CellField, Grid1D, Grid2D, cell_average_of
@@ -258,6 +260,15 @@ def dissection(emit):
             emit(f"{base}/text", table.to_text())
 
 
+def registry(emit):
+    for pid, problem in REGISTRY.items():
+        grid = problem.make_grid(24 if np.isscalar(problem.default_n) else (12, 9))
+        emit(f"registry/{pid}/initial", problem.initial(grid).data)
+        if problem.exact is not None:
+            for t in (0.0, problem.tfinal):
+                emit(f"registry/{pid}/exact/t={t:g}", problem.exact(grid, t).data)
+
+
 def runs(emit):
     for pid, n in RUNS:
         for s in RUN_SCHEMES:
@@ -383,7 +394,7 @@ def main(argv=None):
         return
     saved = {} if args.save else None
     emit = printer(saved)
-    for part in (kernels, models, dissection, runs, stepping):
+    for part in (kernels, models, dissection, registry, runs, stepping):
         part(emit)
     if args.save:
         np.savez(args.save, **saved)
