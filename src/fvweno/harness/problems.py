@@ -3,7 +3,8 @@
 Each entry describes one of the desk-scale experiments: the four 1D scalar
 model fluxes, the Euler shock tubes, and the 2D scalar cases.  Initial data
 are produced as cell averages (5-point Gauss for smooth data, exact
-volume-fraction averages for steps and the 2D square).
+volume-fraction averages for steps and the 2D square); a problem with an
+exact solution takes that solution at t = 0 as its initial data.
 """
 
 from __future__ import annotations
@@ -84,14 +85,14 @@ def solve_characteristics(u0, du0, x, t, lo, hi):
     return u.reshape(shape)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class Problem:
     pid: str
     model: object                  # a FluxPair2D for the 2D problems
     bc: object                     # tuple of BoundaryCondition
     default_n: object
     tfinal: float
-    time: TimeControl
+    time: TimeControl = TimeControl("cfl", 0.4)
     make_grid: Callable            # n -> grid
     initial: Callable              # grid -> CellField
     exact: Callable | None = None  # (grid, t) -> CellField
@@ -137,10 +138,6 @@ def _grid2d(ax, bx, ay, by):
 
 # --- 1D scalar -------------------------------------------------------------
 
-def _sin_ic(grid):
-    return cell_average_of(lambda x: np.sin(np.pi * x), grid)
-
-
 def _sin_exact(grid, t):
     return cell_average_of(lambda x: np.sin(np.pi * (x - t)), grid)
 
@@ -154,13 +151,9 @@ register(Problem(
     tfinal=8.0,
     time=TimeControl("dt_scale", 0.1),
     make_grid=_grid1d(-1.0, 1.0),
-    initial=_sin_ic,
+    initial=lambda grid: _sin_exact(grid, 0.0),
     exact=_sin_exact,
 ))
-
-
-def _burgers_ic(grid):
-    return cell_average_of(lambda x: -np.sin(np.pi * x), grid)
 
 
 def _burgers_exact(grid, t):
@@ -178,9 +171,8 @@ register(Problem(
     bc=(PERIODIC, PERIODIC),
     default_n=40,
     tfinal=1.0 / math.pi,
-    time=TimeControl("cfl", 0.4),
     make_grid=_grid1d(-1.0, 1.0),
-    initial=_burgers_ic,
+    initial=lambda grid: _burgers_exact(grid, 0.0),
     exact=_burgers_exact,
 ))
 
@@ -191,11 +183,15 @@ register(Problem(
     bc=(OUTFLOW, OUTFLOW),
     default_n=40,
     tfinal=1.0,
-    time=TimeControl("cfl", 0.4),
     make_grid=_grid1d(-1.0, 1.0),
     initial=lambda grid: step_function_average(grid, 0.0, 2.0, -2.0),
     reference_cells=2001,
 ))
+
+
+def _stationary_shock(grid, t):
+    return step_function_average(grid, 0.0, -3.0, 3.0)
+
 
 # Stationary shock of the even nonconvex flux.
 register(Problem(
@@ -204,10 +200,9 @@ register(Problem(
     bc=(OUTFLOW, OUTFLOW),
     default_n=40,
     tfinal=0.05,
-    time=TimeControl("cfl", 0.4),
     make_grid=_grid1d(-1.0, 1.0),
-    initial=lambda grid: step_function_average(grid, 0.0, -3.0, 3.0),
-    exact=lambda grid, t: step_function_average(grid, 0.0, -3.0, 3.0),
+    initial=lambda grid: _stationary_shock(grid, 0.0),
+    exact=_stationary_shock,
 ))
 
 # Two-phase flow flux; square pulse on [-1/2, 0].
@@ -217,7 +212,6 @@ register(Problem(
     bc=(OUTFLOW, OUTFLOW),
     default_n=80,
     tfinal=0.3,
-    time=TimeControl("cfl", 0.4),
     make_grid=_grid1d(-1.0, 1.0),
     initial=lambda grid: CellField.from_interior(
         grid,
@@ -230,22 +224,18 @@ register(Problem(
 
 # --- 1D Euler --------------------------------------------------------------
 
-def _euler_shock_tube_ic(left, right):
-    left_cons = EULER.conserved(*left)
-    right_cons = EULER.conserved(*right)
-
-    def build(grid):
-        return step_function_average(grid, 0.0, left_cons, right_cons)
-
-    return build
+SOD_LEFT, SOD_RIGHT = (1.0, 0.0, 1.0), (0.125, 0.0, 0.1)
+LAX_LEFT, LAX_RIGHT = (0.445, 0.698, 3.528), (0.5, 0.0, 0.571)
 
 
-def _euler_riemann_exact(left, right):
+def _shock_tube(pid, left, right, tfinal):
+    # Riemann problem between two primitive states; exact by the wave fan.
     fan = exact_riemann(left, right)
+    states = EULER.conserved(*left), EULER.conserved(*right)
 
-    def build(grid, t):
+    def exact(grid, t):
         if t <= 0.0:
-            return _euler_shock_tube_ic(left, right)(grid)
+            return step_function_average(grid, 0.0, *states)
 
         def conserved(xq):
             rho, u, P = fan.sample(xq.ravel() / t)
@@ -253,77 +243,49 @@ def _euler_riemann_exact(left, right):
 
         return CellField.from_interior(grid, gauss_average(conserved, grid.centers(), grid.dx))
 
-    return build
+    register(Problem(
+        pid=pid,
+        model=EULER,
+        bc=(OUTFLOW, OUTFLOW),
+        default_n=200,
+        tfinal=tfinal,
+        make_grid=_grid1d(-5.0, 5.0),
+        initial=lambda grid: exact(grid, 0.0),
+        exact=exact,
+    ))
 
 
-SOD_LEFT, SOD_RIGHT = (1.0, 0.0, 1.0), (0.125, 0.0, 0.1)
-LAX_LEFT, LAX_RIGHT = (0.445, 0.698, 3.528), (0.5, 0.0, 0.571)
-
-register(Problem(
-    pid="sod",
-    model=EULER,
-    bc=(OUTFLOW, OUTFLOW),
-    default_n=200,
-    tfinal=2.0,
-    time=TimeControl("cfl", 0.4),
-    make_grid=_grid1d(-5.0, 5.0),
-    initial=_euler_shock_tube_ic(SOD_LEFT, SOD_RIGHT),
-    exact=_euler_riemann_exact(SOD_LEFT, SOD_RIGHT),
-))
-
-register(Problem(
-    pid="lax",
-    model=EULER,
-    bc=(OUTFLOW, OUTFLOW),
-    default_n=200,
-    tfinal=1.3,
-    time=TimeControl("cfl", 0.4),
-    make_grid=_grid1d(-5.0, 5.0),
-    initial=_euler_shock_tube_ic(LAX_LEFT, LAX_RIGHT),
-    exact=_euler_riemann_exact(LAX_LEFT, LAX_RIGHT),
-))
+_shock_tube("sod", SOD_LEFT, SOD_RIGHT, 2.0)
+_shock_tube("lax", LAX_LEFT, LAX_RIGHT, 1.3)
 
 
-def _shock_entropy_ic(k):
+def _shock_entropy(k, default_n, expensive_reference):
+    # Mach-3 shock running into an entropy wave of wavenumber k.
     left = EULER.conserved(3.857143, 2.629369, 10.333333)
 
-    def build(grid):
+    def initial(grid):
         centers = grid.centers()
         values = np.zeros((3, grid.n))
         values[0] = gauss_average(lambda xq: 1.0 + 0.2 * np.sin(k * xq), centers, grid.dx)
         values[2] = 1.0 / (GAMMA - 1.0)
-        mask = centers < -4.0
-        values[:, mask] = left[:, None]
+        values[:, centers < -4.0] = left[:, None]
         return CellField.from_interior(grid, values)
 
-    return build
+    register(Problem(
+        pid=f"shock-entropy-k{k}",
+        model=EULER,
+        bc=(OUTFLOW, OUTFLOW),
+        default_n=default_n,
+        tfinal=2.0,
+        make_grid=_grid1d(-5.0, 5.0),
+        initial=initial,
+        reference_cells=2001,
+        expensive_reference=expensive_reference,
+    ))
 
 
-# Mach-3 shock running into an entropy wave, wavenumber 5.
-register(Problem(
-    pid="shock-entropy-k5",
-    model=EULER,
-    bc=(OUTFLOW, OUTFLOW),
-    default_n=200,
-    tfinal=2.0,
-    time=TimeControl("cfl", 0.4),
-    make_grid=_grid1d(-5.0, 5.0),
-    initial=_shock_entropy_ic(5.0),
-    reference_cells=2001,
-))
-
-register(Problem(
-    pid="shock-entropy-k10",
-    model=EULER,
-    bc=(OUTFLOW, OUTFLOW),
-    default_n=400,
-    tfinal=2.0,
-    time=TimeControl("cfl", 0.4),
-    make_grid=_grid1d(-5.0, 5.0),
-    initial=_shock_entropy_ic(10.0),
-    reference_cells=2001,
-    expensive_reference=True,
-))
+_shock_entropy(5, 200, False)
+_shock_entropy(10, 400, True)
 
 
 def _blastwave_ic(grid):
@@ -340,7 +302,6 @@ register(Problem(
     bc=(REFLECTIVE, REFLECTIVE),
     default_n=400,
     tfinal=0.038,
-    time=TimeControl("cfl", 0.4),
     make_grid=_grid1d(0.0, 1.0),
     initial=_blastwave_ic,
     reference_cells=4001,
@@ -368,7 +329,6 @@ register(Problem(
     bc=(PERIODIC, PERIODIC, PERIODIC, PERIODIC),
     default_n=(40, 40),
     tfinal=2.0 / math.pi,
-    time=TimeControl("cfl", 0.4),
     make_grid=_grid2d(-2.0, 2.0, -2.0, 2.0),
     initial=lambda grid: _burgers2d_exact(grid, 0.0),
     exact=_burgers2d_exact,
@@ -418,8 +378,7 @@ def _boundary_layer(pid, alpha, beta):
         bc=(PERIODIC, PERIODIC, inflow(profile), OUTFLOW),
         default_n=(30, 30),
         tfinal=1.0,
-        time=TimeControl("cfl", 0.4),
-        make_grid=_grid2d(0.0, 2.0 * math.pi, 0.0, 1.0),
+            make_grid=_grid2d(0.0, 2.0 * math.pi, 0.0, 1.0),
         initial=lambda grid: cell_average_of(lambda x, y: profile(x) + 0.0 * y, grid),
     ))
 

@@ -163,29 +163,19 @@ def _study_point(problem_id, scheme, n, time, tfinal):
 
 # --- output files ----------------------------------------------------------
 
-def _fmt(v):
-    return f"{v:.17g}"
-
-
 def write_solution_csv(path, field: CellField):
+    """One row per cell, every value to 17 significant digits; a 2D field
+    runs over y fastest."""
     grid = field.grid
-    with open(path, "w") as f:
-        if isinstance(grid, Grid1D):
-            if field.ncomp == 3:
-                f.write("x,rho,momentum,energy\n")
-                for x, row in zip(grid.centers(), field.interior.T):
-                    f.write(f"{_fmt(x)},{_fmt(row[0])},{_fmt(row[1])},{_fmt(row[2])}\n")
-            else:
-                f.write("x,u\n")
-                for x, v in zip(grid.centers(), field.interior[0]):
-                    f.write(f"{_fmt(x)},{_fmt(v)}\n")
-        else:
-            f.write("x,y,u\n")
-            xs, ys = grid.xcenters(), grid.ycenters()
-            vals = field.interior[0]
-            for i, x in enumerate(xs):
-                for j, y in enumerate(ys):
-                    f.write(f"{_fmt(x)},{_fmt(y)},{_fmt(vals[i, j])}\n")
+    if isinstance(grid, Grid1D):
+        header = "x,rho,momentum,energy" if field.ncomp == 3 else "x,u"
+        columns = (grid.centers(), *field.interior)
+    else:
+        header = "x,y,u"
+        columns = (*np.meshgrid(grid.xcenters(), grid.ycenters(), indexing="ij"),
+                   field.interior[0])
+    np.savetxt(path, np.column_stack([c.ravel() for c in columns]), fmt="%.17g",
+               delimiter=",", header=header, comments="")
 
 
 def _write_outputs(cfg: RunConfig, result: RunResult, tc, tfinal):
@@ -230,13 +220,12 @@ def _write_outputs(cfg: RunConfig, result: RunResult, tc, tfinal):
             f"splot 'solution.csv' using 1:2:3 with pm3d title '{cfg.problem}'\n"
         )
     else:
-        col = 2
         extra = ""
         if result.reference is not None:
             extra = ", 'reference.csv' using 1:2 with lines title 'reference'"
         gp.write_text(
             "set datafile separator ','\n"
-            f"plot 'solution.csv' using 1:{col} with linespoints title '{cfg.problem}'{extra}\n"
+            f"plot 'solution.csv' using 1:2 with linespoints title '{cfg.problem}'{extra}\n"
         )
     paths["plot"] = str(gp)
     return paths

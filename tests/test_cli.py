@@ -36,6 +36,17 @@ def test_run_command_writes_outputs(tmp_path, capsys):
     assert "burgers1d" in out and "errors" in out
 
 
+def test_run_command_writes_the_fine_reference(tmp_path, capsys):
+    # buckley-leverett has no exact solution: the run compares with a
+    # fine-grid reference and writes it beside the solution
+    rc = main(["run", "buckley-leverett", "--scheme", "m", "--n", "20",
+               "--out", str(tmp_path)])
+    assert rc == 0
+    lines = (tmp_path / "reference.csv").read_text().splitlines()
+    assert lines[0] == "x,u" and len(lines) == 21
+    assert "'reference.csv'" in (tmp_path / "plot.gp").read_text()
+
+
 def test_run_rejects_bad_scheme_parameters(capsys):
     rc = main(["run", "burgers1d", "--scheme", "zr", "--p", "0.5", "--n", "20"])
     assert rc == 2
