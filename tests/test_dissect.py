@@ -141,6 +141,20 @@ def test_formula_matches_all_families_above_denormal(classic_reports, zl_reports
                 assert flags == [], (rep.stage, label, flags)
 
 
+def test_formula_check_scales_with_the_jump():
+    # every stage error is proportional to delta, so the check is relative
+    # to it: at delta = 1e20 the closed forms agree to about 1e-16 delta,
+    # while at delta = 1e-20 eps outweighs beta and the cells the formulas
+    # drop miss by a few per cent of delta
+    def flags(delta):
+        setup = RiemannSetup(nu=0.5, delta=delta, schemes=classic_schemes())
+        return {label: sum(len(rep.mismatches[label]) for rep in analyze_step(setup))
+                for label in ("JS", "M", "Z", "ZR(p=3)")}
+
+    assert set(flags(1e20).values()) == {0}
+    assert flags(1e-20)["Z"] > 0
+
+
 @pytest.mark.parametrize("stage", [2, 3])
 def test_formula_check_fails_on_a_moved_weight(classic_reports, stage):
     # the formulas evaluated on the report's own weights match the solver;
