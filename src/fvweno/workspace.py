@@ -86,8 +86,6 @@ READS = {"factor": "b"}
 _DROPS = {region: tuple(name for name in {**LAYOUT, **READS}
                         if region in LAYOUT.get(name, "") + READS.get(name, ""))
           for region in "abc"}
-# Carved buffers start on 64-byte boundaries (8 float64 values).
-_ALIGN = 8
 
 
 class _Regions:
@@ -114,7 +112,8 @@ class Workspace:
 
     def take(self, layer, *shapes):
         """Temporaries of ``layer`` of the given shapes (None for a shape
-        gives None), carved from the regions :data:`LAYOUT` names for it.
+        gives None), carved end to end from the regions :data:`LAYOUT` names
+        for it.
 
         A region too small for them is replaced by a larger one, and every
         layer that carved from the old one or keeps views of it
@@ -128,7 +127,7 @@ class Workspace:
                 placed.append(None)
                 continue
             start = ends.get(region, 0)
-            ends[region] = start + -(-math.prod(shape) // _ALIGN) * _ALIGN
+            ends[region] = start + math.prod(shape)
             placed.append((region, start, shape))
         for region, end in ends.items():
             if region not in regions.memory or regions.memory[region].size < end:
