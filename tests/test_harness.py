@@ -207,6 +207,20 @@ def test_golden_fixture_loads():
     assert len(fx.columns) == 8
 
 
+# Every dissect-kind fixture: the weights, fluxes and solutions of RK3 stages
+# 1-3 for the classic and ZL sets, and the two final-time tables.
+DISSECT_TABLES = [f"{variant}{kind}-stage{stage}" for variant in ("", "zl-")
+                  for kind in ("weights", "fluxes", "solutions")
+                  for stage in (1, 2, 3)] + ["final-t1", "zl-final"]
+
+
+@pytest.mark.parametrize("table_id", DISSECT_TABLES)
+def test_dissect_golden_table(table_id):
+    assert load_fixture(table_id).kind == "dissect"
+    report = golden_check(table_id)
+    assert report.ok, report.diff_text()
+
+
 @pytest.mark.parametrize("pid", [p for p in sorted(
     __import__("fvweno.harness.problems", fromlist=["REGISTRY"]).REGISTRY)
     if p != "blastwave"])
