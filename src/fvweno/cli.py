@@ -47,8 +47,6 @@ def parse_scheme_list(text):
         q = float(parts[2]) if len(parts) > 2 else None
         eps = JS_DISSECT_EPS if family == "js" else None
         out.append(build_scheme(family, p, q, eps))
-    if not out:
-        raise ConfigurationError("empty scheme list")
     return tuple(out)
 
 
@@ -103,7 +101,8 @@ def make_parser():
 
     dis = sub.add_parser("dissect", help="single-step Riemann stage analysis")
     dis.add_argument("--nu", type=float, default=0.5, help="Courant number (0, 0.5]")
-    dis.add_argument("--delta", type=float, default=1.0, help="jump size (right state 0)")
+    dis.add_argument("--delta", type=float, default=1.0,
+                     help="jump size (right state 0), at most 1e76")
     dis.add_argument("--schemes", type=str, default="js,m,z,zr:3",
                      help="comma list: family[:p[:q]], e.g. js,m,z,zr:3,zl:2:1")
     dis.add_argument("--stage", type=str, default="all", choices=["1", "2", "3", "all"])

@@ -65,11 +65,17 @@ def zl_schemes():
     )
 
 
+# The largest jump: beta is of order delta^2 and the JS/M factor (beta+eps)^2
+# of order delta^4, which overflows near delta = 1e77.  Apart from eps the
+# analysis is homogeneous in delta, so a larger jump shows nothing new.
+DELTA_MAX = 1e76
+
+
 @dataclass(frozen=True)
 class RiemannSetup:
     """Jump from ``delta`` down to 0 advected one step at Courant number
-    ``nu`` = dt/DX; the analysis assumes 0 < nu <= 0.5 and a positive,
-    finite jump."""
+    ``nu`` = dt/DX; the analysis assumes 0 < nu <= 0.5 and
+    0 < delta <= DELTA_MAX."""
 
     delta: float = 1.0
     nu: float = 0.5
@@ -78,8 +84,8 @@ class RiemannSetup:
     def __post_init__(self):
         if not (0.0 < self.nu <= 0.5):
             raise ConfigurationError("the dissection assumes 0 < nu <= 0.5")
-        if not (0.0 < self.delta < np.inf):
-            raise ConfigurationError("the dissection assumes a positive, finite jump")
+        if not (0.0 < self.delta <= DELTA_MAX):
+            raise ConfigurationError(f"the dissection assumes 0 < delta <= {DELTA_MAX:g}")
 
 
 @dataclass
@@ -90,7 +96,6 @@ class StageReport:
     x_interfaces: np.ndarray
     x_cells: np.ndarray
     weights: dict            # label -> (K, 3)
-    combos: dict             # label -> (K, 5) columns A, B, C, D, E
     fluxes: dict             # label -> (K,)
     solutions: dict          # label -> (C,)
     exact: np.ndarray        # (C,) exact one-step cell averages
@@ -99,51 +104,39 @@ class StageReport:
     mismatches: dict         # label -> list of (cell j, measured, formula)
 
 
-def combo_matrix(omega):
-    """Columns (A, B, C, D, E) for an array of weight triples."""
-    w0, w1, w2 = omega[..., 0], omega[..., 1], omega[..., 2]
-    return np.stack(
-        [
-            w1 + 2.0 * w2,
-            5.0 * w0 + w1,
-            2.0 * w1 + 5.0 * w2,
-            11.0 * w0 + 5.0 * w1 + 2.0 * w2,
-            7.0 * w0 + w1,
-        ],
-        axis=-1,
-    )
-
-
 class _WeightView:
-    """Weight-combination lookup by half-integer interface index.
+    """Weights and their combinations A..E by half-integer interface index.
 
     ``offset`` is the array index of interface 1/2 (between cells I_0 and
-    I_1); interface j+1/2 is addressed by the integer j.  ``combos`` is
-    ``combo_matrix(omega)``.
+    I_1) in the weight triples ``omega``; interface j+1/2 is addressed by
+    the integer j.
     """
 
-    def __init__(self, omega, combos, offset):
-        self._omega = omega
-        self._combos = combos
-        self._offset = offset
+    def __init__(self, omega, offset):
+        self._omega, self._offset = omega, offset
 
     def w(self, s, half):
         return self._omega[self._offset + half][s]
 
     def A(self, half):
-        return self._combos[self._offset + half][0]
+        _, w1, w2 = self._omega[self._offset + half]
+        return w1 + 2.0 * w2
 
     def B(self, half):
-        return self._combos[self._offset + half][1]
+        w0, w1, _ = self._omega[self._offset + half]
+        return 5.0 * w0 + w1
 
     def C(self, half):
-        return self._combos[self._offset + half][2]
+        _, w1, w2 = self._omega[self._offset + half]
+        return 2.0 * w1 + 5.0 * w2
 
     def D(self, half):
-        return self._combos[self._offset + half][3]
+        w0, w1, w2 = self._omega[self._offset + half]
+        return 11.0 * w0 + 5.0 * w1 + 2.0 * w2
 
     def E(self, half):
-        return self._combos[self._offset + half][4]
+        w0, w1, _ = self._omega[self._offset + half]
+        return 7.0 * w0 + w1
 
 
 def stage1_error_formulas(view, nu, delta):
@@ -243,7 +236,7 @@ def analyze_step(setup: RiemannSetup):
     x_cells = grid.centers()[cell_sel]
 
     reports = {
-        k: StageReport(k, x_ifaces, x_cells, {}, {}, {}, {},
+        k: StageReport(k, x_ifaces, x_cells, {}, {}, {},
                        exact[cell_sel].copy(), {}, {}, {})
         for k in (1, 2, 3)
     }
@@ -266,14 +259,12 @@ def analyze_step(setup: RiemannSetup):
             measured_by_stage[k] = errors
             rep = reports[k]
             omega = rec.omega_minus[0]
-            combos = combo_matrix(omega)
             rep.weights[label] = omega[iface_sel]
-            rep.combos[label] = combos[iface_sel]
             rep.fluxes[label] = rec.flux[0][iface_sel]
             rep.solutions[label] = values[cell_sel]
             rep.measured_errors[label] = errors[cell_sel]
 
-            view = _WeightView(omega, combos, i0 + 1)
+            view = _WeightView(omega, i0 + 1)
             if k == 1:
                 formulas = stage1_error_formulas(view, setup.nu, setup.delta)
             elif k == 2:

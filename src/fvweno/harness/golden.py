@@ -167,14 +167,9 @@ def _table_lookup(table):
     return out
 
 
-_ACCURACY_SCHEMES = {
-    "JS": WeightScheme.js(),
-    "M": WeightScheme.m(),
-    "Z": WeightScheme.z(),
-    "ZR(p=2)": WeightScheme.zr(p=2),
-    "ZL(p=2,q=2)": WeightScheme.zl(p=2, q=2),
-    "ZL(p=5,q=1)": WeightScheme.zl(p=5, q=1),
-}
+_ACCURACY_SCHEMES = {s.label: s for s in (
+    WeightScheme.js(), WeightScheme.m(), WeightScheme.z(), WeightScheme.zr(p=2),
+    WeightScheme.zl(p=2, q=2), WeightScheme.zl(p=5, q=1))}
 
 
 def _build_dissect(table_id, fixture):
@@ -192,28 +187,20 @@ def _build_dissect(table_id, fixture):
 
 
 def _build_accuracy(table_id, fixture):
-    if table_id.startswith("accuracy-2d"):
-        problem = "advection2d-accuracy"
-        norm = table_id.rsplit("-", 1)[1]
-        n_of = lambda n: (int(n), int(n))
-    else:
-        problem = "advection1d-accuracy"
-        norm = table_id.rsplit("-", 1)[1]
-        n_of = int
-    labels = {label.split("/", 1)[0] for label in fixture.rows}
+    two_d = table_id.startswith("accuracy-2d")
+    problem = "advection2d-accuracy" if two_d else "advection1d-accuracy"
+    norm = table_id.rsplit("-", 1)[1]
+    sizes = [int(n) for n in fixture.columns]
     out = {}
-    for label in labels:
+    for label in {label.split("/", 1)[0] for label in fixture.rows}:
         scheme = _ACCURACY_SCHEMES.get(label)
         if scheme is None:
             raise ConfigurationError(f"unknown scheme label {label!r} in {table_id}")
-        report = convergence_study(problem, scheme,
-                                   [n_of(n) for n in fixture.columns])
-        errs = report.errors(norm)
-        orders = report.orders(norm)
-        for n in fixture.columns:
-            key = int(n)
-            out[(f"{label}/error", round(float(n), 9))] = errs[key]
-            out[(f"{label}/order", round(float(n), 9))] = orders[key]
+        report = convergence_study(problem, scheme, [(n, n) if two_d else n for n in sizes])
+        errs, orders = report.errors(norm), report.orders(norm)
+        for n in sizes:
+            out[(f"{label}/error", float(n))] = errs[n]
+            out[(f"{label}/order", float(n))] = orders[n]
     return out
 
 

@@ -79,41 +79,31 @@ class SemiDiscreteOp1D:
 
 
 class _Sweep:
-    """Face fluxes across one axis of a 2D grid: the n_trans+4 padded
-    transverse rows the Gauss windows of the faces read, handed to the
-    interface sweep (``source`` itself if it is C-contiguous, else a buffer
-    it is copied into), the workspaces of the interface sweep and the flux
-    (``edge``) and of the one Gauss pass over both traces (``gauss``), the
-    two traces stacked for that pass, transposed (``pair``), and the face
-    averages, one per window (``face``, made on first use).  Both
-    workspaces carve their temporaries from the regions of ``ws``.  A sweep
-    over arrays of the shapes of ``other`` shares its rows, pair and
-    workspaces, so every kernel meets the arrays it is bound to, but not
-    its faces."""
+    """Buffers of the face fluxes across one axis of a 2D grid: the padded
+    transverse rows the Gauss windows of the faces read, copied in on every
+    call (``rows``), the workspaces, carved from the regions of ``ws``, of
+    the interface sweep and the flux (``edge``) and of the one Gauss pass
+    over both traces (``gauss``), and the two traces stacked for that pass,
+    transposed (``pair``)."""
 
-    def __init__(self, ws, source, other=None):
-        if other is None:
-            self.edge, self.gauss = Workspace(scratch=ws), Workspace(scratch=ws)
-            self.rows = source if source.flags.c_contiguous else np.empty(source.shape)
-            n_rows, n_padded = source.shape
-            self.pair = np.empty((2, n_padded - 5, n_rows))
-        else:
-            self.edge, self.gauss = other.edge, other.gauss
-            self.rows, self.pair = other.rows, other.pair
-        # copied into the rows on every call, unless it is the rows
-        self.source = None if self.rows is source else source
-        self.face = None
+    def __init__(self, ws, shape):
+        self.edge, self.gauss = Workspace(scratch=ws), Workspace(scratch=ws)
+        self.rows = np.empty(shape)
+        self.pair = np.empty((2, shape[1] - 5, shape[0]))
 
 
 def _sweeps(ws, data):
-    """Both sweeps of a padded 2D field buffer ``data`` (1, nx+6, ny+6),
-    each over the padded transverse rows 1..n_trans+4, and the y-term of
-    the tendency."""
+    """Per axis of a padded 2D field buffer ``data`` (1, nx+6, ny+6): its
+    sweep (one for both axes on a square grid), the padded transverse rows
+    1..n_trans+4 it copies, and the face fluxes, shape (n+1, n_trans); then
+    the y-term of the tendency."""
     d = data[0]
-    sweep_x = _Sweep(ws, d.T[1:-1])
-    sweep_y = _Sweep(ws, d[1:-1], sweep_x if d.shape[0] == d.shape[1] else None)
-    return (sweep_x, sweep_y, np.empty((d.shape[0] - 2 * GHOST, d.shape[1] - 2 * GHOST)),
-            data)
+    rows_x, rows_y = d.T[1:-1], d[1:-1]
+    sweep_x = _Sweep(ws, rows_x.shape)
+    sweep_y = sweep_x if rows_y.shape == rows_x.shape else _Sweep(ws, rows_y.shape)
+    axes = [(sweep, rows, np.empty((rows.shape[1] - 5, rows.shape[0] - 4)))
+            for sweep, rows in ((sweep_x, rows_x), (sweep_y, rows_y))]
+    return (*axes, np.empty((d.shape[0] - 2 * GHOST, d.shape[1] - 2 * GHOST)), data)
 
 
 @dataclass(frozen=True)
@@ -141,10 +131,10 @@ class SemiDiscreteOp2D:
         b = getattr(ws, "sweeps", None)
         if b is None or b[-1] is not filled.data:
             b = ws.bind("sweeps", _sweeps, filled.data)
-        sweep_x, sweep_y, dy_term, _ = b
+        x, y, dy_term, _ = b
         alpha_x, alpha_y = max_wave_speed(filled, self.model, out=ws)
-        fx = self._face_flux(self.model.fx, alpha_x, sweep_x)
-        fy = self._face_flux(self.model.fy, alpha_y, sweep_y).T
+        fx = self._face_flux(self.model.fx, alpha_x, *x)
+        fy = self._face_flux(self.model.fy, alpha_y, *y).T
         out = CellField.zeros(grid, ncomp=1)
         # -(fx[1:] - fx[:-1]) / dx - (fy[:, 1:] - fy[:, :-1]) / dy
         dx_term = out.interior[0]
@@ -156,12 +146,11 @@ class SemiDiscreteOp2D:
         np.subtract(dx_term, dy_term, out=dx_term)
         return out
 
-    def _face_flux(self, model, alpha, sweep):
-        """Face fluxes across the last axis of the rows of ``sweep``, shape
-        (n_trans+4, n+6) for n and n_trans interior cells along the normal
-        and transverse axes: shape (n+1, n_trans)."""
-        if sweep.source is not None:
-            np.copyto(sweep.rows, sweep.source)
+    def _face_flux(self, model, alpha, sweep, rows, face):
+        """Face fluxes across the last axis of ``rows``, shape (n_trans+4,
+        n+6) for n and n_trans interior cells along the normal and
+        transverse axes, written into ``face``, shape (n+1, n_trans)."""
+        np.copyto(sweep.rows, rows)
         # Sweep 1: interface WENO along the normal axis, every row read.
         u_minus, u_plus = interface_states(sweep.rows, self.scheme, out=sweep.edge)
         # Sweep 2: transverse Gauss-point reconstruction of the line averages,
@@ -175,5 +164,5 @@ class SemiDiscreteOp2D:
         if b is None or b[-1] is not pts:
             b = g.bind("points", lambda g, pts: (pts[0], pts[1], pts), pts)
         h = lf_flux(b[0], b[1], model.flux, alpha, out=sweep.edge)
-        sweep.face = np.matmul(h, GAUSS_WEIGHTS, out=sweep.face)
-        return np.multiply(0.5, sweep.face, out=sweep.face)
+        np.matmul(h, GAUSS_WEIGHTS, out=face)
+        return np.multiply(0.5, face, out=face)

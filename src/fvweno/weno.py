@@ -503,20 +503,18 @@ _D_GAUSS_SETS = _frozen(np.stack([D_GAUSS_MINUS, GAMMA_PLUS, D_GAUSS_PLUS, GAMMA
 _D_GAUSS_LINEAR = _frozen(np.stack([D_GAUSS_MINUS, D_GAUSS_CENTER, D_GAUSS_PLUS]))
 
 
-def _gauss_weights(beta, scheme: WeightScheme, axis, out=None):
-    """Weights of the Gauss nodes from one weight call, laid out as for a
-    stack of ``d`` in :func:`nonlinear_weights`."""
+def _gauss_weights(beta, scheme: WeightScheme, out=None):
+    """Weights of the Gauss nodes from one weight call on triples along
+    axis 0 of ``beta``: shape (3, 3, ...), the node sets on axis 1."""
     if scheme.family == "linear":
-        return nonlinear_weights(beta, scheme, d=_D_GAUSS_LINEAR, axis=axis, out=out)
-    omega = nonlinear_weights(beta, scheme, d=_D_GAUSS_SETS, axis=axis, out=out)
-    at = 1 if axis == 0 else -2                 # the axis of the sets
-    sets = omega.swapaxes(0, at)
-    plus, minus = sets[1, ...], sets[3, ...]
-    # sigma+ gamma+ - sigma- gamma-; row 3 is not returned
+        return nonlinear_weights(beta, scheme, d=_D_GAUSS_LINEAR, axis=0, out=out)
+    omega = nonlinear_weights(beta, scheme, d=_D_GAUSS_SETS, axis=0, out=out)
+    plus, minus = omega[:, 1], omega[:, 3]
+    # sigma+ gamma+ - sigma- gamma-; set 3 is not returned
     np.multiply(SIGMA_PLUS, plus, out=plus)
     np.multiply(SIGMA_MINUS, minus, out=minus)
     np.subtract(plus, minus, out=plus)
-    return sets[:3].swapaxes(0, at)
+    return omega[:, :3]
 
 
 def reconstruct_gauss_point(window, scheme: WeightScheme, node):
@@ -636,7 +634,7 @@ def gauss_point_values(ubar, scheme: WeightScheme, *, out=None):
     """
     w = Workspace() if out is None else out
     u = np.ascontiguousarray(ubar, dtype=float)
-    omega = _gauss_weights(_indicators(u, w), scheme, 0, w)
+    omega = _gauss_weights(_indicators(u, w), scheme, w)
     b = getattr(w, "values", None)
     if b is None or b[-1] is not u:
         b = w.bind("values", _value_views, u)

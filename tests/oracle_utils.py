@@ -7,11 +7,15 @@ the closed-form coefficient tables in the package.
 
 The polygon oracle clips every cell of a grid against a convex polygon, one
 cell at a time.
+
+The frozen-weight stepper takes one TVD-RK3 step of unit-speed advection
+with weights given per interface and stage instead of computed from the
+data.
 """
 
 import numpy as np
 
-from fvweno.weno import WeightScheme
+from fvweno.weno import CAND_EDGE, WeightScheme
 
 GAUSS_XI = np.sqrt(3.0 / 5.0)
 
@@ -112,3 +116,24 @@ def oracle_polygon_average(grid, vertices, inside=1.0, outside=0.0):
             frac = _shoelace_area(poly) / cell_area if poly else 0.0
             values[i, j] = inside * frac + outside * (1.0 - frac)
     return values
+
+
+def frozen_weight_stages(u0, omega, dt, dx):
+    """The three TVD-RK3 stage fields of unit-speed advection from the cell
+    averages ``u0`` (n cells, outflow ghosts), when stage s takes the weight
+    triple ``omega[s][k]`` at interface k, the left edge of cell k (n+1 of
+    them).  With alpha = 1 the Lax-Friedrichs flux is the left-biased
+    trace, sum_s omega_s * (CAND_EDGE @ window), the window of interface k
+    being cells k-3..k+1."""
+    n = len(u0)
+
+    def tendency(u, w):
+        padded = np.concatenate([np.repeat(u[:1], 3), u, np.repeat(u[-1:], 3)])
+        windows = np.lib.stride_tricks.sliding_window_view(padded, 5)[: n + 1]
+        h = (w * (windows @ CAND_EDGE.T)).sum(axis=-1)
+        return -(h[1:] - h[:-1]) / dx
+
+    u1 = u0 + dt * tendency(u0, omega[0])
+    u2 = 0.75 * u0 + 0.25 * (u1 + dt * tendency(u1, omega[1]))
+    u3 = u0 / 3.0 + 2.0 / 3.0 * (u2 + dt * tendency(u2, omega[2]))
+    return u1, u2, u3

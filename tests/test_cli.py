@@ -113,6 +113,16 @@ def test_converge_command_cfl(capsys):
     assert out.splitlines()[1:] == report.to_csv().splitlines()
 
 
+def test_converge_command_writes_its_csv(tmp_path, capsys):
+    rc = main(["converge", "advection1d-accuracy", "--scheme", "z",
+               "--n-list", "10,20", "--out", str(tmp_path / "out")])
+    assert rc == 0
+    path = tmp_path / "out" / "advection1d-accuracy-Z.csv"
+    # the file holds exactly the CSV printed between the title and the path
+    assert capsys.readouterr().out == (f"advection1d-accuracy / Z\n{path.read_text()}"
+                                       f"wrote {path}\n")
+
+
 def test_dissect_command_text_output(capsys):
     rc = main(["dissect", "--nu", "0.5", "--delta", "1", "--schemes", "js,z",
                "--stage", "3", "--table", "solutions"])
@@ -134,6 +144,12 @@ def test_dissect_rejects_non_finite_inputs(args, capsys):
     rc = main(["dissect", "--schemes", "js", "--stage", "1", "--table", "weights", *args])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_dissect_rejects_a_jump_whose_indicators_overflow(capsys):
+    rc = main(["dissect", "--nu", "0.5", "--delta", "1e308"])
+    assert rc == 2
+    assert "delta" in capsys.readouterr().err
 
 
 def test_dissect_csv_output(tmp_path):

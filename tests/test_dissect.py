@@ -2,24 +2,34 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fvweno.dissect import (
     CELL_LO,
+    DELTA_MAX,
+    DX,
     IFACE_LO,
     RiemannSetup,
     _WeightView,
     analyze_step,
     classic_schemes,
-    combo_matrix,
     final_time_comparison,
     final_time_schemes,
     render_table,
+    stage1_error_formulas,
     stage2_error_formulas,
     stage3_error_formulas,
     zl_schemes,
 )
 from fvweno.errors import ConfigurationError
+from fvweno.integrate import rk3_step
+from fvweno.mesh import OUTFLOW, Grid1D, step_function_average
+from fvweno.physics import ADVECTION
+from fvweno.solver import SemiDiscreteOp1D
 from fvweno.weno import WeightScheme
+
+from oracle_utils import frozen_weight_stages
 
 
 def _col(report_x, x):
@@ -41,7 +51,7 @@ def test_setup_validation():
         RiemannSetup(nu=0.6)
     with pytest.raises(ConfigurationError):
         RiemannSetup(nu=0.0)
-    for delta in (0.0, -1.0, np.inf, -np.inf, np.nan):  # a positive, finite jump
+    for delta in (0.0, -1.0, np.inf, -np.inf, np.nan, 1e77, 1e308):  # 0 < delta <= 1e76
         with pytest.raises(ConfigurationError):
             RiemannSetup(delta=delta)
     with pytest.raises(TypeError):
@@ -165,7 +175,7 @@ def test_formula_check_fails_on_a_moved_weight(classic_reports, stage):
     e = {j: prev.measured_errors["Z"][j - CELL_LO] for j in range(3 if stage == 2 else 6)}
 
     def gaps(omega):
-        view = _WeightView(omega, combo_matrix(omega), -IFACE_LO)
+        view = _WeightView(omega, -IFACE_LO)
         return {j: abs(f - rep.measured_errors["Z"][j - CELL_LO])
                 for j, f in formulas(view, 0.5, 1.0, e).items()}
 
@@ -188,11 +198,74 @@ def test_formulas_hold_for_linear_weights_given_every_previous_error(nu):
               (stage3_error_formulas, range(0, 9)))
     for prev, rep, (formulas, cells) in zip(reports, reports[1:], checks):
         e = dict(enumerate(prev.measured_errors["Linear"], CELL_LO))
-        view = _WeightView(rep.weights["Linear"], rep.combos["Linear"], -IFACE_LO)
+        view = _WeightView(rep.weights["Linear"], -IFACE_LO)
         out = formulas(view, nu, 1.0, e)
         for j in cells:
             measured = rep.measured_errors["Linear"][j - CELL_LO]
             assert abs(out[j] - measured) <= 1e-12, (rep.stage, j, out[j], measured)
+
+
+# The frozen-weight grid: the index of its cell I_0 = [0, DX], and its cells.
+_I0, _CELLS = 15, 37
+
+
+def _frozen_grid():
+    return Grid1D(-_I0 * DX, (_CELLS - _I0) * DX, _CELLS)
+
+
+@pytest.mark.parametrize("scheme", [WeightScheme.z(), WeightScheme.linear()],
+                         ids=lambda s: s.label)
+def test_frozen_weight_stepper_is_the_solver(scheme):
+    # fed the weights the solver records, the stepper gives its stage fields
+    nu, u0 = 0.5, step_function_average(_frozen_grid(), 0.0, 1.0, 0.0)
+    captured = []
+    rk3_step(u0, SemiDiscreteOp1D(ADVECTION, scheme, (OUTFLOW, OUTFLOW)), nu * DX,
+             observer=lambda k, f, rec: captured.append((f.interior[0], rec.omega_minus[0])))
+    stages = frozen_weight_stages(u0.interior[0], [w for _, w in captured], nu * DX, DX)
+    for (solver_stage, _), stage in zip(captured, stages):
+        np.testing.assert_allclose(stage, solver_stage, rtol=0, atol=1e-15)
+
+
+def _convex_triples(raw):
+    # each drawn triple over its sum; an all-zero one stands for equal weights
+    raw = np.where(raw.sum(axis=-1, keepdims=True) > 0.0, raw, 1.0)
+    return raw / raw.sum(axis=-1, keepdims=True)
+
+
+@settings(deadline=None, derandomize=True, max_examples=100)
+@given(nu=st.floats(1e-300, 0.5),  # below about 3e-308, 6/nu overflows in the carry
+       raw=arrays(float, (3, _CELLS + 1, 3), elements=st.floats(0.0, 1.0)))
+def test_closed_forms_hold_for_any_weights(nu, raw):
+    # for fixed weights each stage is linear in the data, so the closed forms
+    # hold for any convex triple at each interface and stage, given the
+    # previous stage's errors on cells -5..9 (every cell stage-3 cells -2..8
+    # read but 10, where the error is 0)
+    delta, grid, omega = 1.0, _frozen_grid(), _convex_triples(raw)
+    u0 = step_function_average(grid, 0.0, delta, 0.0).interior[0]
+    exact = step_function_average(grid, nu * DX, delta, 0.0).interior[0]
+    errors = [u - exact for u in frozen_weight_stages(u0, omega, nu * DX, DX)]
+    views = [_WeightView(w, _I0 + 1) for w in omega]
+    previous = [{j: e[_I0 + j] for j in range(-5, 10)} for e in errors[:2]]
+    formulas = (stage1_error_formulas(views[0], nu, delta),
+                stage2_error_formulas(views[1], nu, delta, previous[0]),
+                stage3_error_formulas(views[2], nu, delta, previous[1]))
+    for stage, (e, closed) in enumerate(zip(errors, formulas), 1):
+        for j, value in closed.items():
+            assert abs(value - e[_I0 + j]) <= 1e-12 * delta, (stage, j, value, e[_I0 + j])
+
+
+@pytest.mark.parametrize("nu", [0.1, 0.5])
+def test_largest_jump_stays_finite(nu):
+    # JS and M form (beta + eps)^2, of order delta^4: at the largest jump
+    # the setup accepts, the reports are finite and their closed forms hold
+    for step_set, final_set in ((classic_schemes(), final_time_schemes()),
+                                (zl_schemes(), zl_schemes())):
+        for rep in analyze_step(RiemannSetup(delta=DELTA_MAX, nu=nu, schemes=step_set)):
+            for part in (rep.weights, rep.fluxes, rep.solutions, rep.formula_errors):
+                assert all(np.isfinite(v).all() for v in part.values())
+            assert all(flags == [] for flags in rep.mismatches.values())
+        table = final_time_comparison(RiemannSetup(delta=DELTA_MAX, nu=nu, schemes=final_set))
+        assert np.isfinite(table.values).all()
 
 
 def test_second_stage_error_signs(classic_reports):
@@ -219,9 +292,11 @@ def test_third_stage_error_signs(classic_reports):
 def test_combos_are_weight_combinations(classic_reports):
     r1, _, _ = classic_reports
     om = r1.weights["JS"]
-    combos = r1.combos["JS"]
-    np.testing.assert_allclose(combos[:, 0], om[:, 1] + 2 * om[:, 2], rtol=1e-14)
-    np.testing.assert_allclose(combos[:, 3],
+    view = _WeightView(om, -IFACE_LO)
+    halves = range(IFACE_LO, IFACE_LO + len(om))
+    np.testing.assert_allclose([view.A(j) for j in halves], om[:, 1] + 2 * om[:, 2],
+                               rtol=1e-14)
+    np.testing.assert_allclose([view.D(j) for j in halves],
                                11 * om[:, 0] + 5 * om[:, 1] + 2 * om[:, 2],
                                rtol=1e-14)
 

@@ -304,7 +304,9 @@ def test_gauss_point_values_equal_per_node_reconstructions(scheme):
     vals = weno.gauss_point_values(ubar, scheme)
     W = np.lib.stride_tricks.sliding_window_view(ubar, 5, axis=-1)
     beta = smoothness_indicators(W)
-    center = weno._gauss_weights(beta, scheme, -1)[..., 1, :]
+    # the kernel's layout: triples on axis 0, node sets on axis 1
+    center = np.moveaxis(weno._gauss_weights(np.moveaxis(beta, -1, 0), scheme)[:, 1],
+                         0, -1)
     if scheme.family == "linear":
         split = np.broadcast_to(weno.D_GAUSS_CENTER, beta.shape)
     else:
@@ -424,7 +426,7 @@ def test_gauss_linear_weight_identities_exact_rational():
 def test_gauss_center_split_weights_sum_to_one(scheme):
     rng = np.random.default_rng(11)
     beta = rng.uniform(0.0, 10.0, size=(20_000, 3))
-    om = weno._gauss_weights(beta, scheme, -1)[..., 1, :]
+    om = weno._gauss_weights(beta.T, scheme)[:, 1].T
     np.testing.assert_allclose(om.sum(axis=1), 1.0, atol=4 * EPS)
 
 

@@ -86,7 +86,7 @@ DISSECT_SETS = {
     "zl": zl_schemes(),
     "linear": (WeightScheme.linear(),),
 }
-REPORT_FIELDS = ("x_interfaces", "x_cells", "weights", "combos", "fluxes",
+REPORT_FIELDS = ("x_interfaces", "x_cells", "weights", "fluxes",
                  "solutions", "exact", "measured_errors", "formula_errors",
                  "mismatches")
 RUNS = (("sod", None), ("lax", None), ("burgers1d", None),
