@@ -100,7 +100,7 @@ def make_parser():
     conv.add_argument("--out", type=str, default=None)
 
     dis = sub.add_parser("dissect", help="single-step Riemann stage analysis")
-    dis.add_argument("--nu", type=float, default=0.5, help="Courant number (0, 0.5]")
+    dis.add_argument("--nu", type=float, default=0.5, help="Courant number [1e-307, 0.5]")
     dis.add_argument("--delta", type=float, default=1.0,
                      help="jump size (right state 0), at most 1e76")
     dis.add_argument("--schemes", type=str, default="js,m,z,zr:3",

@@ -34,7 +34,7 @@ def _rk3_buffers(ws, shape):
     return np.empty(shape), np.empty(shape, dtype=bool)
 
 
-def rk3_step(u: CellField, L, dt, observer=None) -> CellField:
+def rk3_step(u: CellField, L, dt, observer=None, *, alpha=None) -> CellField:
     """One step of the optimal third-order TVD Runge-Kutta method.
 
     ``L`` maps a field to its conservative tendency (ghosts are refilled by
@@ -43,7 +43,7 @@ def rk3_step(u: CellField, L, dt, observer=None) -> CellField:
     ``record`` carries the interface weights and fluxes used by that stage
     when ``L`` supports recording.  Observation must not mutate the field.
     Every stage field and the returned field own fresh arrays, so observers
-    and callers may keep them.
+    and callers may keep them.  Stage 1 hands ``alpha``, if given, to ``L``.
 
     Non-finite values (or an inadmissible state met while evaluating ``L``)
     raise :class:`DivergenceError` naming the stage.
@@ -57,12 +57,12 @@ def rk3_step(u: CellField, L, dt, observer=None) -> CellField:
     ws = workspace(u0.shape)
     term, finite = getattr(ws, "rk3", None) or ws.bind("rk3", _rk3_buffers, u0.shape)
 
-    def tend(field, stage):
+    def tend(field, stage, **given):
         try:
             if recorded:
-                Lu, rec = L.tendency_recorded(field)
+                Lu, rec = L.tendency_recorded(field, **given)
             else:
-                Lu, rec = L(field), None
+                Lu, rec = L(field, **given), None
         except StateError as exc:
             raise DivergenceError(str(exc), stage=stage) from exc
         return Lu.data, rec
@@ -84,7 +84,7 @@ def rk3_step(u: CellField, L, dt, observer=None) -> CellField:
         np.multiply(c_dt * dt, Lu, out=term)
         return np.add(first, term, out=first)
 
-    Lu, rec = tend(u, 1)
+    Lu, rec = tend(u, 1) if alpha is None else tend(u, 1, alpha=alpha)
     u1 = np.multiply(dt, Lu)
     u1 = stage_field(np.add(u0, u1, out=u1), 1, rec)
     Lu, rec = tend(u1, 2)
@@ -93,17 +93,17 @@ def rk3_step(u: CellField, L, dt, observer=None) -> CellField:
     return stage_field(update(np.divide(u0, 3.0), 2.0 / 3.0, u2.data, 2.0 / 3.0, Lu), 3, rec)
 
 
-def cfl_dt(field: CellField, model, cfl, remaining=None):
+def cfl_dt(field: CellField, model, cfl, remaining=None, *, alpha=None):
     """CFL time step on the field's grid: ``cfl * dx / alpha`` in 1D and
-    ``cfl / (alpha_x/dx + alpha_y/dy)`` in 2D.
+    ``cfl / (alpha_x/dx + alpha_y/dy)`` in 2D, alpha bounded here unless given.
 
     Clamped to ``remaining`` so the final step lands exactly on the target
     time; a zero wave speed (steady data) returns the remaining time.
     """
     if not cfl > 0.0:
         raise ConfigurationError("cfl must be positive")
-    # the bound's scratch is shared with the operators on this shape
-    alpha = max_wave_speed(field, model, out=workspace(field.data.shape))
+    if alpha is None:  # the bound's scratch is shared with the operators on this shape
+        alpha = max_wave_speed(field, model, out=workspace(field.data.shape))
     if isinstance(field.grid, Grid1D):
         dt = cfl * field.grid.dx / alpha if alpha > 0.0 else np.inf
     else:
@@ -134,17 +134,18 @@ def integrate_to(u: CellField, op, t_final, time: TimeControl, step_callback=Non
     while t < t_final - eps:
         remaining = t_final - t
         if time.mode == "dt_scale":
-            dt = min(time.value * dx, remaining)
+            dt, alpha = min(time.value * dx, remaining), None
         else:
             try:
-                dt = cfl_dt(u, op.model, time.value, remaining=remaining)
+                alpha = max_wave_speed(u, op.model, out=workspace(u.data.shape))  # dt, stage 1
+                dt = cfl_dt(u, op.model, time.value, remaining=remaining, alpha=alpha)
             except StateError as exc:
                 # the state turned inadmissible in the last stage of the
                 # completed step; report it against that stage
                 raise DivergenceError(str(exc), stage=3, step=step) from exc
         step += 1
         try:
-            u = rk3_step(u, op, dt)
+            u = rk3_step(u, op, dt, alpha=alpha)
         except DivergenceError as exc:
             exc.step = step
             raise

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import StateError
 from .mesh import CellField
@@ -188,11 +189,23 @@ class EulerModel:
 EULER = EulerModel()
 
 
+def _halves(x, axis):
+    return (x[0, ...], x[1, ...]) if axis == 0 else (x[:, 0, ...], x[:, 1, ...])
+
+
 def _lf_views(w, a, b):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     shape = np.broadcast_shapes(a.shape, b.shape)
-    return w.result("lf", 0, shape), w.result("lf", 1, shape), a, b
+    axis = min(len(shape), 1)           # Euler reads its components on axis 0
+    stacked = shape[:axis] + (2,) + shape[axis:]
+    stack, f, jump = w.take("lf", stacked, stacked, shape)
+    copies = tuple(zip(_halves(stack, axis), (a, b)))
+    if a.base is not None and a.base is b.base and (a.shape, a.strides) == (b.shape, b.strides):
+        gap = b.__array_interface__["data"][0] - a.__array_interface__["data"][0]
+        copies = ((stack, as_strided(a, stacked, a.strides[:axis] + (gap,) + a.strides[axis:],
+                                     writeable=False)),)
+    return w.result("lf", 0, shape), stack, f, jump, _halves(f, axis), copies, axis, a, b
 
 
 def lf_flux(a, b, flux, alpha, *, out=None):
@@ -200,17 +213,25 @@ def lf_flux(a, b, flux, alpha, *, out=None):
 
     ``alpha`` must bound the wave speed over the relevant range; the flux is
     then monotone (nondecreasing in a, nonincreasing in b).  Componentwise
-    for systems.  The flux and its temporary are buffers of ``out``, a
-    :class:`~fvweno.workspace.Workspace` (a fresh one by default); f(a) is
-    evaluated into the temporary and f(b) into the flux.
+    for systems.  The model flux is evaluated once, on a and b stacked on
+    axis 1 (0 for 0-d), copied in one call when they are equal-shaped,
+    equal-strided views into one buffer (the operators' traces).  The flux
+    is a buffer of ``out``, a :class:`~fvweno.workspace.Workspace` (a fresh
+    one by default), and the stack, its fluxes and the jump temporaries.
     """
     w = Workspace() if out is None else out
     bound = getattr(w, "lf", None)
     if bound is None or bound[-2] is not a or bound[-1] is not b:
         bound = w.bind("lf", _lf_views, a, b)
-    h, jump, a, b = bound
+    h, stack, f, jump, halves, copies, axis, a, b = bound
+    fa, fb = a, b                       # the identity flux (advection) is not evaluated
+    if flux is not _advection_flux:
+        for target, source in copies:
+            np.copyto(target, source)
+        fab = flux(stack, f)
+        fa, fb = halves if fab is f else _halves(fab, axis)     # a flux may ignore out
     # in numpy's order of evaluation
-    np.add(flux(a, jump), flux(b, h), out=h)
+    np.add(fa, fb, out=h)
     np.subtract(b, a, out=jump)
     np.multiply(alpha, jump, out=jump)
     np.subtract(h, jump, out=h)

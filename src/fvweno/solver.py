@@ -37,7 +37,7 @@ class InterfaceRecord:
 class SemiDiscreteOp1D:
     """d(ubar)/dt = -(fhat_{i+1/2} - fhat_{i-1/2}) / dx on a 1D grid.
 
-    ``bc`` is checked once, when the operator is built.
+    ``bc`` is checked once, when the operator is built; ``alpha`` spares the bound.
     """
 
     model: ScalarFluxModel | EulerModel
@@ -47,19 +47,19 @@ class SemiDiscreteOp1D:
     def __post_init__(self):
         object.__setattr__(self, "_sides", _normalize_bc(self.bc, 2))
 
-    def __call__(self, field: CellField) -> CellField:
-        return self._tendency(field, False)[0]
+    def __call__(self, field: CellField, *, alpha=None) -> CellField:
+        return self._tendency(field, False, alpha)[0]
 
-    def tendency_recorded(self, field: CellField):
-        return self._tendency(field, True)
+    def tendency_recorded(self, field: CellField, *, alpha=None):
+        return self._tendency(field, True, alpha)
 
-    def _tendency(self, field: CellField, record):
+    def _tendency(self, field: CellField, record, alpha):
         grid = field.grid
         if not isinstance(grid, Grid1D):
             raise ConfigurationError("SemiDiscreteOp1D requires a 1D field")
         ws = workspace(field.data.shape)
         filled = fill_ghosts(field, self._sides, out=ws)
-        alpha = max_wave_speed(filled, self.model, out=ws)
+        alpha = max_wave_speed(filled, self.model, out=ws) if alpha is None else alpha
         states = interface_states(filled.data, self.scheme, record=record, out=ws)
         h = lf_flux(states[0], states[1], self.model.flux, alpha, out=ws)
         # kept, not sliced on the call: 1-2 % of a step at N = 20
@@ -110,7 +110,7 @@ def _sweeps(ws, data):
 class SemiDiscreteOp2D:
     """2D scalar tendency with 3-point Gauss quadrature of the face fluxes.
 
-    ``bc`` is checked once, when the operator is built.
+    ``bc`` is checked once, when the operator is built; ``alpha`` spares the bound.
     """
 
     model: FluxPair2D
@@ -120,7 +120,7 @@ class SemiDiscreteOp2D:
     def __post_init__(self):
         object.__setattr__(self, "_sides", _normalize_bc(self.bc, 4))
 
-    def __call__(self, field: CellField) -> CellField:
+    def __call__(self, field: CellField, *, alpha=None) -> CellField:
         grid = field.grid
         if not isinstance(grid, Grid2D):
             raise ConfigurationError("SemiDiscreteOp2D requires a 2D field")
@@ -132,7 +132,7 @@ class SemiDiscreteOp2D:
         if b is None or b[-1] is not filled.data:
             b = ws.bind("sweeps", _sweeps, filled.data)
         x, y, dy_term, _ = b
-        alpha_x, alpha_y = max_wave_speed(filled, self.model, out=ws)
+        alpha_x, alpha_y = max_wave_speed(filled, self.model, out=ws) if alpha is None else alpha
         fx = self._face_flux(self.model.fx, alpha_x, *x)
         fy = self._face_flux(self.model.fy, alpha_y, *y).T
         out = CellField.zeros(grid, ncomp=1)

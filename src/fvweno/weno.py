@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConfigurationError
 from .workspace import Workspace
@@ -267,11 +267,14 @@ def _rows(a):
 def _indicator_views(w, u):
     K = u.shape[-1] - 4
     lead = u.shape[:-1]
-    d, curv, slope, beta = w.take("indicators", lead + (K + 3,), lead + (K + 2,),
-                                  (3,) + lead + (K,), (3,) + lead + (K,))
-    return (d, curv, slope, beta, u[..., 1:], u[..., :-1], d[..., 1:], d[..., :-1],
-            *(d[..., k:K + k] for k in range(4)), *slope,
-            np.moveaxis(sliding_window_view(curv, 3, axis=-1), -1, 0), u)
+    d, curv, slope, triple, beta = w.take("indicators", lead + (K + 3,), lead + (K + 2,),
+                                          (3,) + lead + (K,), lead + (K + 3,),
+                                          (3,) + lead + (K,))
+    # read-only windows: a window's three curvatures, (3 d1, 3 d2) and (d0, d3)
+    windows = [as_strided(x, (n,) + lead + (K,), (k * x.itemsize,) + x.strides, writeable=False)
+               for x, n, k in ((curv, 3, 1), (triple[..., 1:], 2, 1), (d, 2, 3))]
+    return (d, curv, triple, slope, beta, u[..., 1:], u[..., :-1], d[..., 1:], d[..., :-1],
+            d[..., 1:K + 1], d[..., 2:K + 2], slope[::2], slope[1], *windows, u)
 
 
 def _indicators(u, w):
@@ -285,21 +288,20 @@ def _indicators(u, w):
     b = getattr(w, "indicators", None)
     if b is None or b[-1] is not u:
         b = w.bind("indicators", _indicator_views, u)
-    d, curv, slope, beta, u_hi, u_lo, d_hi, d_lo, d0, d1, d2, d3, s0, s1, s2, c, _ = b
+    d, curv, triple, slope, beta, u_hi, u_lo, d_hi, d_lo, d1, d2, s02, s1, c, tripled, ends, _ = b
     np.subtract(u_hi, u_lo, out=d)
     np.subtract(d_hi, d_lo, out=curv)
-    # first-derivative terms of the three substencils
-    np.multiply(3.0, d1, out=s0)
-    np.subtract(s0, d0, out=s0)
+    # (13/12) (c c), once per cell
+    np.multiply(curv, curv, out=curv)
+    np.multiply(13.0 / 12.0, curv, out=curv)
+    # first-derivative terms of the three substencils: 3 d1 - d0, d1 + d2, 3 d2 - d3
+    np.multiply(3.0, d, out=triple)
+    np.subtract(tripled, ends, out=s02)
     np.add(d1, d2, out=s1)
-    np.multiply(3.0, d2, out=s2)
-    np.subtract(s2, d3, out=s2)
     # (13/12) (c c) + 0.25 slope^2
-    np.multiply(c, c, out=beta)
-    np.multiply(13.0 / 12.0, beta, out=beta)
     np.square(slope, out=slope)
     np.multiply(0.25, slope, out=slope)
-    return np.add(beta, slope, out=beta)
+    return np.add(c, slope, out=beta)
 
 
 def _henrick_coefficients(d):
@@ -553,7 +555,8 @@ def _combine_views(w, u, table):
     # products overwrite the candidates they are made of
     (cand,) = w.take("combine", (len(table),) + u.shape[:-1] + (u.shape[-1] - 4,))
     prod = cand.reshape((3, len(table) // 3) + cand.shape[1:])
-    windows = sliding_window_view(u, 5, axis=-1).swapaxes(-1, -2)     # (..., 5, N-4)
+    windows = as_strided(u, u.shape[:-1] + (5, u.shape[-1] - 4), u.strides + u.strides[-1:],
+                         writeable=False)                                  # (..., 5, N-4)
     return np.moveaxis(cand, 0, -2), prod, *_rows(prod), windows, table, u
 
 

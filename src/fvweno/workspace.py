@@ -6,15 +6,16 @@ A kernel (``fill_ghosts``, ``interface_states``, ``gauss_point_values``,
 :class:`Workspace` as its keyword-only ``out`` and writes its result and
 all of its temporaries into buffers kept there.  Without one it makes a
 fresh workspace, so what it returns belongs to the caller.  The model layer
-below them takes arrays: ``lf_flux`` hands the model flux two of its
-buffers, and ``max_wave_speed`` hands the model's wave-speed bound its
-scratch.
+below them takes arrays: ``lf_flux`` hands the model flux its stacked
+traces and their flux buffer (temporaries), and ``max_wave_speed`` hands the
+model's wave-speed bound its scratch.
 
 The lifetime rule.  Results are never shared: the ``out*`` buffers, the
 interface traces, the ghost-filled field, the Lax-Friedrichs flux and
 whatever an operator keeps in a workspace have memory of their own.  The
 temporaries of a reconstruction (indicators, weight factor, weights, the
-Henrick map, candidates) are carved from three regions of memory, as
+Henrick map, candidates) and of the wave-speed bound and the Lax-Friedrichs
+flux are carved from three regions of memory, as
 :data:`LAYOUT` sets out; two temporaries of one region are never live at
 once, so a region is as large as its largest user.  ``Workspace(scratch=ws)``
 carves from the regions of ``ws``: kernels on the two may run one after the
@@ -57,7 +58,7 @@ SHAPES = 8
 
 # The region of each temporary of a layer, in the order the layer takes
 # them.  A reconstruction runs the layers in this order:
-#   indicators  d, curv and slope (a) make beta (b);
+#   indicators  d, curv and slope (a), with 3 d (c), make beta (b);
 #   factor      beta makes phi (a), with tau and aux (c) where the family
 #               reads them; one layer for every family, bound to beta and
 #               the family;
@@ -67,15 +68,16 @@ SHAPES = 8
 #               folds the split centre pair of omega in place;
 #   henrick     M maps omega through g (a) and den (c), then normalises again;
 #   combine     the candidates (a) and omega make the result.
-# The wave-speed bound (speed) runs between reconstructions, on scratch in a.
+# The wave-speed bound (speed) and the LF flux (lf) run between reconstructions, in a.
 # Each temporary is dead before the next one of its region is written.
 LAYOUT = {
-    "indicators": "aaab",
+    "indicators": "aaacb",
     "factor": "acc",
     "weights": "bc",
     "henrick": "ac",
     "combine": "a",
     "speed": "a",
+    "lf": "aaa",
 }
 # Regions of other layers' temporaries whose views a layer keeps: the weight
 # factor keeps rows of beta.  It binds only to a beta carved since region b

@@ -5,6 +5,9 @@ way: build the primitive function at the stencil's interface points,
 interpolate it with a polynomial, differentiate, evaluate.  Independent of
 the closed-form coefficient tables in the package.
 
+The indicator oracle computes the smoothness indicators of one window in
+Python floats, in the documented order of operations.
+
 The polygon oracle clips every cell of a grid against a convex polygon, one
 cell at a time.
 
@@ -56,6 +59,18 @@ def oracle_substencil(window5, s, x):
 def oracle_big(window5, x):
     """Quartic reconstruction over the whole window evaluated at x."""
     return primitive_point_value(np.asarray(window5), [-2, -1, 0, 1, 2], x)
+
+
+def oracle_indicators(window5):
+    """(beta0, beta1, beta2) of one five-cell window, one scalar at a time:
+    13/12 c c + 0.25 s s, where from the first differences d_k = u_{k+1} -
+    u_k the curvature of substencil s is c = d_{s+1} - d_s and its slope
+    3 d1 - d0, d1 + d2 and 3 d2 - d3."""
+    u = [float(v) for v in window5]
+    d = [u[k + 1] - u[k] for k in range(4)]
+    slopes = (3.0 * d[1] - d[0], d[1] + d[2], 3.0 * d[2] - d[3])
+    return tuple(13.0 / 12.0 * ((d[s + 1] - d[s]) * (d[s + 1] - d[s]))
+                 + 0.25 * (slopes[s] * slopes[s]) for s in range(3))
 
 
 NODE_X = {

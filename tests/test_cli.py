@@ -152,6 +152,13 @@ def test_dissect_rejects_a_jump_whose_indicators_overflow(capsys):
     assert "delta" in capsys.readouterr().err
 
 
+def test_dissect_rejects_a_courant_number_whose_carried_terms_overflow(capsys):
+    # 6/nu overflows below 3.3e-308, and NaN formulas flagged nothing
+    rc = main(["dissect", "--nu", "1e-308"])
+    assert rc == 2
+    assert "nu" in capsys.readouterr().err
+
+
 def test_dissect_csv_output(tmp_path):
     rc = main(["dissect", "--schemes", "js", "--stage", "1",
                "--table", "weights", "--out", str(tmp_path)])

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from fvweno import dissect
 from fvweno.dissect import (
     CELL_LO,
     DELTA_MAX,
     DX,
     IFACE_LO,
+    NU_MIN,
     RiemannSetup,
     _WeightView,
     analyze_step,
@@ -59,6 +61,28 @@ def test_setup_validation():
     for t_final in (0.0, np.inf, np.nan):
         with pytest.raises(ConfigurationError):
             final_time_comparison(RiemannSetup(schemes=(WeightScheme.z(),)), t_final)
+
+
+def test_smallest_courant_number_gives_finite_unflagged_formulas():
+    # the carried terms scale by 6/nu, which overflows below 3.3e-308
+    with pytest.raises(ConfigurationError):
+        RiemannSetup(nu=NU_MIN / 2)
+    for schemes in (classic_schemes(), zl_schemes(), (WeightScheme.linear(),)):
+        for rep in analyze_step(RiemannSetup(nu=NU_MIN, schemes=schemes)):
+            assert all(np.isfinite(v).all() for v in rep.formula_errors.values())
+            assert all(flags == [] for flags in rep.mismatches.values())
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_non_finite_formula_is_flagged(monkeypatch):
+    # at nu = 1e-308 the carried terms' 6/nu overflows: with the bound
+    # lifted, the NaN formulas are flagged, not passed as matches
+    monkeypatch.setattr(dissect, "NU_MIN", 0.0)
+    _, r2, r3 = analyze_step(RiemannSetup(nu=1e-308, schemes=(WeightScheme.z(),)))
+    for rep in (r2, r3):
+        bad = [j for j, v in zip(range(CELL_LO, CELL_LO + 99), rep.formula_errors["Z"])
+               if not np.isfinite(v)]
+        assert bad and [j for j, _, _ in rep.mismatches["Z"]] == bad
 
 
 def test_stage1_weights_at_upstream_jump_window(classic_reports):

@@ -1,14 +1,20 @@
 """TVD-RK3 stepping and time-step control."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from fvweno.errors import ConfigurationError, DivergenceError
+from fvweno import integrate, solver
+from fvweno.errors import ConfigurationError, DivergenceError, StateError
+from fvweno.harness.problems import get_problem
 from fvweno.integrate import TimeControl, cfl_dt, integrate_to, rk3_step
 from fvweno.mesh import CellField, Grid1D, Grid2D, PERIODIC, cell_average_of
-from fvweno.physics import ADVECTION, BURGERS, EULER, FluxPair2D
-from fvweno.solver import SemiDiscreteOp1D
+from fvweno.physics import ADVECTION, BURGERS, EULER, EulerModel, FluxPair2D
+from fvweno.solver import SemiDiscreteOp1D, SemiDiscreteOp2D
 from fvweno.weno import WeightScheme
+
+from oracle_utils import same_bits
 
 
 def _scalar_field(values):
@@ -188,3 +194,122 @@ def test_time_control_validation():
         with pytest.raises(ConfigurationError):
             integrate_to(u, op, t_final, TimeControl("dt_scale", 0.1))
     assert integrate_to(u, op, 0.0, TimeControl("dt_scale", 0.1)) is u
+
+
+# --- each quantity evaluated once ---------------------------------------------
+
+
+def _counted(calls, name, fn):
+    """``fn`` appending ``name`` to ``calls`` on every call."""
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+    return counted
+
+
+def _count_bounds(monkeypatch):
+    """Count the wave-speed bounds of the time loop and of the operators,
+    and the Euler validations, in one list of names."""
+    calls = []
+    for module in (integrate, solver):
+        monkeypatch.setattr(module, "max_wave_speed",
+                            _counted(calls, "bound", module.max_wave_speed))
+    monkeypatch.setattr(EulerModel, "validate",
+                        _counted(calls, "validate", EulerModel.validate))
+    return calls
+
+
+def _two_bound_steps(u, op, t_final, cfl):
+    """The fields of the time loop of ``integrate_to`` when ``cfl_dt`` and
+    stage 1 each bounded the wave speed of the step's state."""
+    fields, t = [], 0.0
+    while t < t_final - 1e-12 * max(t_final, 1.0):
+        dt = cfl_dt(u, op.model, cfl, remaining=t_final - t)
+        u = rk3_step(u, op, dt)
+        t += dt
+        fields.append(u.data.copy())
+    return fields
+
+
+def test_a_cfl_step_bounds_each_state_once(monkeypatch):
+    # three states a step (the step's and two stages'), one bound each,
+    # with the bits of the order that bounded the step's state twice
+    sod = get_problem("sod")
+    u0 = sod.initial(sod.make_grid(40))
+    op = SemiDiscreteOp1D(EULER, WeightScheme.zl(p=2.0, q=2.0), sod.bc)
+    want = _two_bound_steps(u0, op, 0.6, 0.4)
+    calls = _count_bounds(monkeypatch)
+    got = []
+    integrate_to(u0, op, 0.6, TimeControl("cfl", 0.4),
+                 step_callback=lambda step, t, u: got.append(u.data.copy()))
+    steps = len(got)
+    assert steps == len(want) >= 5
+    assert calls.count("bound") == 3 * steps and calls.count("validate") == 3 * steps
+    assert all(same_bits(a, b) for a, b in zip(got, want))
+
+
+def test_an_operator_given_alpha_does_not_bound_again(monkeypatch):
+    sod = get_problem("sod")
+    u = sod.initial(sod.make_grid(30))
+    op = SemiDiscreteOp1D(EULER, WeightScheme.z(), sod.bc)
+    plain, (recorded, rec) = op(u), op.tendency_recorded(u)
+    alpha = rec.alpha
+    calls = _count_bounds(monkeypatch)
+    given = op(u, alpha=alpha)
+    given_recorded, given_rec = op.tendency_recorded(u, alpha=alpha)
+    assert calls == []
+    assert same_bits(given.data, plain.data) and same_bits(given_recorded.data, recorded.data)
+    assert same_bits(given_rec.flux, rec.flux) and given_rec.alpha == alpha
+    grid = Grid2D(-1.0, 1.0, -1.0, 1.0, 12, 9)
+    v = cell_average_of(lambda x, y: 0.25 + 0.5 * np.sin(np.pi * (x + y)), grid)
+    op2 = SemiDiscreteOp2D(FluxPair2D(BURGERS, BURGERS), WeightScheme.m(), PERIODIC)
+    alpha2 = solver.max_wave_speed(v, op2.model)
+    assert len(calls) == 1
+    assert same_bits(op2(v, alpha=alpha2).data, op2(v).data)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_a_tendency_evaluates_the_model_flux_once_per_sweep(dim, monkeypatch):
+    # one flux call on both traces (1D) or both halves of the Gauss-point
+    # values (each 2D sweep), with the bits of a flux of the two traces
+    # evaluated one after the other
+    calls = []
+    burgers = dataclasses.replace(BURGERS, flux=_counted(calls, "flux", BURGERS.flux))
+    if dim == 1:
+        grid = Grid1D(-1.0, 1.0, 24)
+        u = cell_average_of(lambda x: np.sin(np.pi * x) + np.where(x > 0.3, 1.0, 0.0), grid)
+        ops = [SemiDiscreteOp1D(m, s, PERIODIC) for m in (burgers, BURGERS)
+               for s in (WeightScheme.js(), WeightScheme.zl(p=2.0, q=2.0))]
+    else:
+        grid = Grid2D(-1.0, 1.0, -1.0, 1.0, 12, 9)
+        u = cell_average_of(lambda x, y: 0.25 + 0.5 * np.sin(np.pi * (x + y))
+                            + np.where(x > 0.2, 0.5, 0.0), grid)
+        ops = [SemiDiscreteOp2D(FluxPair2D(m, m), s, PERIODIC) for m in (burgers, BURGERS)
+               for s in (WeightScheme.js(), WeightScheme.zl(p=2.0, q=2.0))]
+    got = []
+    for op in ops[:2]:
+        for _ in range(2):
+            del calls[:]
+            got.append(op(u).data.copy())
+            assert calls == ["flux"] * dim
+
+    def two_evaluations(a, b, flux, alpha, *, out=None):
+        return 0.5 * (flux(a) + flux(b) - alpha * (b - a))
+
+    monkeypatch.setattr(solver, "lf_flux", two_evaluations)
+    want = [op(u).data.copy() for op in ops[2:] for _ in range(2)]
+    assert all(same_bits(a, b) for a, b in zip(got, want))
+
+
+def test_an_inadmissible_state_is_reported_against_the_stage_that_made_it(monkeypatch):
+    # the blast wave with ZL(1/7,2) ends step 1 at negative pressure: the
+    # bound of the next step's state finds it, before any stage of step 2
+    blast = get_problem("blastwave")
+    op = SemiDiscreteOp1D(EULER, WeightScheme.zl(p=1.0 / 7.0, q=2.0), blast.bc)
+    calls = _count_bounds(monkeypatch)
+    with pytest.raises(DivergenceError) as err:
+        integrate_to(blast.initial(blast.make_grid(400)), op, blast.tfinal, blast.time)
+    assert str(err.value) == "nonpositive pressure (min -1.674e+01) (step 1, stage 3)"
+    assert isinstance(err.value.__cause__, StateError)
+    assert calls.count("bound") == 4        # step 1's state and stages, step 2's state

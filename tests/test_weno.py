@@ -24,6 +24,7 @@ from oracle_utils import (
     NODE_X,
     SIX_SCHEMES,
     oracle_big,
+    oracle_indicators,
     oracle_substencil,
     same_bits,
 )
@@ -52,6 +53,31 @@ def test_smoothness_linear_data():
 
 
 # --- weight families ---------------------------------------------------------
+
+@st.composite
+def _padded_rows(draw):
+    """A (..., N) array with 0-2 leading axes, N >= 5, at one of four
+    scales, with jumps and flat runs."""
+    lead = draw(st.lists(st.integers(1, 3), max_size=2))
+    n = draw(st.integers(5, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u = rng.normal(size=tuple(lead) + (n,)) * draw(st.sampled_from([1e-8, 1.0, 1e3, 1e100]))
+    u[..., draw(st.integers(0, n - 1)):] += draw(st.sampled_from([0.0, 1.0, -50.0]))
+    flat = draw(st.integers(0, n))
+    u[..., :flat] = u[..., :1]
+    return u
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(u=_padded_rows())
+def test_indicators_match_the_scalar_oracle_bit_for_bit(u):
+    got = weno._indicators(u, weno.Workspace())
+    assert got.shape == (3,) + u.shape[:-1] + (u.shape[-1] - 4,)
+    for index in np.ndindex(u.shape[:-1]):
+        for k in range(u.shape[-1] - 4):
+            want = oracle_indicators(u[index][k:k + 5])
+            assert tuple(got[(slice(None),) + index + (k,)]) == want, (index, k)
+
 
 def test_js_equal_indicators_give_linear_weights():
     np.testing.assert_allclose(nonlinear_weights(np.zeros(3), WeightScheme.js(eps=1e-12)),

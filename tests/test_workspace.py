@@ -267,8 +267,9 @@ def _step_peak_per_cell(scheme, n=96):
 # for one Gauss pass, a step took 764.6 (Z) and 1032.2 (M) bytes per padded
 # cell here; then 621.8 and 782.6, 584.2 and 768.9 with the model fluxes in
 # place, 567.7 and 753.8 with the sweeps reconstructing only the rows their
-# faces read, and now, the face buffers made when the sweeps bind (so live
-# while the first step grows the regions), 568.1 and 768.2.
+# faces read, the face buffers made when the sweeps bind (so live while the
+# first step grows the regions), 568.1 and 768.2, and now, with the jump of
+# the Lax-Friedrichs flux a temporary, 551.2 and 768.2.
 @pytest.mark.parametrize("scheme, bound", [(WeightScheme.z(), 625.0),
                                            (WeightScheme.m(), 785.0)],
                          ids=("z", "m"))

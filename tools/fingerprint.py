@@ -19,7 +19,9 @@ differing values, the largest |difference| and the largest
 
 It covers the reconstruction kernels on seeded rows, also with two inputs
 alternated on one workspace, the model fluxes, wave-speed bounds and
-Lax-Friedrichs fluxes on seeded states, every field of the single-step
+Lax-Friedrichs fluxes on seeded states (also on two rows of one array,
+alternated on one workspace: the pairs the flux is evaluated on as one
+strided view), every field of the single-step
 dissection reports, the final-time tables, the initial data of every
 registry problem on a small grid (and its exact solution at t = 0 and at
 its final time where it has one), a set of registry runs (among them a
@@ -229,6 +231,21 @@ def models(emit):
         for k in range(4):
             x, y = (a, b) if k % 2 == 0 else (b, a)
             emit(f"models/{name}/lf_flux/alternating/call{k}",
+                 lf_flux(x, y, model.flux, alpha, out=w))
+        # the two rows of one array, and the two traces of one buffer one
+        # cell apart, as the 1D operator hands them over; alternated on one
+        # workspace, each pair a new pair of views
+        rows = np.stack((a, b))
+        shifted = np.stack((a, np.roll(b, -1, axis=-1)))
+        pairs = ((rows[0], rows[1]), (rows[1], rows[0]),
+                 (shifted[0, ..., :-1], shifted[1, ..., 1:]),
+                 (shifted[1, ..., 1:], shifted[0, ..., :-1]))
+        for k, (x, y) in enumerate(pairs):
+            emit(f"models/{name}/lf_flux/rows/call{k}", lf_flux(x, y, model.flux, alpha))
+        w = Workspace()
+        for k in range(8):
+            x, y = pairs[k % 4]
+            emit(f"models/{name}/lf_flux/rows/alternating/call{k}",
                  lf_flux(x, y, model.flux, alpha, out=w))
         field = CellField.from_interior(Grid1D(0.0, 1.0, 41), a)
         emit(f"models/{name}/max_wave_speed", max_wave_speed(field, model))
