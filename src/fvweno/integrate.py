@@ -43,7 +43,8 @@ def rk3_step(u: CellField, L, dt, observer=None, *, alpha=None) -> CellField:
     ``record`` carries the interface weights and fluxes used by that stage
     when ``L`` supports recording.  Observation must not mutate the field.
     Every stage field and the returned field own fresh arrays, so observers
-    and callers may keep them.  Stage 1 hands ``alpha``, if given, to ``L``.
+    and callers may keep them.  Stage 1 hands ``alpha``, if given, to ``L``
+    unless it records; a recording ``L`` bounds the field itself.
 
     Non-finite values (or an inadmissible state met while evaluating ``L``)
     raise :class:`DivergenceError` naming the stage.
@@ -60,7 +61,7 @@ def rk3_step(u: CellField, L, dt, observer=None, *, alpha=None) -> CellField:
     def tend(field, stage, **given):
         try:
             if recorded:
-                Lu, rec = L.tendency_recorded(field, **given)
+                Lu, rec = L.tendency_recorded(field)
             else:
                 Lu, rec = L(field, **given), None
         except StateError as exc:

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import StateError
 from .mesh import CellField
@@ -195,17 +194,17 @@ def _halves(x, axis):
 
 def _lf_views(w, a, b):
     a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    shape = np.broadcast_shapes(a.shape, b.shape)
-    axis = min(len(shape), 1)           # Euler reads its components on axis 0
-    stacked = shape[:axis] + (2,) + shape[axis:]
-    stack, f, jump = w.take("lf", stacked, stacked, shape)
-    copies = tuple(zip(_halves(stack, axis), (a, b)))
-    if a.base is not None and a.base is b.base and (a.shape, a.strides) == (b.shape, b.strides):
-        gap = b.__array_interface__["data"][0] - a.__array_interface__["data"][0]
-        copies = ((stack, as_strided(a, stacked, a.strides[:axis] + (gap,) + a.strides[axis:],
-                                     writeable=False)),)
-    return w.result("lf", 0, shape), stack, f, jump, _halves(f, axis), copies, axis, a, b
+    if b is None:                       # a and b stacked on axis 0: not copied
+        shape, axis, pair = a.shape[1:], 0, _halves(a, 0)
+        stack, (_, f, jump) = a, w.take("lf", None, a.shape, shape)
+    else:
+        b = np.asarray(b, dtype=float)
+        shape, pair = np.broadcast_shapes(a.shape, b.shape), (a, b)
+        axis = min(len(shape), 1)       # Euler reads its components on axis 0
+        stacked = shape[:axis] + (2,) + shape[axis:]
+        stack, f, jump = w.take("lf", stacked, stacked, shape)
+    copies = () if b is None else tuple(zip(_halves(stack, axis), pair))
+    return w.result("lf", 0, shape), stack, f, jump, _halves(f, axis), copies, axis, *pair, a, b
 
 
 def lf_flux(a, b, flux, alpha, *, out=None):
@@ -213,17 +212,18 @@ def lf_flux(a, b, flux, alpha, *, out=None):
 
     ``alpha`` must bound the wave speed over the relevant range; the flux is
     then monotone (nondecreasing in a, nonincreasing in b).  Componentwise
-    for systems.  The model flux is evaluated once, on a and b stacked on
-    axis 1 (0 for 0-d), copied in one call when they are equal-shaped,
-    equal-strided views into one buffer (the operators' traces).  The flux
-    is a buffer of ``out``, a :class:`~fvweno.workspace.Workspace` (a fresh
-    one by default), and the stack, its fluxes and the jump temporaries.
+    for systems.  The model flux is evaluated once, on a and b copied into a
+    stack on axis 1 (0 for 0-d).  With ``b`` None, ``a`` holds a and b
+    stacked on axis 0 (a scalar flux's pair, the 2D Gauss-point values) and
+    the flux is evaluated on it.  The flux is a buffer of ``out``, a
+    :class:`~fvweno.workspace.Workspace` (a fresh one by default), and the
+    stack, its fluxes and the jump temporaries.
     """
     w = Workspace() if out is None else out
     bound = getattr(w, "lf", None)
     if bound is None or bound[-2] is not a or bound[-1] is not b:
         bound = w.bind("lf", _lf_views, a, b)
-    h, stack, f, jump, halves, copies, axis, a, b = bound
+    h, stack, f, jump, halves, copies, axis, a, b = bound[:-2]
     fa, fb = a, b                       # the identity flux (advection) is not evaluated
     if flux is not _advection_flux:
         for target, source in copies:

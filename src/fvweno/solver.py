@@ -50,8 +50,8 @@ class SemiDiscreteOp1D:
     def __call__(self, field: CellField, *, alpha=None) -> CellField:
         return self._tendency(field, False, alpha)[0]
 
-    def tendency_recorded(self, field: CellField, *, alpha=None):
-        return self._tendency(field, True, alpha)
+    def tendency_recorded(self, field: CellField):
+        return self._tendency(field, True, None)
 
     def _tendency(self, field: CellField, record, alpha):
         grid = field.grid
@@ -160,9 +160,6 @@ class SemiDiscreteOp2D:
         np.copyto(pair[0], u_minus.T)
         np.copyto(pair[1], u_plus.T)
         pts = gauss_point_values(pair, self.scheme, out=g)  # (2, n+1, n_trans, 3)
-        b = getattr(g, "points", None)
-        if b is None or b[-1] is not pts:
-            b = g.bind("points", lambda g, pts: (pts[0], pts[1], pts), pts)
-        h = lf_flux(b[0], b[1], model.flux, alpha, out=sweep.edge)
+        h = lf_flux(pts, None, model.flux, alpha, out=sweep.edge)
         np.matmul(h, GAUSS_WEIGHTS, out=face)
         return np.multiply(0.5, face, out=face)

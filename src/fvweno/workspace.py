@@ -24,16 +24,16 @@ holds only until the next kernel call on either.
 
 The binding rule.  A layer keeps a view of its input or of its buffers
 only when a later kernel binds to that same object (``lf_flux`` to the
-traces and to the halves of the Gauss-point values, every layer to its
-input), when the view holds memory (results, temporaries), or when slicing
-it on every call would cost a measurable share of a 1D step at the paper's
-sizes (the indicators alone read a dozen views, at about 0.15-0.3 us each,
-against about 100 us a step at N = 20).  Every other view is sliced on the
-call.  The views kept are bound to the array objects the layer is called
-with (and to the read-only linear-weight tables), made by
-:meth:`Workspace.bind` the first time a layer meets them; they live in the
-layer's attribute, and a region that grows drops them with the layers
-carved from it or viewing it (:data:`READS`).
+traces and to the Gauss-point values, every layer to its input), when the
+view holds memory (results, temporaries), or when slicing it on every call
+would cost a measurable share of a 1D step at the paper's sizes (the
+indicators alone read a dozen views, at about 0.15-0.3 us each, against
+about 100 us a step at N = 20).  Every other view is sliced on the call.
+The views kept are bound to the array objects the layer is called with
+(and to the read-only linear-weight tables), made by :meth:`Workspace.bind`
+the first time a layer meets them; they live in the layer's attribute,
+and a region that grows drops them with the layers carved from it or
+viewing it (:data:`READS`).
 
 The semi-discrete operators and ``rk3_step`` fetch the calling thread's
 workspace for the padded field shape once per call, with

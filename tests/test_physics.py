@@ -250,6 +250,12 @@ def test_in_place_flux_and_bound_match_the_allocating_formulas(case, data):
         assert same_bits(lf_flux(b, a, model.flux, alpha, out=w),
                          0.5 * (flux(b) + flux(a) - alpha * (a - b)))
     assert same_bits(lf_flux(a, b, model.flux, alpha), want)
+    if model is not EULER:
+        # a and b handed over stacked, as the 2D Gauss-point values are
+        stack = np.stack((a, b))
+        for k in range(3):
+            assert same_bits(lf_flux(stack, None, model.flux, alpha, out=w), want)
+            assert same_bits(lf_flux(a, b, model.flux, alpha, out=w), want)
 
 
 _BAD_STATES = [
