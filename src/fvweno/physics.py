@@ -195,7 +195,7 @@ def _halves(x, axis):
 def _lf_views(w, a, b):
     a = np.asarray(a, dtype=float)
     if b is None:                       # a and b stacked on axis 0: not copied
-        shape, axis, pair = a.shape[1:], 0, _halves(a, 0)
+        shape, axis, pair, copies = a.shape[1:], 0, _halves(a, 0), ()
         stack, (_, f, jump) = a, w.take("lf", None, a.shape, shape)
     else:
         b = np.asarray(b, dtype=float)
@@ -203,7 +203,7 @@ def _lf_views(w, a, b):
         axis = min(len(shape), 1)       # Euler reads its components on axis 0
         stacked = shape[:axis] + (2,) + shape[axis:]
         stack, f, jump = w.take("lf", stacked, stacked, shape)
-    copies = () if b is None else tuple(zip(_halves(stack, axis), pair))
+        copies = tuple(zip(_halves(stack, axis), pair))
     return w.result("lf", 0, shape), stack, f, jump, _halves(f, axis), copies, axis, *pair, a, b
 
 
