@@ -19,20 +19,21 @@ differing values, the largest |difference| and the largest
 
 It covers the reconstruction kernels on seeded rows, also with two inputs
 alternated on one workspace, the model fluxes, wave-speed bounds and
-Lax-Friedrichs fluxes on seeded states (also on two rows of one array,
-alternated on one workspace: the pairs the flux is evaluated on as one
-strided view), every field of the single-step
-dissection reports, the final-time tables, the initial data of every
-registry problem on a small grid (and its exact solution at t = 0 and at
-its final time where it has one), a set of registry runs (among them a
-boundary layer on a grid of unequal sides, with inflow and outflow
-ghosts), and RK3 stepping where the solver reuses its buffers: 1D steps at
-N = 5 000, 2D Burgers steps at 160², two schemes stepped alternately on one
-1D shape and on a square 2D grid (whose x and y sweeps share workspaces),
-two Euler schemes stepped alternately on one shape with a CFL time step
-every step, blast-wave steps between reflective walls, 1D steps interleaved
-with 2D steps of five schemes on a grid of unequal sides, and plain and
-recorded tendencies interleaved (a few seconds on one core).
+Lax-Friedrichs fluxes on seeded states (also on two rows of one array and
+on two traces of one buffer one cell apart, alternated on one workspace;
+the stacked form of the 2D sweeps is covered by the 2D steps), every field
+of the single-step dissection reports, the final-time tables, the initial
+data of every registry problem on a small grid (and its exact solution at
+t = 0 and at its final time where it has one), a set of registry runs
+(among them a boundary layer on a grid of unequal sides, with inflow and
+outflow ghosts), and RK3 stepping where the solver reuses its buffers: 1D
+steps at N = 5 000, 2D Burgers steps at 160², two schemes stepped
+alternately on one 1D shape and on a square 2D grid (whose x and y sweeps
+share workspaces), two Euler schemes stepped alternately on one shape with
+a CFL time step every step, blast-wave steps between reflective walls, 1D
+steps interleaved with 2D steps of five schemes on a grid of unequal
+sides, and plain and recorded tendencies interleaved (a few seconds on one
+core).
 """
 
 from __future__ import annotations
