@@ -309,21 +309,19 @@ def _henrick_coefficients(d):
     return 3.0 * d, d + d * d, d * d, 1.0 - 2.0 * d
 
 
-def _henrick_views(w, shape):
-    g, den = w.take("henrick", shape, shape)
-    return g, den, _rows(g) if shape[:1] == (3,) else (), shape
+def _henrick_views(w, omega):
+    g, den = w.take("henrick", omega.shape, omega.shape)
+    return g, den, _rows(g), omega
 
 
-def _henrick(omega, coefficients, shape, w):
-    """The Henrick map of ``omega`` (any shape broadcasting to ``shape``)
-    from the d-only ``coefficients``: the mapped values and their rows."""
+def _henrick(omega, coefficients, w):
+    """:func:`henrick_map` of the weights ``omega`` (3, ...) from the d-only
+    ``coefficients``, in its order of evaluation: the values and their rows."""
     b = getattr(w, "henrick", None)
-    if b is None or b[-1] != shape:
-        b = w.bind("henrick", _henrick_views, shape)
+    if b is None or b[-1] is not omega:
+        b = w.bind("henrick", _henrick_views, omega)
     g, den, rows, _ = b
     three_d, d_dd, dd, one_2d = coefficients
-    # omega (d + d d - 3 d omega + omega omega) / (d d + (1 - 2 d) omega),
-    # in numpy's order of evaluation
     np.multiply(three_d, omega, out=g)
     np.subtract(d_dd, g, out=g)
     np.multiply(omega, omega, out=den)
@@ -338,8 +336,8 @@ def henrick_map(omega, d):
     """Henrick mapping g(omega); fixes d, 0 and 1, flattens near omega=d."""
     omega = np.asarray(omega, dtype=float)
     d = np.asarray(d, dtype=float)
-    shape = np.broadcast_shapes(omega.shape, d.shape)
-    return _henrick(omega, _henrick_coefficients(d), shape, Workspace())[0]
+    return (omega * ((d + d * d) - 3.0 * d * omega + omega * omega)
+            / (d * d + (1.0 - 2.0 * d) * omega))
 
 
 def _normalize(rows, alpha, total, out):
@@ -461,8 +459,8 @@ def nonlinear_weights(beta, scheme: WeightScheme, d=D_EDGE, axis=-1, *, out=None
     w = Workspace() if out is None else out
     family = scheme.family
     if family != "linear":
-        # the factor first: a weights layer growing its region then drops
-        # the factor's views of beta with it
+        # the factor first, in the order of LAYOUT: a region the weights
+        # layer grows then drops the factor's views of beta with it
         factor = _factor(beta, scheme, w)
     b = getattr(w, "weights", None)
     if b is None or b[-2] is not d or b[-1] is not axis or b[-3] != beta.shape:
@@ -475,7 +473,7 @@ def nonlinear_weights(beta, scheme: WeightScheme, d=D_EDGE, axis=-1, *, out=None
         combine(table, factor[phi_at], out=omega)
         _normalize(rows, omega, total, omega)
         if family == "m":
-            g, g_rows = _henrick(omega, coefficients, omega.shape, w)
+            g, g_rows = _henrick(omega, coefficients, w)
             _normalize(g_rows, g, total, omega)
     return result if axis == 0 else np.ascontiguousarray(result)
 

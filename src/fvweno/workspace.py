@@ -31,9 +31,10 @@ indicators alone read a dozen views, at about 0.15-0.3 us each, against
 about 100 us a step at N = 20).  Every other view is sliced on the call.
 The views kept are bound to the array objects the layer is called with
 (and to the read-only linear-weight tables), made by :meth:`Workspace.bind`
-the first time a layer meets them; they live in the layer's attribute,
-and a region that grows drops them with the layers carved from it or
-viewing it (:data:`READS`).
+the first time a layer meets them; they live in the layer's attribute.
+A region that grows drops every :data:`LAYOUT` layer of every workspace
+sharing it, so no view kept holds the memory it gave up; regions grow
+only while a workspace warms up, so steady stepping binds nothing.
 
 The semi-discrete operators and ``rk3_step`` fetch the calling thread's
 workspace for the padded field shape once per call, with
@@ -79,23 +80,6 @@ LAYOUT = {
     "speed": "a",
     "lf": "aaa",
 }
-# Regions of other layers' temporaries whose views a layer keeps: the weight
-# factor keeps rows of beta.  It binds only to a beta carved since region b
-# last grew (the weights carve after the factor), so dropped with that
-# region it keeps none of the memory the region gave up.
-READS = {"factor": "b"}
-# The layers a growing region drops, per region.
-_DROPS = {region: tuple(name for name in {**LAYOUT, **READS}
-                        if region in LAYOUT.get(name, "") + READS.get(name, ""))
-          for region in "abc"}
-
-
-class _Regions:
-    """The memory of the regions and the workspaces that carve from it."""
-
-    def __init__(self):
-        self.memory = {}
-        self.members = weakref.WeakSet()
 
 
 class Workspace:
@@ -109,8 +93,9 @@ class Workspace:
     """
 
     def __init__(self, scratch=None):
-        self._regions = _Regions() if scratch is None else scratch._regions
-        self._regions.members.add(self)
+        self._memory, self._sharers = (({}, weakref.WeakSet()) if scratch is None
+                                       else (scratch._memory, scratch._sharers))
+        self._sharers.add(self)
 
     def take(self, layer, *shapes):
         """Temporaries of ``layer`` of the given shapes (None for a shape
@@ -118,11 +103,10 @@ class Workspace:
         for it.
 
         A region too small for them is replaced by a larger one, and every
-        layer that carved from the old one or keeps views of it
-        (:data:`READS`), in every workspace sharing it, is dropped, to be
-        bound again on its next call.
+        :data:`LAYOUT` layer of every workspace sharing the regions is
+        dropped, to be bound again on its next call.
         """
-        regions = self._regions
+        memory = self._memory
         placed, ends = [], {}
         for region, shape in zip(LAYOUT[layer], shapes, strict=True):
             if shape is None:
@@ -132,13 +116,13 @@ class Workspace:
             ends[region] = start + math.prod(shape)
             placed.append((region, start, shape))
         for region, end in ends.items():
-            if region not in regions.memory or regions.memory[region].size < end:
-                for ws in regions.members:
-                    for name in _DROPS[region]:
+            if region not in memory or memory[region].size < end:
+                for ws in self._sharers:
+                    for name in LAYOUT:
                         ws.__dict__.pop(name, None)
-                regions.memory[region] = np.empty(end)
+                memory[region] = np.empty(end)
         return [None if p is None
-                else regions.memory[p[0]][p[1]:p[1] + math.prod(p[2])].reshape(p[2])
+                else memory[p[0]][p[1]:p[1] + math.prod(p[2])].reshape(p[2])
                 for p in placed]
 
     def result(self, layer, index, shape):

@@ -221,25 +221,27 @@ def test_sibling_workspaces_share_temporaries_not_results():
 def test_a_grown_region_drops_the_layers_carved_from_it():
     base = Workspace()
     sibling = Workspace(scratch=base)
-    base.combine = base.take("combine", (4, 10))
-    base.weights = base.take("weights", (3, 10), (10,))
-    sibling.take("combine", (4, 11))          # region a grows
-    assert not hasattr(base, "combine")
-    assert hasattr(base, "weights")           # regions b and c are as they were
-    small = Workspace(scratch=base).take("combine", (2, 10))[0]
-    assert np.shares_memory(small, sibling.take("combine", (4, 11))[0])
-    # the views a layer keeps go with it: once region b grows, nothing the
-    # workspace keeps holds its old memory, the factor's views of beta
-    # included (the second call binds every layer of the first anew)
     rows = np.random.default_rng(7).normal(size=(3, 40))
-    for _ in range(2):
-        interface_states(rows, WeightScheme.z(), out=base)
-    assert all(hasattr(base, layer) for layer in ("indicators", "factor", "weights"))
-    old = base._regions.memory["b"]
-    sibling.take("weights", (old.size + 1,), None)
-    assert not any(np.shares_memory(a, old) for a in _arrays(tuple(vars(base).values())))
-    assert not any(hasattr(base, layer) for layer in ("indicators", "factor", "weights"))
-    assert hasattr(base, "combine")           # region a is as it was
+    for _ in range(2):                      # the second call finds every layer bound
+        traces = interface_states(rows, WeightScheme.m(), out=base)
+    kept = [t.copy() for t in traces]
+    layers = ("indicators", "factor", "weights", "henrick", "combine")
+    assert all(hasattr(base, layer) for layer in layers)
+    sibling.combine = sibling.take("combine", (4, 10))
+    old = base._memory["b"]
+    sibling.take("weights", (old.size + 1,), None)          # region b grows
+    # every layer carved from any region goes, in every workspace sharing
+    # them, and with the views they kept nothing holds the old memory
+    assert not any(hasattr(ws, layer) for ws in (base, sibling)
+                   for layer in workspace_module.LAYOUT)
+    assert not any(np.shares_memory(a, old) for ws in (base, sibling)
+                   for a in _arrays(tuple(vars(ws).values())))
+    # the results stay, and the next call binds anew to the same values
+    assert all(same_bits(t, k) for t, k in zip(traces, kept))
+    again = interface_states(rows, WeightScheme.m(), out=base)
+    assert all(same_bits(t, k) for t, k in zip(again, kept))
+    small = Workspace(scratch=base).take("combine", (2, 10))[0]
+    assert np.shares_memory(small, sibling.take("combine", (4, 10))[0])
 
 
 def _step_peak_per_cell(scheme, n=96):
@@ -409,17 +411,12 @@ def _plan_outputs():
     return outputs
 
 
-def _under_plan(monkeypatch, layout, reads):
+def _under_plan(monkeypatch, layout):
     """``_plan_outputs`` in a new thread, whose workspaces start empty, with
-    the temporaries carved by ``layout`` and ``reads`` in place of the
-    package's plan; what it raises is returned."""
-    drops = {region: tuple(name for name in {**layout, **reads}
-                           if region in layout.get(name, "") + reads.get(name, ""))
-             for region in set("".join(layout.values()))}
+    the temporaries carved by ``layout`` in place of the package's plan;
+    what it raises is returned."""
     with monkeypatch.context() as patch:
         patch.setattr(workspace_module, "LAYOUT", layout)
-        patch.setattr(workspace_module, "READS", reads)
-        patch.setattr(workspace_module, "_DROPS", drops)
         result = []
 
         def work():
@@ -438,15 +435,15 @@ def _under_plan(monkeypatch, layout, reads):
 def test_shared_plan_matches_a_region_per_temporary(monkeypatch):
     # a temporary read after a region-mate overwrote it shows here, where a
     # fresh and a reused call, carved by the same plan, agree
-    layout, reads = workspace_module.LAYOUT, workspace_module.READS
-    shared = _under_plan(monkeypatch, layout, reads)
+    layout = workspace_module.LAYOUT
+    shared = _under_plan(monkeypatch, layout)
     names = iter("ABCDEFGHIJKLMNOPQRSTUVWXYZ")
     own = {layer: "".join(next(names) for _ in regions) for layer, regions in layout.items()}
-    alone = _under_plan(monkeypatch, own, {"factor": own["indicators"][-1]})  # beta's region
+    alone = _under_plan(monkeypatch, own)
     assert len(shared) == len(alone) == 45
     assert all(same_bits(a, b) for a, b in zip(shared, alone))
     # the oracle sees a plan that puts the weights in the factor's region,
     # where phi is still read
-    broken = _under_plan(monkeypatch, {**layout, "weights": "ac"}, reads)
+    broken = _under_plan(monkeypatch, {**layout, "weights": "ac"})
     assert isinstance(broken, DivergenceError) or not all(
         same_bits(a, b) for a, b in zip(shared, broken))
