@@ -139,8 +139,7 @@ class SemiDiscreteOp2D:
         # -(fx[1:] - fx[:-1]) / dx - (fy[:, 1:] - fy[:, :-1]) / dy
         dx_term = out.interior[0]
         np.subtract(fx[1:, :], fx[:-1, :], out=dx_term)
-        np.negative(dx_term, out=dx_term)
-        np.divide(dx_term, grid.dx, out=dx_term)
+        np.divide(dx_term, -grid.dx, out=dx_term)  # == -(dx_term) / dx
         np.subtract(fy[:, 1:], fy[:, :-1], out=dy_term)
         np.divide(dy_term, grid.dy, out=dy_term)
         np.subtract(dx_term, dy_term, out=dx_term)
