@@ -35,18 +35,24 @@ def build_scheme(family, p=None, q=None, eps=None):
 
 
 def parse_scheme_list(text):
-    """Parse 'js,m,z,zr:3,zl:2:1' into WeightScheme tuples.
+    """Parse 'js,m,z,zr:3,zl:2:1' into WeightScheme tuples: zr reads p, zl p
+    and q, and a field more, or one not a number, is a configuration error.
 
     Inside the dissection the js denominator guard defaults to 1e-12.
     """
     out = []
     for token in text.split(","):
-        parts = token.strip().split(":")
-        family = parts[0].lower()
-        p = float(parts[1]) if len(parts) > 1 else None
-        q = float(parts[2]) if len(parts) > 2 else None
+        family, *fields = token.strip().split(":")
+        family = family.lower()
+        names = [k for k in ("p", "q") if k in FAMILIES.get(family, ("", {}))[1]]
+        if family in FAMILIES and len(fields) > len(names):
+            raise ConfigurationError(f"{token.strip()!r}: {family} takes {len(names)} parameters")
+        try:
+            values = {k: float(v) for k, v in zip(names, fields)}
+        except ValueError:
+            raise ConfigurationError(f"{token.strip()!r}: parameters must be numbers") from None
         eps = JS_DISSECT_EPS if family == "js" else None
-        out.append(build_scheme(family, p, q, eps))
+        out.append(WeightScheme(family, eps=eps, **values))
     return tuple(out)
 
 

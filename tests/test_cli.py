@@ -137,6 +137,15 @@ def test_dissect_rejects_bad_courant(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("schemes", ["js:abc", "zr:x", "zl:2:1:9", "zr:2:5", "js:5", "z:1"])
+def test_dissect_rejects_scheme_fields_it_cannot_read(schemes, capsys):
+    # a field that is not a number, or one more than the family reads (zr
+    # reads p, zl p and q, the others none), is not dropped
+    rc = main(["dissect", "--schemes", f"z,{schemes}", "--stage", "1", "--table", "weights"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: {schemes!r}: ")
+
+
 @pytest.mark.parametrize("args", [["--final-time", "inf"], ["--final-time", "nan"],
                                   ["--delta", "inf"], ["--delta", "nan"]])
 def test_dissect_rejects_non_finite_inputs(args, capsys):
