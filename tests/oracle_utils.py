@@ -8,6 +8,9 @@ the closed-form coefficient tables in the package.
 The indicator oracle computes the smoothness indicators of one window in
 Python floats, in the documented order of operations.
 
+The weight oracle computes the nonlinear weights of one indicator triple
+in 60-digit decimal arithmetic, straight from each family's formulas.
+
 The polygon oracle clips every cell of a grid against a convex polygon, one
 cell at a time.
 
@@ -15,6 +18,8 @@ The frozen-weight stepper takes one TVD-RK3 step of unit-speed advection
 with weights given per interface and stage instead of computed from the
 data.
 """
+
+from decimal import Decimal, localcontext
 
 import numpy as np
 
@@ -71,6 +76,35 @@ def oracle_indicators(window5):
     slopes = (3.0 * d[1] - d[0], d[1] + d[2], 3.0 * d[2] - d[3])
     return tuple(13.0 / 12.0 * ((d[s + 1] - d[s]) * (d[s + 1] - d[s]))
                  + 0.25 * (slopes[s] * slopes[s]) for s in range(3))
+
+
+def oracle_weights(beta, d, scheme):
+    """The nonlinear weights of ``scheme`` for one indicator triple ``beta``
+    and linear weights ``d``, in decimal at 60 digits: alpha is d/(b+eps)^2
+    for JS, d(1 + tau/(b+eps)) for Z with tau = |b0 - b2|, d(1 +
+    (tau/(b^(1/p)+eps))^p) for ZR with tau = |b0^(1/p) - b2^(1/p)| and d(1
+    + (tau/(b+eps))^q) for ZL with tau = |ln(1+b0) - ln(1+b2)|/p; the
+    weights are alpha over its sum, and for M the JS weights mapped by
+    Henrick's g and normalised again."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        b, d = [Decimal(float(v)) for v in beta], [Decimal(float(v)) for v in d]
+        eps, p, q = (Decimal(float(v)) for v in (scheme.eps, scheme.p, scheme.q))
+        normalise = lambda a: [x / sum(a) for x in a]
+        if scheme.family in ("js", "m"):
+            omega = normalise([dk / (bk + eps) ** 2 for dk, bk in zip(d, b)])
+            if scheme.family == "m":
+                omega = normalise([w * (dk + dk * dk - 3 * dk * w + w * w)
+                                   / (dk * dk + (1 - 2 * dk) * w) for dk, w in zip(d, omega)])
+            return omega
+        if scheme.family == "zr":
+            b = [bk ** (1 / p) for bk in b]
+            tau, q = abs(b[0] - b[2]), p
+        elif scheme.family == "zl":
+            tau = abs((1 + b[0]).ln() - (1 + b[2]).ln()) / p
+        else:
+            tau, q = abs(b[0] - b[2]), 1
+        return normalise([dk * (1 + (tau / (bk + eps)) ** q) for dk, bk in zip(d, b)])
 
 
 NODE_X = {

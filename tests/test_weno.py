@@ -26,6 +26,7 @@ from oracle_utils import (
     oracle_big,
     oracle_indicators,
     oracle_substencil,
+    oracle_weights,
     same_bits,
 )
 
@@ -228,6 +229,28 @@ def test_weights_reflection_symmetry(scheme, triples):
               weno.GAMMA_MINUS):
         mirrored = nonlinear_weights(beta[:, ::-1], scheme, d=d[::-1])
         assert same_bits(mirrored, nonlinear_weights(beta, scheme, d=d)[:, ::-1]), d
+
+
+# JS at two guards, M, Z, and ZR and ZL at several parameters, all clear
+# of the overflow of large indicators
+ORACLE_SCHEMES = (WeightScheme.js(eps=1e-6), WeightScheme.js(eps=1e-12), WeightScheme.m(),
+                  WeightScheme.z(), *(WeightScheme.zr(p=p) for p in (1, 2, 3)),
+                  *(WeightScheme.zl(p=p, q=q) for p, q in ((1, 1), (2, 2), (1 / 7, 2), (5, 1))))
+# the edge pair and the four Gauss-node sets, as one stack
+ORACLE_D = np.stack([D_EDGE, D_EDGE[::-1], weno.D_GAUSS_MINUS, weno.GAMMA_PLUS,
+                     weno.D_GAUSS_PLUS, weno.GAMMA_MINUS])
+_ORACLE_INDICATOR = st.one_of(st.just(0.0), st.floats(1e-10, 1e4))
+
+
+@pytest.mark.parametrize("scheme", ORACLE_SCHEMES, ids=lambda s: f"{s.label},eps={s.eps:g}")
+@settings(deadline=None, derandomize=True, max_examples=40)
+@given(triples=st.lists(st.tuples(*[_ORACLE_INDICATOR] * 3), min_size=1, max_size=6))
+def test_weights_match_the_decimal_oracle(scheme, triples):
+    got = nonlinear_weights(np.array(triples), scheme, d=ORACLE_D)
+    for k, beta in enumerate(triples):
+        for j, d in enumerate(ORACLE_D):
+            want = np.array(oracle_weights(beta, d, scheme), dtype=float)
+            assert np.max(np.abs(got[k, j] - want)) <= 2.0 ** -46, (beta, d)
 
 
 @pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda s: s.label)
