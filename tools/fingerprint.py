@@ -17,23 +17,25 @@ differing values, the largest |difference| and the largest
     PYTHONPATH=src python tools/fingerprint.py --save before.npz > before.txt
     PYTHONPATH=src python tools/fingerprint.py --compare before.npz after.npz
 
-It covers the reconstruction kernels on seeded rows, also with two inputs
-alternated on one workspace, the model fluxes, wave-speed bounds and
-Lax-Friedrichs fluxes on seeded states (also on two rows of one array and
-on two traces of one buffer one cell apart, alternated on one workspace;
-the stacked form of the 2D sweeps is covered by the 2D steps), every field
-of the single-step dissection reports, the final-time tables, the initial
-data of every registry problem on a small grid (and its exact solution at
-t = 0 and at its final time where it has one), a set of registry runs
-(among them a boundary layer on a grid of unequal sides, with inflow and
-outflow ghosts), and RK3 stepping where the solver reuses its buffers: 1D
-steps at N = 5 000, 2D Burgers steps at 160², two schemes stepped
-alternately on one 1D shape and on a square 2D grid (whose x and y sweeps
-share workspaces), two Euler schemes stepped alternately on one shape with
-a CFL time step every step, blast-wave steps between reflective walls, 1D
+It covers the reconstruction kernels on seeded rows, also with two
+inputs alternated on one workspace, the M weights with two linear-weight
+tables alternated on one workspace, the Henrick map, the model fluxes,
+wave-speed bounds and Lax-Friedrichs fluxes on seeded states (also on
+two rows of one array and on two traces of one buffer one cell apart,
+alternated on one workspace; the stacked form of the 2D sweeps is
+covered by the 2D steps), every field of the single-step dissection
+reports, the final-time tables, the initial data of every registry
+problem on a small grid (and its exact solution at t = 0 and at its
+final time where it has one), a set of registry runs (among them a
+boundary layer on a grid of unequal sides, with inflow and outflow
+ghosts), and RK3 stepping where the solver reuses its buffers: 1D steps
+at N = 5 000, 2D Burgers steps at 160², two schemes stepped alternately
+on one 1D shape and on a square 2D grid (whose x and y sweeps share
+workspaces), two Euler schemes stepped alternately on one shape with a
+CFL time step every step, blast-wave steps between reflective walls, 1D
 steps interleaved with 2D steps of five schemes on a grid of unequal
-sides, and plain and recorded tendencies interleaved (a few seconds on one
-core).
+sides, and plain and recorded tendencies interleaved (a few seconds on
+one core).
 """
 
 from __future__ import annotations
@@ -71,6 +73,7 @@ from fvweno.weno import (
     D_EDGE,
     WeightScheme,
     gauss_point_values,
+    henrick_map,
     interface_states,
     nonlinear_weights,
 )
@@ -207,6 +210,17 @@ def kernels(emit):
                 result = call(xs[k % 2], w)
                 for j, a in enumerate(result if isinstance(result, tuple) else (result,)):
                     emit(f"alternating_inputs/{s.label}/{name}/call{k}/{j}", a)
+    # the M weights with the module's read-only table and a writable copy of
+    # it, alternated on one workspace: every call binds the weights anew
+    tables = (D_EDGE, D_EDGE.copy())
+    w = Workspace()
+    for k in range(4):
+        emit(f"alternating_tables/M/call{k}",
+             nonlinear_weights(betas[0], WeightScheme.m(), d=tables[k % 2], axis=0, out=w))
+    # the Henrick map on convex weights, triples on the last and on the first axis
+    omega = rng.dirichlet(np.ones(3), size=250)
+    emit("henrick_map/rows", henrick_map(omega[:200], D_EDGE))
+    emit("henrick_map/columns", henrick_map(omega[200:].T.copy(), D_EDGE[:, None]))
 
 
 def models(emit):
