@@ -232,7 +232,9 @@ def test_weights_reflection_symmetry(scheme, triples):
 
 
 # JS at two guards, M, Z, and ZR and ZL at several parameters, all clear
-# of the overflow of large indicators
+# of the overflow of large indicators.  ZL's tau, a difference of two
+# logarithms, cancels when beta0 and beta2 are a few ulps apart; the
+# bound holds for draws clear of that.
 ORACLE_SCHEMES = (WeightScheme.js(eps=1e-6), WeightScheme.js(eps=1e-12), WeightScheme.m(),
                   WeightScheme.z(), *(WeightScheme.zr(p=p) for p in (1, 2, 3)),
                   *(WeightScheme.zl(p=p, q=q) for p, q in ((1, 1), (2, 2), (1 / 7, 2), (5, 1))))
