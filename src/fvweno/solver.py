@@ -6,7 +6,10 @@ direction: interface WENO along the normal direction produces line averages
 of the two traces on each face, then one Gauss-point WENO pass over both
 traces, stacked, in the transverse direction converts those to point values
 at the three-node quadrature, so a face flux is the quadrature average of
-pointwise Lax-Friedrichs fluxes.
+pointwise Lax-Friedrichs fluxes.  On a square grid of at most
+:data:`STACK_FACES` faces whose axes share one flux, both axes go through
+each of these calls at once, stacked on a leading axis, each face with the
+alpha of its own axis; every value keeps the bits of one pass per axis.
 """
 
 from __future__ import annotations
@@ -78,32 +81,52 @@ class SemiDiscreteOp1D:
         return CellField._of(grid, data), rec
 
 
+# The most faces one stacked pass of both axes of a square grid may take,
+# 2 (n+1) n for n² cells: the paper's sizes up to 40² (3 280 faces) stack.
+# The stacked pass makes half the numpy calls of a stage on twice the
+# temporaries.  Against one pass per axis its steps took 0.74-0.95 of the
+# time at 10²-40², 1.00 (Z) and 0.98 (M) at 48², the crossover, and 1.04-1.15
+# from 56² on (tools/abstep.py, CHANGES.md); at 96² it would also double the
+# memory of a step.
+STACK_FACES = 3_280
+
+
 class _Sweep:
-    """Buffers of the face fluxes across one axis of a 2D grid: the padded
+    """Buffers of the face fluxes across the axes of one group: the padded
     transverse rows the Gauss windows of the faces read, copied in on every
     call (``rows``), the workspaces, carved from the regions of ``ws``, of
     the interface sweep and the flux (``edge``) and of the one Gauss pass
     over both traces (``gauss``), and the two traces stacked for that pass,
-    transposed (``pair``)."""
+    transposed (``pair``).  ``lead`` is (2,) for a group of both axes, whose
+    blocks follow it, and () for a group of one."""
 
-    def __init__(self, ws, shape):
+    def __init__(self, ws, lead, shape):
         self.edge, self.gauss = Workspace(scratch=ws), Workspace(scratch=ws)
-        self.rows = np.empty(shape)
-        self.pair = np.empty((2, shape[1] - 5, shape[0]))
+        self.rows = np.empty(lead + shape)
+        self.pair = np.empty((2,) + lead + (shape[1] - 5, shape[0]))
 
 
-def _sweeps(ws, data):
-    """Per axis of a padded 2D field buffer ``data`` (1, nx+6, ny+6): its
-    sweep (one for both axes on a square grid), the padded transverse rows
-    1..n_trans+4 it copies, and the face fluxes, shape (n+1, n_trans); then
-    the y-term of the tendency."""
+def _sweeps(ws, data, stack):
+    """The groups of axes of a padded 2D field buffer ``data`` (1, nx+6,
+    ny+6), one pass each: both axes if ``stack``, else one group per axis
+    (one sweep for both on a square grid).  A group is its sweep, the
+    copies of its axes' padded transverse rows 1..n_trans+4 into it, the
+    index of its axes (0, 1 or all), its face fluxes, shape lead + (n+1,
+    n_trans), and their blocks per axis; then the y-term of the tendency."""
     d = data[0]
-    rows_x, rows_y = d.T[1:-1], d[1:-1]
-    sweep_x = _Sweep(ws, rows_x.shape)
-    sweep_y = sweep_x if rows_y.shape == rows_x.shape else _Sweep(ws, rows_y.shape)
-    axes = [(sweep, rows, np.empty((rows.shape[1] - 5, rows.shape[0] - 4)))
-            for sweep, rows in ((sweep_x, rows_x), (sweep_y, rows_y))]
-    return (*axes, np.empty((d.shape[0] - 2 * GHOST, d.shape[1] - 2 * GHOST)), data)
+    rows = (d.T[1:-1], d[1:-1])
+    if stack:
+        sweep = _Sweep(ws, (2,), rows[0].shape)
+        face = np.empty((2, rows[0].shape[1] - 5, rows[0].shape[0] - 4))
+        groups = [(sweep, tuple(zip(sweep.rows, rows)), slice(None), face, tuple(face))]
+    else:
+        sweep_x = _Sweep(ws, (), rows[0].shape)
+        sweep_y = sweep_x if rows[1].shape == rows[0].shape else _Sweep(ws, (), rows[1].shape)
+        groups = []
+        for axis, (sweep, r) in enumerate(zip((sweep_x, sweep_y), rows)):
+            face = np.empty((r.shape[1] - 5, r.shape[0] - 4))
+            groups.append((sweep, ((sweep.rows, r),), axis, face, (face,)))
+    return groups, np.empty((d.shape[0] - 2 * GHOST, d.shape[1] - 2 * GHOST)), stack, data
 
 
 @dataclass(frozen=True)
@@ -128,13 +151,20 @@ class SemiDiscreteOp2D:
             raise ConfigurationError("2D solver is scalar only")
         ws = workspace(field.data.shape)
         filled = fill_ghosts(field, self._sides, out=ws)
+        nx, ny = grid.nx, grid.ny
+        stack = nx == ny and self.model.fx is self.model.fy and 2 * (nx + 1) * nx <= STACK_FACES
         b = getattr(ws, "sweeps", None)
-        if b is None or b[-1] is not filled.data:
-            b = ws.bind("sweeps", _sweeps, filled.data)
-        x, y, dy_term, _ = b
-        alpha_x, alpha_y = max_wave_speed(filled, self.model, out=ws) if alpha is None else alpha
-        fx = self._face_flux(self.model.fx, alpha_x, *x)
-        fy = self._face_flux(self.model.fy, alpha_y, *y).T
+        if b is None or b[-1] is not filled.data or b[-2] is not stack:
+            b = ws.bind("sweeps", _sweeps, filled.data, stack)
+        groups, dy_term = b[:2]
+        alphas = max_wave_speed(filled, self.model, out=ws) if alpha is None else alpha
+        alphas = np.reshape(alphas, (2, 1, 1, 1))       # broadcast over a stacked jump
+        faces = []
+        for sweep, copies, axes, face, blocks in groups:
+            flux = self.model.fy if axes == 1 else self.model.fx
+            self._face_flux(flux, alphas[axes], sweep, copies, face)
+            faces += blocks
+        fx, fy = faces[0], faces[1].T
         out = CellField.zeros(grid, ncomp=1)
         # -(fx[1:] - fx[:-1]) / dx - (fy[:, 1:] - fy[:, :-1]) / dy
         dx_term = out.interior[0]
@@ -145,20 +175,22 @@ class SemiDiscreteOp2D:
         np.subtract(dx_term, dy_term, out=dx_term)
         return out
 
-    def _face_flux(self, model, alpha, sweep, rows, face):
-        """Face fluxes across the last axis of ``rows``, shape (n_trans+4,
-        n+6) for n and n_trans interior cells along the normal and
-        transverse axes, written into ``face``, shape (n+1, n_trans)."""
-        np.copyto(sweep.rows, rows)
+    def _face_flux(self, model, alpha, sweep, copies, face):
+        """Face fluxes across the last axis of the rows of a group, shape
+        lead + (n_trans+4, n+6) for n and n_trans interior cells along the
+        normal and transverse axes, written into ``face``, shape lead +
+        (n+1, n_trans)."""
+        for target, rows in copies:
+            np.copyto(target, rows)
         # Sweep 1: interface WENO along the normal axis, every row read.
         u_minus, u_plus = interface_states(sweep.rows, self.scheme, out=sweep.edge)
         # Sweep 2: transverse Gauss-point reconstruction of the line averages,
         # both traces in one pass.  Window k covers rows k..k+4 and is
         # centered at interior cell k.
         g, pair = sweep.gauss, sweep.pair
-        np.copyto(pair[0], u_minus.T)
-        np.copyto(pair[1], u_plus.T)
-        pts = gauss_point_values(pair, self.scheme, out=g)  # (2, n+1, n_trans, 3)
+        np.copyto(pair[0], np.swapaxes(u_minus, -1, -2))
+        np.copyto(pair[1], np.swapaxes(u_plus, -1, -2))
+        pts = gauss_point_values(pair, self.scheme, out=g)  # (2, lead, n+1, n_trans, 3)
         h = lf_flux(pts, None, model.flux, alpha, out=sweep.edge)
         np.matmul(h, GAUSS_WEIGHTS, out=face)
         return np.multiply(0.5, face, out=face)

@@ -208,45 +208,90 @@ def test_2d_tendency_makes_one_gauss_pass_per_axis(monkeypatch):
     assert shapes == [(2, 13, 13), (2, 10, 16)]
 
 
-def _full_rows_tendency(op, field):
+def _full_rows_tendency(op, field, alpha=None):
     """The 2D tendency from the public kernels, each sweep over all n_t+6
     padded transverse rows and all n_t+2 Gauss windows, the interior ones
     kept: the full reconstruction, whose bits the operator must keep."""
     filled = fill_ghosts(field, op.bc)
     d = filled.data[0]
     faces = []
-    for rows, flux, alpha in zip((d.T, d), (op.model.fx, op.model.fy),
-                                 max_wave_speed(filled, op.model)):
+    for rows, flux, a in zip((d.T, d), (op.model.fx, op.model.fy),
+                             alpha or max_wave_speed(filled, op.model)):
         u_minus, u_plus = interface_states(rows, op.scheme)
         pts = gauss_point_values(np.stack([u_minus.T, u_plus.T]), op.scheme)
-        face = 0.5 * (lf_flux(pts[0], pts[1], flux.flux, alpha) @ GAUSS_WEIGHTS)
+        face = 0.5 * (lf_flux(pts[0], pts[1], flux.flux, a) @ GAUSS_WEIGHTS)
         faces.append(face[:, 1:-1])
     fx, fy = faces[0], faces[1].T
     return (-(fx[1:] - fx[:-1]) / field.grid.dx) - (fy[:, 1:] - fy[:, :-1]) / field.grid.dy
 
 
-def _periodic_burgers(scheme):
-    grid = Grid2D(-1.0, 1.0, -1.0, 1.0, 11, 11)
-    return _op2d(scheme), grid
+# The largest square grid whose two axes take one stacked pass.
+_STACKED_N = 40
+assert 2 * (_STACKED_N + 1) * _STACKED_N <= solver.STACK_FACES < 2 * (_STACKED_N + 2) * (_STACKED_N + 1)
+
+
+def _periodic_burgers(scheme, n=11):
+    grid = Grid2D(-1.0, 1.0, -1.0, 1.0, n, n)
+    return _op2d(scheme), grid, None
 
 
 def _boundary_layer(scheme):
     problem = get_problem("boundary-layer")
-    return SemiDiscreteOp2D(problem.model, scheme, problem.bc), problem.make_grid((24, 16))
+    return SemiDiscreteOp2D(problem.model, scheme, problem.bc), problem.make_grid((24, 16)), None
 
 
-@pytest.mark.parametrize("case", (_periodic_burgers, _boundary_layer),
-                         ids=("periodic-square", "boundary-layer-24x16"))
+def _mixed_square(scheme):
+    # the axes have different fluxes: one pass per axis
+    return _op2d(scheme, FluxPair2D(BURGERS, ADVECTION)), Grid2D(-1.0, 1.0, -1.0, 1.0, 12, 12), None
+
+
+def _unequal_alpha(scheme):
+    # a stacked pass broadcasts each axis's own alpha over its faces
+    return _op2d(scheme), Grid2D(-1.0, 1.0, -1.0, 1.0, 20, 20), (1.5, 0.75)
+
+
+_CASES_2D = {
+    "periodic-square": _periodic_burgers,
+    "boundary-layer-24x16": _boundary_layer,
+    f"stacked-{_STACKED_N}x{_STACKED_N}": lambda s: _periodic_burgers(s, _STACKED_N),
+    f"per-axis-{_STACKED_N + 1}x{_STACKED_N + 1}": lambda s: _periodic_burgers(s, _STACKED_N + 1),
+    "mixed-square-12x12": _mixed_square,
+    "alpha-1.5-0.75": _unequal_alpha,
+}
+
+
+@pytest.mark.parametrize("case", _CASES_2D.values(), ids=_CASES_2D.keys())
 @pytest.mark.parametrize("scheme", SIX_SCHEMES, ids=lambda s: s.label)
 def test_2d_tendency_matches_full_row_reconstruction(scheme, case):
     # the sweeps reconstruct only the transverse rows and Gauss windows the
-    # faces read; every face keeps the bits of the full reconstruction
-    op, grid = case(scheme)
+    # faces read, both axes of a small square grid in one pass; every face
+    # keeps the bits of the full reconstruction, per axis
+    op, grid, alpha = case(scheme)
     rng = np.random.default_rng(17)
     v = rng.uniform(-1.0, 1.0, (grid.nx, grid.ny))
     v[grid.nx // 3:, : grid.ny // 2] += 2.0                    # two jumps
     for field in (CellField.from_interior(grid, v), CellField.from_interior(grid, v[::-1])):
-        assert same_bits(op(field).interior[0], _full_rows_tendency(op, field))
+        assert same_bits(op(field, alpha=alpha).interior[0], _full_rows_tendency(op, field, alpha))
+
+
+@pytest.mark.parametrize("n, model, shapes", [
+    (_STACKED_N, None, [(2, 2, _STACKED_N + 1, _STACKED_N + 4)]),
+    (_STACKED_N + 1, None, [(2, _STACKED_N + 2, _STACKED_N + 5)] * 2),
+    (12, FluxPair2D(BURGERS, ADVECTION), [(2, 13, 16)] * 2),
+], ids=("stacked", "over-the-cap", "mixed-models"))
+def test_2d_axes_share_a_pass_only_when_they_may(n, model, shapes, monkeypatch):
+    # a square grid with one flux for both axes, and at most STACK_FACES
+    # faces, reconstructs both axes in one Gauss pass; the rest per axis
+    seen = []
+
+    def recording(ubar, *args, **kwargs):
+        seen.append(ubar.shape)
+        return gauss_point_values(ubar, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "gauss_point_values", recording)
+    grid = Grid2D(-1.0, 1.0, -1.0, 1.0, n, n)
+    _op2d(WeightScheme.z(), model)(CellField.from_interior(grid, np.ones((n, n))))
+    assert seen == shapes
 
 
 @pytest.mark.parametrize("model", _MODELS_2D, ids=("advection", "burgers"))

@@ -30,7 +30,9 @@ t = 0 and at its final time where it has one), a set of registry runs
 outflow ghosts), and RK3 stepping where the solver reuses its buffers: 1D
 steps at N = 5 000, 2D Burgers steps at 160², two schemes stepped
 alternately on one 1D shape and on a square 2D grid (whose x and y sweeps
-share workspaces), two Euler schemes stepped alternately on one shape with
+run as one stacked pass), steps of the 2D accuracy study at 10², 20² and
+40², a square grid whose axes have different fluxes, a stacked tendency
+and step given unequal alphas (1.5, 0.75), two Euler schemes stepped alternately on one shape with
 a CFL time step every step, blast-wave steps between reflective walls, 1D
 steps interleaved with 2D steps of five schemes on a grid of unequal
 sides, and plain and recorded tendencies interleaved (a few seconds on one
@@ -114,6 +116,14 @@ UNEQUAL_SCHEMES = (
     WeightScheme.m(),
     WeightScheme.zr(p=2.0),
     WeightScheme.zl(p=2.0, q=2.0),
+)
+# The schemes of the benchmark's accuracy-2d workload.
+ACCURACY_2D_SCHEMES = (
+    WeightScheme.js(),
+    WeightScheme.m(),
+    WeightScheme.z(),
+    WeightScheme.zr(p=2.0),
+    WeightScheme.zl(p=5.0, q=1.0),
 )
 BURGERS_2D = FluxPair2D(BURGERS, BURGERS)
 # The linear weights of the edge pair as a read-only stack: the right-biased
@@ -369,6 +379,26 @@ def stepping(emit):
         for j, op in enumerate(ops):
             sqs[j] = rk3_step(sqs[j], op, dt_sq)
             kept.append((f"alternating/2d/20x20/{op.scheme.label}/step{k}", sqs[j]))
+    # the accuracy study's advected diamond at the sizes whose axes take one
+    # stacked pass (10², 20², 40²), five steps of each of its schemes
+    diamond = get_problem("advection2d-accuracy")
+    for n in (10, 20, 40):
+        v = diamond.initial(diamond.make_grid((n, n)))
+        for s in ACCURACY_2D_SCHEMES:
+            op = SemiDiscreteOp2D(diamond.model, s, diamond.bc)
+            kept.append((f"steps/2d/diamond/{n}x{n}/{s.label}",
+                         trajectory(v, op, 0.4 * v.grid.dx, 5)[-1]))
+    # a square grid whose axes have different fluxes (a pass per axis), and
+    # a tendency and a step of a stacked square grid given unequal alphas
+    mixed = FluxPair2D(BURGERS, ADVECTION)
+    for s in (WeightScheme.z(), WeightScheme.m()):
+        op = SemiDiscreteOp2D(mixed, s, PERIODIC)
+        kept.append((f"steps/2d/mixed/20x20/{s.label}",
+                     trajectory(sq, op, cfl_dt(sq, mixed, 0.4), 3)[-1]))
+        op = SemiDiscreteOp2D(BURGERS_2D, s, PERIODIC)
+        kept += [(f"alpha/2d/20x20/{s.label}/tendency", op(sq, alpha=(1.5, 0.75))),
+                 (f"alpha/2d/20x20/{s.label}/step",
+                  rk3_step(sq, op, dt_sq, alpha=(1.5, 0.75)))]
     # two Euler schemes on one shape, stepped alternately, each with its own
     # CFL time step
     sod = get_problem("sod")
