@@ -8,6 +8,8 @@ solver stages; every operation here returns a new field.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
@@ -46,6 +48,25 @@ def _padded_shape(grid, m):
     return (m, grid.nx + 2 * GHOST, grid.ny + 2 * GHOST)
 
 
+def _cells(a, b, n):
+    """The cell count ``n`` of an axis from ``a`` to ``b`` > ``a`` as an int,
+    if ``n`` is one, the bounds are finite and the cell width is finite and
+    positive; else a :class:`ConfigurationError`."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ConfigurationError(f"a cell count must be an integer, got {n!r}") from None
+    if n < 1:
+        raise ConfigurationError("grid requires at least one cell on each axis")
+    a, b = float(a), float(b)
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ConfigurationError(f"grid bounds must be finite, got {a!r} and {b!r}")
+    width = (b - a) / n                 # inf when b - a overflows
+    if not 0.0 < width < math.inf:
+        raise ConfigurationError(f"the cell width {width!r} must be finite and positive")
+    return n
+
+
 @dataclass(frozen=True)
 class Grid1D:
     a: float
@@ -55,8 +76,7 @@ class Grid1D:
     def __post_init__(self):
         if not self.b > self.a:
             raise ConfigurationError("grid requires b > a")
-        if self.n < 1:
-            raise ConfigurationError("grid requires at least one cell")
+        object.__setattr__(self, "n", _cells(self.a, self.b, self.n))
 
     @property
     def dx(self):
@@ -82,8 +102,8 @@ class Grid2D:
     def __post_init__(self):
         if not (self.bx > self.ax and self.by > self.ay):
             raise ConfigurationError("grid requires bx > ax and by > ay")
-        if self.nx < 1 or self.ny < 1:
-            raise ConfigurationError("grid requires at least one cell per direction")
+        object.__setattr__(self, "nx", _cells(self.ax, self.bx, self.nx))
+        object.__setattr__(self, "ny", _cells(self.ay, self.by, self.ny))
 
     @property
     def dx(self):

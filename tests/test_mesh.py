@@ -353,3 +353,28 @@ def test_field_shape_validation():
     g = Grid1D(0.0, 1.0, 4)
     with pytest.raises(ConfigurationError):
         CellField(g, np.zeros((1, 4)))  # missing ghosts
+
+
+@pytest.mark.parametrize("a, b, n", [
+    (0.0, np.inf, 10),                  # non-finite bound
+    (-np.inf, 0.0, 10),
+    (0.0, 1.0, 10.5),                   # cell counts that are not integers
+    (0.0, 1.0, np.float64(12.0)),
+    (0.0, 1.0, "10"),
+    (-1e308, 1e308, 10),                # b - a overflows: infinite width
+    (0.0, 5e-324, 10),                  # the width rounds to zero
+])
+def test_grids_reject_inputs_that_make_no_cell_width(a, b, n):
+    with pytest.raises(ConfigurationError):
+        Grid1D(a, b, n)
+    with pytest.raises(ConfigurationError):
+        Grid2D(a, b, 0.0, 1.0, n, 4)
+    with pytest.raises(ConfigurationError):
+        Grid2D(0.0, 1.0, a, b, 4, n)
+
+
+def test_grid_cell_counts_are_ints():
+    # numpy integers are accepted and kept as Python ints
+    g = Grid2D(0.0, 1.0, 0.0, 2.0, np.int64(4), np.int32(5))
+    assert type(g.nx) is int and type(g.ny) is int and (g.nx, g.ny) == (4, 5)
+    assert type(Grid1D(0.0, 1.0, np.int64(8)).n) is int
