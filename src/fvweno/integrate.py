@@ -23,11 +23,17 @@ class TimeControl:
     def __post_init__(self):
         if self.mode not in ("cfl", "dt_scale"):
             raise ConfigurationError(f"unknown time-step mode {self.mode!r}")
-        if not 0.0 < self.value < np.inf:
+        if self.mode == "cfl":
+            _check_cfl(self.value)
+        elif not 0.0 < self.value < np.inf:
             raise ConfigurationError("time-step parameter must be positive and finite")
-        if self.mode == "cfl" and self.value > 1.0:
-            raise ConfigurationError("the CFL number must be at most 1, the SSP "
-                                     "coefficient of TVD-RK3")
+
+
+def _check_cfl(cfl):
+    """The one rule for a CFL number, of ``TimeControl`` and ``cfl_dt``."""
+    if not 0.0 < cfl <= 1.0:
+        raise ConfigurationError(f"the CFL number must be positive and at most 1, the SSP "
+                                 f"coefficient of TVD-RK3; got {cfl!r}")
 
 
 def _rk3_buffers(ws, shape):
@@ -47,10 +53,11 @@ def rk3_step(u: CellField, L, dt, observer=None, *, alpha=None) -> CellField:
     unless it records; a recording ``L`` bounds the field itself.
 
     Non-finite values (or an inadmissible state met while evaluating ``L``)
-    raise :class:`DivergenceError` naming the stage.
+    raise :class:`DivergenceError` naming the stage; a ``dt`` that is not
+    positive and finite is a :class:`ConfigurationError`.
     """
-    if not dt > 0.0:
-        raise ConfigurationError("dt must be positive")
+    if not 0.0 < dt < np.inf:
+        raise ConfigurationError(f"dt must be positive and finite; got {dt!r}")
     recorded = observer is not None and hasattr(L, "tendency_recorded")
     grid = u.grid
     u0 = u.data
@@ -100,9 +107,9 @@ def cfl_dt(field: CellField, model, cfl, remaining=None, *, alpha=None):
 
     Clamped to ``remaining`` so the final step lands exactly on the target
     time; a zero wave speed (steady data) returns the remaining time.
+    ``cfl`` obeys the rule of :class:`TimeControl`: 0 < cfl <= 1.
     """
-    if not cfl > 0.0:
-        raise ConfigurationError("cfl must be positive")
+    _check_cfl(cfl)
     if alpha is None:  # the bound's scratch is shared with the operators on this shape
         alpha = max_wave_speed(field, model, out=workspace(field.data.shape))
     if isinstance(field.grid, Grid1D):

@@ -1,6 +1,7 @@
 """TVD-RK3 stepping and time-step control."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -311,3 +312,27 @@ def test_an_inadmissible_state_is_reported_against_the_stage_that_made_it(monkey
     assert str(err.value) == "nonpositive pressure (min -1.674e+01) (step 1, stage 3)"
     assert isinstance(err.value.__cause__, StateError)
     assert calls.count("bound") == 4        # step 1's state and stages, step 2's state
+
+
+def test_cfl_dt_and_time_control_share_one_rule():
+    # a CFL number outside (0, 1] is refused by both, with one message
+    grid = Grid1D(0.0, 1.0, 10)
+    u = CellField.from_interior(grid, np.ones(10))
+    for cfl in (5.0, 1.5, np.inf, np.nan, 0.0, -0.4):
+        with pytest.raises(ConfigurationError, match="CFL number") as from_time:
+            TimeControl("cfl", cfl)
+        with pytest.raises(ConfigurationError, match="CFL number") as from_dt:
+            cfl_dt(u, ADVECTION, cfl, remaining=1.0)
+        assert str(from_time.value) == str(from_dt.value)
+    assert cfl_dt(u, ADVECTION, 1.0) == grid.dx
+
+
+@pytest.mark.parametrize("dt", [np.inf, -np.inf, np.nan])
+def test_rk3_rejects_a_non_finite_dt(dt):
+    grid = Grid1D(-1.0, 1.0, 20)
+    u = cell_average_of(lambda x: np.sin(np.pi * x), grid)
+    op = SemiDiscreteOp1D(ADVECTION, WeightScheme.z(), PERIODIC)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")          # refused before any arithmetic
+        with pytest.raises(ConfigurationError, match="dt must be positive and finite"):
+            rk3_step(u, op, dt)
