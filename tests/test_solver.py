@@ -227,7 +227,8 @@ def _full_rows_tendency(op, field, alpha=None):
 
 # The largest square grid whose two axes take one stacked pass.
 _STACKED_N = 40
-assert 2 * (_STACKED_N + 1) * _STACKED_N <= solver.STACK_FACES < 2 * (_STACKED_N + 2) * (_STACKED_N + 1)
+assert 2 * (_STACKED_N + 1) * _STACKED_N <= solver.STACK_FACES \
+    < 2 * (_STACKED_N + 2) * (_STACKED_N + 1)
 
 
 def _periodic_burgers(scheme, n=11):
@@ -242,7 +243,8 @@ def _boundary_layer(scheme):
 
 def _mixed_square(scheme):
     # the axes have different fluxes: one pass per axis
-    return _op2d(scheme, FluxPair2D(BURGERS, ADVECTION)), Grid2D(-1.0, 1.0, -1.0, 1.0, 12, 12), None
+    grid = Grid2D(-1.0, 1.0, -1.0, 1.0, 12, 12)
+    return _op2d(scheme, FluxPair2D(BURGERS, ADVECTION)), grid, None
 
 
 def _unequal_alpha(scheme):

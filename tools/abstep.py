@@ -22,10 +22,11 @@ once.  A round times, for every target, a pass on each side: in a new
 thread, whose workspaces start empty (so each pass places its buffers
 anew), two untimed steps from the initial data, then ``--steps`` timed
 ones, of which it keeps the fastest.  The side that goes first alternates
-(A B, B A, ...).  Per target the script prints the fastest step of each side over all rounds, the
-median over rounds of the ratio head / base of the round's fastest steps,
-a bootstrap 95 % interval of that median (resampling rounds), and in how
-many rounds the head was faster.  The last line is the same as JSON.
+(A B, B A, ...).  Per target the script prints the fastest step of each
+side over all rounds, the median over rounds of the ratio head / base of
+the round's fastest steps, a bootstrap 95 % interval of that median
+(resampling rounds), and in how many rounds the head was faster.  The
+last line is the same as JSON.
 
 Two copies of one tree (A/A) should give intervals that contain 1; their
 width is the resolution of the host.  BLAS threads are set to 1 before
@@ -81,7 +82,10 @@ def parse_target(text):
     names = {"zr": ("p",), "zl": ("p", "q")}.get(family, ())
     if len(params) > len(names):
         raise SystemExit(f"target {text!r}: {family} takes {len(names)} parameters")
-    return kind, family, {k: float(v) for k, v in zip(names, params)}, int(n)
+    try:
+        return kind, family, {k: float(v) for k, v in zip(names, params)}, int(n)
+    except ValueError:
+        raise SystemExit(f"target {text!r}: parameters must be numbers, N an integer") from None
 
 
 def build_case(pkg, target):
