@@ -26,33 +26,34 @@ from .weno import FAMILIES, WeightScheme
 
 def build_scheme(family, p=None, q=None, eps=None):
     """A scheme of ``family``; a parameter not given takes the family's
-    default from :class:`WeightScheme`, and ``p``/``q`` are dropped for a
-    family that does not read them (only zr reads ``p``, only zl ``q``)."""
+    default from :class:`WeightScheme`, and a ``p`` or ``q`` the family does
+    not read (zr reads p, zl p and q, the others neither) is a configuration
+    error."""
     family = family.lower()
-    reads = FAMILIES[family][1] if family in FAMILIES else {}
-    return WeightScheme(family, eps=eps,
-                        **{k: v for k, v in (("p", p), ("q", q)) if k in reads})
+    for name, value in (("p", p), ("q", q)):
+        if value is not None and family in FAMILIES and name not in FAMILIES[family][1]:
+            raise ConfigurationError(f"{family} does not read {name}")
+    return WeightScheme(family, eps=eps, p=p, q=q)
 
 
 def parse_scheme_list(text):
-    """Parse 'js,m,z,zr:3,zl:2:1' into WeightScheme tuples: zr reads p, zl p
-    and q, and a field more, or one not a number, is a configuration error.
+    """Parse 'js,m,z,zr:3,zl:2:1' into WeightScheme tuples, each token
+    ``family[:p[:q]]`` built by :func:`build_scheme`; an error names its token.
 
     Inside the dissection the js denominator guard defaults to 1e-12.
     """
     out = []
-    for token in text.split(","):
-        family, *fields = token.strip().split(":")
-        family = family.lower()
-        names = [k for k in ("p", "q") if k in FAMILIES.get(family, ("", {}))[1]]
-        if family in FAMILIES and len(fields) > len(names):
-            raise ConfigurationError(f"{token.strip()!r}: {family} takes {len(names)} parameters")
+    for token in map(str.strip, text.split(",")):
+        family, *fields = token.split(":")
+        eps = JS_DISSECT_EPS if family.lower() == "js" else None
         try:
-            values = {k: float(v) for k, v in zip(names, fields)}
+            if len(fields) > 2:
+                raise ConfigurationError("at most two parameters, p and q")
+            out.append(build_scheme(family, *map(float, fields), eps=eps))
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"{token!r}: {exc}") from None
         except ValueError:
-            raise ConfigurationError(f"{token.strip()!r}: parameters must be numbers") from None
-        eps = JS_DISSECT_EPS if family == "js" else None
-        out.append(WeightScheme(family, eps=eps, **values))
+            raise ConfigurationError(f"{token!r}: parameters must be numbers") from None
     return tuple(out)
 
 

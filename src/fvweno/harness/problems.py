@@ -378,7 +378,7 @@ def _boundary_layer(pid, alpha, beta):
         bc=(PERIODIC, PERIODIC, inflow(profile), OUTFLOW),
         default_n=(30, 30),
         tfinal=1.0,
-            make_grid=_grid2d(0.0, 2.0 * math.pi, 0.0, 1.0),
+        make_grid=_grid2d(0.0, 2.0 * math.pi, 0.0, 1.0),
         initial=lambda grid: cell_average_of(lambda x, y: profile(x) + 0.0 * y, grid),
     ))
 

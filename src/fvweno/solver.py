@@ -6,10 +6,11 @@ direction: interface WENO along the normal direction produces line averages
 of the two traces on each face, then one Gauss-point WENO pass over both
 traces, stacked, in the transverse direction converts those to point values
 at the three-node quadrature, so a face flux is the quadrature average of
-pointwise Lax-Friedrichs fluxes.  On a square grid of at most
-:data:`STACK_FACES` faces whose axes share one flux, both axes go through
-each of these calls at once, stacked on a leading axis, each face with the
-alpha of its own axis; every value keeps the bits of one pass per axis.
+pointwise Lax-Friedrichs fluxes.  Each call takes a group of axes stacked
+on a leading axis: both axes of a square grid of at most
+:data:`STACK_FACES` faces whose axes share one flux, each face with the
+alpha of its own axis, else one axis a group; every value keeps the bits
+of one pass per axis.
 """
 
 from __future__ import annotations
@@ -92,41 +93,37 @@ STACK_FACES = 3_280
 
 
 class _Sweep:
-    """Buffers of the face fluxes across the axes of one group: the padded
-    transverse rows the Gauss windows of the faces read, copied in on every
-    call (``rows``), the workspaces, carved from the regions of ``ws``, of
-    the interface sweep and the flux (``edge``) and of the one Gauss pass
-    over both traces (``gauss``), and the two traces stacked for that pass,
-    transposed (``pair``).  ``lead`` is (2,) for a group of both axes, whose
-    blocks follow it, and () for a group of one."""
+    """Buffers of the face fluxes across the k axes of one group, each
+    leading with them: the padded transverse rows the Gauss windows of the
+    faces read, copied in on every call (``rows``), the workspaces, carved
+    from the regions of ``ws``, of the interface sweep and the flux
+    (``edge``) and of the one Gauss pass over both traces (``gauss``), and
+    the two traces stacked for that pass, transposed (``pair``)."""
 
-    def __init__(self, ws, lead, shape):
+    def __init__(self, ws, k, shape):
         self.edge, self.gauss = Workspace(scratch=ws), Workspace(scratch=ws)
-        self.rows = np.empty(lead + shape)
-        self.pair = np.empty((2,) + lead + (shape[1] - 5, shape[0]))
+        self.rows = np.empty((k,) + shape)
+        self.pair = np.empty((2, k, shape[1] - 5, shape[0]))
 
 
 def _sweeps(ws, data, stack):
     """The groups of axes of a padded 2D field buffer ``data`` (1, nx+6,
-    ny+6), one pass each: both axes if ``stack``, else one group per axis
-    (one sweep for both on a square grid).  A group is its sweep, the
-    copies of its axes' padded transverse rows 1..n_trans+4 into it, the
-    index of its axes (0, 1 or all), its face fluxes, shape lead + (n+1,
-    n_trans), and their blocks per axis; then the y-term of the tendency."""
+    ny+6), one pass each: both axes if ``stack``, else one per axis, and
+    groups of equal k and row shape share a sweep.  A group is its sweep,
+    the copies of its axes' padded transverse rows 1..n_trans+4 into it,
+    the slice of its axes and its face fluxes, (k, n+1, n_trans); then the
+    x and y face fluxes, (nx+1, ny) and (nx, ny+1), and the y-term."""
     d = data[0]
     rows = (d.T[1:-1], d[1:-1])
-    if stack:
-        sweep = _Sweep(ws, (2,), rows[0].shape)
-        face = np.empty((2, rows[0].shape[1] - 5, rows[0].shape[0] - 4))
-        groups = [(sweep, tuple(zip(sweep.rows, rows)), slice(None), face, tuple(face))]
-    else:
-        sweep_x = _Sweep(ws, (), rows[0].shape)
-        sweep_y = sweep_x if rows[1].shape == rows[0].shape else _Sweep(ws, (), rows[1].shape)
-        groups = []
-        for axis, (sweep, r) in enumerate(zip((sweep_x, sweep_y), rows)):
-            face = np.empty((r.shape[1] - 5, r.shape[0] - 4))
-            groups.append((sweep, ((sweep.rows, r),), axis, face, (face,)))
-    return groups, np.empty((d.shape[0] - 2 * GHOST, d.shape[1] - 2 * GHOST)), stack, data
+    shared, groups = {}, []
+    for axes in (slice(0, 2),) if stack else (slice(0, 1), slice(1, 2)):
+        r = rows[axes]
+        key = (len(r), r[0].shape)
+        sweep = shared[key] = shared.get(key) or _Sweep(ws, *key)
+        face = np.empty((len(r), r[0].shape[1] - 5, r[0].shape[0] - 4))
+        groups.append((sweep, tuple(zip(sweep.rows, r)), axes, face))
+    fx, fy = [block for *_, face in groups for block in face]
+    return groups, fx, fy.T, np.empty_like(fx[1:]), stack, data
 
 
 @dataclass(frozen=True)
@@ -156,15 +153,12 @@ class SemiDiscreteOp2D:
         b = getattr(ws, "sweeps", None)
         if b is None or b[-1] is not filled.data or b[-2] is not stack:
             b = ws.bind("sweeps", _sweeps, filled.data, stack)
-        groups, dy_term = b[:2]
+        groups, fx, fy, dy_term = b[:4]
         alphas = max_wave_speed(filled, self.model, out=ws) if alpha is None else alpha
-        alphas = np.reshape(alphas, (2, 1, 1, 1))       # broadcast over a stacked jump
-        faces = []
-        for sweep, copies, axes, face, blocks in groups:
-            flux = self.model.fy if axes == 1 else self.model.fx
+        alphas = np.reshape(alphas, (2, 1, 1, 1))       # broadcast over a group's jump
+        for sweep, copies, axes, face in groups:
+            flux = (self.model.fx, self.model.fy)[axes.start]
             self._face_flux(flux, alphas[axes], sweep, copies, face)
-            faces += blocks
-        fx, fy = faces[0], faces[1].T
         out = CellField.zeros(grid, ncomp=1)
         # -(fx[1:] - fx[:-1]) / dx - (fy[:, 1:] - fy[:, :-1]) / dy
         dx_term = out.interior[0]
@@ -176,21 +170,21 @@ class SemiDiscreteOp2D:
         return out
 
     def _face_flux(self, model, alpha, sweep, copies, face):
-        """Face fluxes across the last axis of the rows of a group, shape
-        lead + (n_trans+4, n+6) for n and n_trans interior cells along the
-        normal and transverse axes, written into ``face``, shape lead +
-        (n+1, n_trans)."""
+        """Face fluxes across the last axis of the rows of a group of k axes,
+        shape (k, n_trans+4, n+6) for n and n_trans interior cells along the
+        normal and transverse axes, written into ``face``, shape (k, n+1,
+        n_trans)."""
         for target, rows in copies:
             np.copyto(target, rows)
         # Sweep 1: interface WENO along the normal axis, every row read.
         u_minus, u_plus = interface_states(sweep.rows, self.scheme, out=sweep.edge)
         # Sweep 2: transverse Gauss-point reconstruction of the line averages,
-        # both traces in one pass.  Window k covers rows k..k+4 and is
-        # centered at interior cell k.
+        # both traces in one pass.  Window j covers rows j..j+4 and is
+        # centered at interior cell j.
         g, pair = sweep.gauss, sweep.pair
         np.copyto(pair[0], np.swapaxes(u_minus, -1, -2))
         np.copyto(pair[1], np.swapaxes(u_plus, -1, -2))
-        pts = gauss_point_values(pair, self.scheme, out=g)  # (2, lead, n+1, n_trans, 3)
+        pts = gauss_point_values(pair, self.scheme, out=g)  # (2, k, n+1, n_trans, 3)
         h = lf_flux(pts, None, model.flux, alpha, out=sweep.edge)
         np.matmul(h, GAUSS_WEIGHTS, out=face)
         return np.multiply(0.5, face, out=face)

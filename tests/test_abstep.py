@@ -1,0 +1,31 @@
+"""tools/abstep.py: its targets, and a short run of this checkout against itself."""
+
+import json
+import re
+import runpy
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture(scope="module")
+def abstep():
+    yield runpy.run_path(str(ROOT / "tools" / "abstep.py"))     # its globals, by name
+    for name in [m for m in sys.modules if m.split(".")[0] in ("fvweno_base", "fvweno_head")]:
+        del sys.modules[name]
+
+
+@pytest.mark.parametrize("target", ["4d:z:10", "2d:z", "2d:z:x", "2d:z:1:20", "2d:zl:1:2:3:20"])
+def test_parse_target_names_a_malformed_target(abstep, target):
+    with pytest.raises(SystemExit, match=re.escape(repr(target))):
+        abstep["parse_target"](target)
+
+
+def test_one_checkout_against_itself(abstep, capsys):
+    abstep["main"](["--base", str(ROOT), "--head", str(ROOT), "--rounds", "2", "--steps", "1",
+                    "--target", "sod:z:20", "--target", "2d:z:6"])
+    results = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert {t: r["rounds"] for t, r in results.items()} == {"sod:z:20": 2, "2d:z:6": 2}

@@ -52,6 +52,14 @@ def test_run_rejects_bad_scheme_parameters(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("command", [["run", "burgers1d", "--n", "10"],
+                                     ["converge", "advection1d-accuracy", "--n-list", "10"]])
+def test_a_parameter_the_family_does_not_read_exits_2(command, capsys):
+    # z reads neither p nor q: a --p is refused, not dropped
+    assert main([*command, "--scheme", "z", "--p", "3"]) == 2
+    assert capsys.readouterr().err.startswith("error: z does not read p")
+
+
 def test_run_rejects_non_finite_scheme_parameters(capsys):
     # a configuration error, not a run that diverges at step 6
     rc = main(["run", "burgers1d", "--scheme", "zl", "--q", "inf", "--n", "40"])

@@ -193,21 +193,6 @@ _PROPERTY = settings(deadline=None, derandomize=True, max_examples=20)
 _MODELS_2D = [FluxPair2D(ADVECTION, ADVECTION), FluxPair2D(BURGERS, BURGERS)]
 
 
-def test_2d_tendency_makes_one_gauss_pass_per_axis(monkeypatch):
-    # both traces of a sweep go through one call, stacked on a leading axis,
-    # over the n_trans+4 transverse rows its n_trans windows read
-    shapes = []
-
-    def counting(ubar, *args, **kwargs):
-        shapes.append(ubar.shape)
-        return gauss_point_values(ubar, *args, **kwargs)
-
-    monkeypatch.setattr(solver, "gauss_point_values", counting)
-    grid = Grid2D(-1.0, 1.0, -1.0, 1.0, 12, 9)
-    _op2d(WeightScheme.z())(CellField.from_interior(grid, np.ones((12, 9))))
-    assert shapes == [(2, 13, 13), (2, 10, 16)]
-
-
 def _full_rows_tendency(op, field, alpha=None):
     """The 2D tendency from the public kernels, each sweep over all n_t+6
     padded transverse rows and all n_t+2 Gauss windows, the interior ones
@@ -276,14 +261,17 @@ def test_2d_tendency_matches_full_row_reconstruction(scheme, case):
         assert same_bits(op(field, alpha=alpha).interior[0], _full_rows_tendency(op, field, alpha))
 
 
-@pytest.mark.parametrize("n, model, shapes", [
-    (_STACKED_N, None, [(2, 2, _STACKED_N + 1, _STACKED_N + 4)]),
-    (_STACKED_N + 1, None, [(2, _STACKED_N + 2, _STACKED_N + 5)] * 2),
-    (12, FluxPair2D(BURGERS, ADVECTION), [(2, 13, 16)] * 2),
-], ids=("stacked", "over-the-cap", "mixed-models"))
-def test_2d_axes_share_a_pass_only_when_they_may(n, model, shapes, monkeypatch):
+@pytest.mark.parametrize("nx, ny, model, shapes", [
+    (_STACKED_N, _STACKED_N, None, [(2, 2, _STACKED_N + 1, _STACKED_N + 4)]),
+    (_STACKED_N + 1, _STACKED_N + 1, None, [(2, 1, _STACKED_N + 2, _STACKED_N + 5)] * 2),
+    (12, 12, FluxPair2D(BURGERS, ADVECTION), [(2, 1, 13, 16)] * 2),
+    (12, 9, None, [(2, 1, 13, 13), (2, 1, 10, 16)]),
+], ids=("stacked", "over-the-cap", "mixed-models", "non-square-12x9"))
+def test_2d_axes_share_a_pass_only_when_they_may(nx, ny, model, shapes, monkeypatch):
     # a square grid with one flux for both axes, and at most STACK_FACES
-    # faces, reconstructs both axes in one Gauss pass; the rest per axis
+    # faces, reconstructs both axes in one Gauss pass; the rest per axis.
+    # Both traces of a group go through one call, stacked before its axes,
+    # over the n_trans+4 transverse rows its n_trans windows read.
     seen = []
 
     def recording(ubar, *args, **kwargs):
@@ -291,8 +279,8 @@ def test_2d_axes_share_a_pass_only_when_they_may(n, model, shapes, monkeypatch):
         return gauss_point_values(ubar, *args, **kwargs)
 
     monkeypatch.setattr(solver, "gauss_point_values", recording)
-    grid = Grid2D(-1.0, 1.0, -1.0, 1.0, n, n)
-    _op2d(WeightScheme.z(), model)(CellField.from_interior(grid, np.ones((n, n))))
+    grid = Grid2D(-1.0, 1.0, -1.0, 1.0, nx, ny)
+    _op2d(WeightScheme.z(), model)(CellField.from_interior(grid, np.ones((nx, ny))))
     assert seen == shapes
 
 

@@ -14,7 +14,9 @@ A target is ``KIND:FAMILY[:P[:Q]]:N``:
 - ``burgers2d``: periodic 2D Burgers (``burgers2d``) on N² cells, one
   CFL 0.4 step size from the initial data;
 - ``1d``: periodic 1D advection (``advection1d-accuracy``) on N cells,
-  dt = 0.1 dx.
+  dt = 0.1 dx;
+- ``sod``: the 1D Euler Sod shock tube (``sod``) on N cells, one CFL 0.4
+  step size from the initial data.
 
 FAMILY is js, m, z, zr, zl or linear; P and Q are ZR's p and ZL's p and q
 (``2d:zl:5:1:20`` is the accuracy-2d ZL).  Each tree builds its inputs
@@ -55,6 +57,7 @@ KINDS = {
     "2d": ("advection2d-accuracy", 2, 0.4),
     "burgers2d": ("burgers2d", 2, None),
     "1d": ("advection1d-accuracy", 1, 0.1),
+    "sod": ("sod", 1, None),
 }
 WARMUP = 2
 
