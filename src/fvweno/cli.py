@@ -67,13 +67,22 @@ def _parse_n(text):
     return parts[0] if len(parts) == 1 else tuple(parts)
 
 
-def _add_scheme_args(sub):
+def _add_problem_args(sub):
+    """The options ``run`` and ``converge`` share: the problem, the scheme,
+    the time step, the final time and the output directory."""
+    sub.add_argument("problem", choices=sorted(REGISTRY))
     sub.add_argument("--scheme", required=True, choices=list(FAMILIES))
     sub.add_argument("--p", type=float, default=None,
                      help="zr root exponent / zl logarithm tuner")
     sub.add_argument("--q", type=float, default=None, help="zl power (>= 1)")
     sub.add_argument("--eps", type=float, default=None,
                      help="denominator guard (default 1e-6 js, 1e-40 others)")
+    group = sub.add_mutually_exclusive_group()
+    group.add_argument("--cfl", type=float, default=None)
+    group.add_argument("--dt-scale", type=float, default=None,
+                       help="fixed dt = value * dx")
+    sub.add_argument("--tfinal", type=float, default=None)
+    sub.add_argument("--out", type=str, default=None, help="output directory")
 
 
 def make_parser():
@@ -84,27 +93,14 @@ def make_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     runp = sub.add_parser("run", help="run one registry problem")
-    runp.add_argument("problem", choices=sorted(REGISTRY))
-    _add_scheme_args(runp)
+    _add_problem_args(runp)
     runp.add_argument("--n", type=str, default=None, help="cells, N or NX,NY")
-    group = runp.add_mutually_exclusive_group()
-    group.add_argument("--cfl", type=float, default=None)
-    group.add_argument("--dt-scale", type=float, default=None,
-                       help="fixed dt = value * dx")
-    runp.add_argument("--tfinal", type=float, default=None)
-    runp.add_argument("--out", type=str, default=None, help="output directory")
     runp.add_argument("--no-reference", action="store_true",
                       help="skip the fine-grid reference computation")
 
     conv = sub.add_parser("converge", help="grid-refinement study")
-    conv.add_argument("problem", choices=sorted(REGISTRY))
-    _add_scheme_args(conv)
+    _add_problem_args(conv)
     conv.add_argument("--n-list", type=str, default="10,20,40,80,160")
-    group = conv.add_mutually_exclusive_group()
-    group.add_argument("--cfl", type=float, default=None)
-    group.add_argument("--dt-scale", type=float, default=None)
-    conv.add_argument("--tfinal", type=float, default=None)
-    conv.add_argument("--out", type=str, default=None)
 
     dis = sub.add_parser("dissect", help="single-step Riemann stage analysis")
     dis.add_argument("--nu", type=float, default=0.5, help="Courant number [1e-307, 0.5]")

@@ -136,7 +136,8 @@ def load_fixture(table_id) -> Fixture:
         data_lines.append(line)
     for cells in csv.reader(data_lines):
         if columns is None:
-            columns = [float(c) for c in cells[1:]]
+            # a cell count stays an int, for the builders to pass as given
+            columns = [int(c) if c.isdigit() else float(c) for c in cells[1:]]
             continue
         rows[cells[0]] = [float(c) if c != "" else None for c in cells[1:]]
         quanta[cells[0]] = [print_quantum(c) if c != "" else 0.0 for c in cells[1:]]
@@ -190,13 +191,13 @@ def _build_accuracy(table_id, fixture):
     two_d = table_id.startswith("accuracy-2d")
     problem = "advection2d-accuracy" if two_d else "advection1d-accuracy"
     norm = table_id.rsplit("-", 1)[1]
-    sizes = [int(n) for n in fixture.columns]
+    sizes = fixture.columns
     out = {}
     for label in {label.split("/", 1)[0] for label in fixture.rows}:
         scheme = _ACCURACY_SCHEMES.get(label)
         if scheme is None:
             raise ConfigurationError(f"unknown scheme label {label!r} in {table_id}")
-        report = convergence_study(problem, scheme, [(n, n) if two_d else n for n in sizes])
+        report = convergence_study(problem, scheme, sizes)
         errs, orders = report.errors(norm), report.orders(norm)
         for n in sizes:
             out[(f"{label}/error", float(n))] = errs[n]

@@ -1,4 +1,4 @@
-"""Benchmark problem registry: grids, initial data, exact/reference hooks.
+"""Benchmark problem registry: domains, initial data, exact/reference hooks.
 
 Each entry describes one of the desk-scale experiments: the four 1D scalar
 model fluxes, the Euler shock tubes, and the 2D scalar cases.  Initial data
@@ -93,11 +93,21 @@ class Problem:
     default_n: object
     tfinal: float
     time: TimeControl = TimeControl("cfl", 0.4)
-    make_grid: Callable            # n -> grid
+    domain: tuple                  # (a, b) in 1D, (ax, bx, ay, by) in 2D
     initial: Callable              # grid -> CellField
     exact: Callable | None = None  # (grid, t) -> CellField
     reference_cells: int = 0       # > 0: a fine-grid reference of that many cells
     expensive_reference: bool = False
+
+    def make_grid(self, n):
+        """The grid of ``n`` cells on the domain, ``n`` being N or (NX, NY)
+        in 2D, where N is N x N; the grid checks each count."""
+        if len(self.domain) == 2:
+            return Grid1D(*self.domain, n)
+        counts = (n, n) if np.ndim(n) == 0 else tuple(n)
+        if len(counts) != 2:
+            raise ConfigurationError(f"a 2D problem takes N or NX,NY cells, got {n}")
+        return Grid2D(*self.domain, *counts)
 
 
 REGISTRY: dict = {}
@@ -117,25 +127,6 @@ def get_problem(pid) -> Problem:
         ) from None
 
 
-def _grid1d(a, b):
-    def make(n):
-        if not np.isscalar(n):
-            raise ConfigurationError(f"a 1D problem takes one cell count, got {n}")
-        return Grid1D(a, b, int(n))
-
-    return make
-
-
-def _grid2d(ax, bx, ay, by):
-    def make(n):
-        counts = (n, n) if np.isscalar(n) else tuple(n)
-        if len(counts) != 2:
-            raise ConfigurationError(f"a 2D problem takes N or NX,NY cells, got {n}")
-        return Grid2D(ax, bx, ay, by, *(int(v) for v in counts))
-
-    return make
-
-
 # --- 1D scalar -------------------------------------------------------------
 
 def _sin_exact(grid, t):
@@ -150,7 +141,7 @@ register(Problem(
     default_n=80,
     tfinal=8.0,
     time=TimeControl("dt_scale", 0.1),
-    make_grid=_grid1d(-1.0, 1.0),
+    domain=(-1.0, 1.0),
     initial=lambda grid: _sin_exact(grid, 0.0),
     exact=_sin_exact,
 ))
@@ -171,7 +162,7 @@ register(Problem(
     bc=(PERIODIC, PERIODIC),
     default_n=40,
     tfinal=1.0 / math.pi,
-    make_grid=_grid1d(-1.0, 1.0),
+    domain=(-1.0, 1.0),
     initial=lambda grid: _burgers_exact(grid, 0.0),
     exact=_burgers_exact,
 ))
@@ -183,7 +174,7 @@ register(Problem(
     bc=(OUTFLOW, OUTFLOW),
     default_n=40,
     tfinal=1.0,
-    make_grid=_grid1d(-1.0, 1.0),
+    domain=(-1.0, 1.0),
     initial=lambda grid: step_function_average(grid, 0.0, 2.0, -2.0),
     reference_cells=2001,
 ))
@@ -200,7 +191,7 @@ register(Problem(
     bc=(OUTFLOW, OUTFLOW),
     default_n=40,
     tfinal=0.05,
-    make_grid=_grid1d(-1.0, 1.0),
+    domain=(-1.0, 1.0),
     initial=lambda grid: _stationary_shock(grid, 0.0),
     exact=_stationary_shock,
 ))
@@ -212,7 +203,7 @@ register(Problem(
     bc=(OUTFLOW, OUTFLOW),
     default_n=80,
     tfinal=0.3,
-    make_grid=_grid1d(-1.0, 1.0),
+    domain=(-1.0, 1.0),
     initial=lambda grid: CellField.from_interior(
         grid,
         step_function_average(grid, 0.0, 1.0, 0.0).interior[0]
@@ -249,7 +240,7 @@ def _shock_tube(pid, left, right, tfinal):
         bc=(OUTFLOW, OUTFLOW),
         default_n=200,
         tfinal=tfinal,
-        make_grid=_grid1d(-5.0, 5.0),
+        domain=(-5.0, 5.0),
         initial=lambda grid: exact(grid, 0.0),
         exact=exact,
     ))
@@ -277,7 +268,7 @@ def _shock_entropy(k, default_n, expensive_reference):
         bc=(OUTFLOW, OUTFLOW),
         default_n=default_n,
         tfinal=2.0,
-        make_grid=_grid1d(-5.0, 5.0),
+        domain=(-5.0, 5.0),
         initial=initial,
         reference_cells=2001,
         expensive_reference=expensive_reference,
@@ -302,7 +293,7 @@ register(Problem(
     bc=(REFLECTIVE, REFLECTIVE),
     default_n=400,
     tfinal=0.038,
-    make_grid=_grid1d(0.0, 1.0),
+    domain=(0.0, 1.0),
     initial=_blastwave_ic,
     reference_cells=4001,
     expensive_reference=True,
@@ -329,7 +320,7 @@ register(Problem(
     bc=(PERIODIC, PERIODIC, PERIODIC, PERIODIC),
     default_n=(40, 40),
     tfinal=2.0 / math.pi,
-    make_grid=_grid2d(-2.0, 2.0, -2.0, 2.0),
+    domain=(-2.0, 2.0, -2.0, 2.0),
     initial=lambda grid: _burgers2d_exact(grid, 0.0),
     exact=_burgers2d_exact,
 ))
@@ -363,7 +354,7 @@ register(Problem(
     default_n=(40, 40),
     tfinal=4.0,
     time=TimeControl("dt_scale", 0.4),
-    make_grid=_grid2d(-1.0, 1.0, -1.0, 1.0),
+    domain=(-1.0, 1.0, -1.0, 1.0),
     initial=lambda grid: _diamond_exact(grid, 0.0),
     exact=_diamond_exact,
 ))
@@ -378,7 +369,7 @@ def _boundary_layer(pid, alpha, beta):
         bc=(PERIODIC, PERIODIC, inflow(profile), OUTFLOW),
         default_n=(30, 30),
         tfinal=1.0,
-        make_grid=_grid2d(0.0, 2.0 * math.pi, 0.0, 1.0),
+        domain=(0.0, 2.0 * math.pi, 0.0, 1.0),
         initial=lambda grid: cell_average_of(lambda x, y: profile(x) + 0.0 * y, grid),
     ))
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import math
 import time as _time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -25,7 +26,7 @@ REFERENCE_SCHEME = WeightScheme.m()
 class RunConfig:
     problem: str
     scheme: WeightScheme
-    n: object = None              # cell count (int or (nx, ny)); registry default if None
+    n: object = None              # cells as Problem.make_grid takes them; registry default if None
     cfl: float = None
     dt_scale: float = None
     tfinal: float = None
@@ -34,7 +35,7 @@ class RunConfig:
 
     def resolve(self):
         prob = get_problem(self.problem)
-        n = self.n if self.n is not None else prob.default_n
+        grid = prob.make_grid(prob.default_n if self.n is None else self.n)
         if self.cfl is not None and self.dt_scale is not None:
             raise ConfigurationError("give either cfl or dt-scale, not both")
         if self.dt_scale is not None:
@@ -44,7 +45,7 @@ class RunConfig:
         else:
             tc = prob.time
         tfinal = self.tfinal if self.tfinal is not None else prob.tfinal
-        return prob, n, tc, tfinal
+        return prob, grid, tc, tfinal
 
 
 @dataclass
@@ -65,8 +66,7 @@ def make_operator(prob: Problem, scheme: WeightScheme):
     return op(prob.model, scheme, prob.bc)
 
 
-def solve(prob: Problem, scheme: WeightScheme, n, tc: TimeControl, tfinal):
-    grid = prob.make_grid(n)
+def solve(prob: Problem, scheme: WeightScheme, grid, tc: TimeControl, tfinal):
     op = make_operator(prob, scheme)
     u = prob.initial(grid)
     steps = [0]
@@ -75,7 +75,7 @@ def solve(prob: Problem, scheme: WeightScheme, n, tc: TimeControl, tfinal):
         steps[0] = step
 
     u = integrate_to(u, op, tfinal, tc, step_callback=count)
-    return grid, u, steps[0]
+    return u, steps[0]
 
 
 def restrict_to(fine: CellField, grid):
@@ -102,17 +102,16 @@ def reference_solution(prob: Problem, grid, tfinal=None) -> CellField:
         return prob.exact(grid, tfinal)
     if not prob.reference_cells > 0:
         raise ConfigurationError(f"problem {prob.pid} has no reference strategy")
-    ratio = max(1, int(np.ceil(prob.reference_cells / grid.n)))
-    nfine = grid.n * ratio
-    _, fine, _ = solve(prob, REFERENCE_SCHEME, nfine, prob.time, tfinal)
+    ratio = math.ceil(prob.reference_cells / grid.n)
+    fine, _ = solve(prob, REFERENCE_SCHEME, prob.make_grid(grid.n * ratio), prob.time, tfinal)
     return restrict_to(fine, grid)
 
 
 def run_problem(cfg: RunConfig) -> RunResult:
     """Execute one experiment; write CSVs and a manifest when out_dir is set."""
-    prob, n, tc, tfinal = cfg.resolve()
+    prob, grid, tc, tfinal = cfg.resolve()
     t0 = _time.perf_counter()
-    grid, final, steps = solve(prob, cfg.scheme, n, tc, tfinal)
+    final, steps = solve(prob, cfg.scheme, grid, tc, tfinal)
     wall = _time.perf_counter() - t0
 
     exact = prob.exact(grid, tfinal) if prob.exact is not None else None
@@ -126,7 +125,7 @@ def run_problem(cfg: RunConfig) -> RunResult:
     if compare is not None:
         report = ErrorReport()
         l1, l2, linf = norms(final, compare)
-        report.add(_n_label(n), l1, l2, linf)
+        report.add(_label(grid), l1, l2, linf)
 
     result = RunResult(prob, grid, final, exact, reference, report, steps, wall)
     if cfg.out_dir is not None:
@@ -134,31 +133,30 @@ def run_problem(cfg: RunConfig) -> RunResult:
     return result
 
 
-def _n_label(n):
-    return int(n) if np.isscalar(n) else int(n[0])
+def _label(grid):
+    """A grid's row in an error report: its cells in 1D, along x in 2D."""
+    return grid.n if isinstance(grid, Grid1D) else grid.nx
 
 
 def convergence_study(problem_id, scheme, n_list, time=None, tfinal=None) -> ErrorReport:
-    """Errors and observed orders over a refinement sequence."""
+    """Errors and observed orders over a refinement sequence, each entry of
+    ``n_list`` as :meth:`Problem.make_grid` takes it, in the problem's time
+    control and to its final time unless given."""
+    prob = get_problem(problem_id)
+    time = prob.time if time is None else time
+    tfinal = prob.tfinal if tfinal is None else tfinal
     report = ErrorReport()
     for n in n_list:
-        l1, l2, linf = _study_point(problem_id, scheme, _freeze_n(n),
-                                    time, tfinal)
-        report.add(_n_label(n), l1, l2, linf)
+        grid = prob.make_grid(n)
+        report.add(_label(grid), *_study_point(problem_id, scheme, grid, time, tfinal))
     return report
 
 
-def _freeze_n(n):
-    return int(n) if np.isscalar(n) else tuple(int(v) for v in n)
-
-
 @functools.lru_cache(maxsize=None)
-def _study_point(problem_id, scheme, n, time, tfinal):
+def _study_point(problem_id, scheme, grid, time, tfinal):
     prob = get_problem(problem_id)
-    tc = time if time is not None else prob.time
-    tf = tfinal if tfinal is not None else prob.tfinal
-    grid, final, _ = solve(prob, scheme, n, tc, tf)
-    return norms(final, reference_solution(prob, grid, tf))
+    final, _ = solve(prob, scheme, grid, time, tfinal)
+    return norms(final, reference_solution(prob, grid, tfinal))
 
 
 # --- output files ----------------------------------------------------------

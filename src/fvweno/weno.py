@@ -244,7 +244,7 @@ def smoothness_indicators(window):
     ``window`` has the five cell averages along its last axis; leading axes
     broadcast.  Constant substencils give exactly zero.
     """
-    beta = _indicators(np.asarray(window, dtype=float), Workspace())[..., 0]
+    beta = _indicators(_window(window), Workspace())[..., 0]
     return np.ascontiguousarray(_to_back(beta))
 
 
@@ -413,6 +413,8 @@ def _factor(beta, scheme: WeightScheme, w):
 
 def _weight_views(w, beta, d, axis):
     table = np.asarray(d, dtype=float).T  # linear weights on axis 0, sets on 1
+    if table.ndim not in (1, 2) or len(table) != 3:
+        raise ConfigurationError(f"d has shape (3,) or (k, 3), not {np.shape(d)}")
     extra = table.shape[1:]
     shape = (3,) + extra + beta.shape[1:]
     table = table.reshape(table.shape + (1,) * (len(shape) - table.ndim))  # broadcasting
@@ -452,10 +454,12 @@ def nonlinear_weights(beta, scheme: WeightScheme, d=D_EDGE, axis=-1, *, out=None
     is called with the same read-only table ``d``, as the module's are.
     """
     beta = np.asarray(beta, dtype=float)
+    if axis not in (0, -1):
+        raise ConfigurationError(f"triples lie along axis 0 or -1, not {axis!r}")
+    if beta.shape[axis:][:1] != (3,):
+        raise ConfigurationError(f"triples of three along axis {axis}, not shape {beta.shape}")
     if axis == -1:
         beta = beta.transpose((beta.ndim - 1,) + tuple(range(beta.ndim - 1)))
-    elif axis != 0:
-        raise ConfigurationError(f"triples lie along axis 0 or -1, not {axis!r}")
     w = Workspace() if out is None else out
     family = scheme.family
     if family != "linear":
@@ -635,6 +639,8 @@ def gauss_point_values(ubar, scheme: WeightScheme, *, out=None):
     """
     w = Workspace() if out is None else out
     u = np.ascontiguousarray(ubar, dtype=float)
+    if u.shape[-1:] < (5,):
+        raise ConfigurationError("rows too short for a 5-cell stencil")
     omega = _gauss_weights(_indicators(u, w), scheme, w)
     b = getattr(w, "values", None)
     if b is None or b[-1] is not u:

@@ -1,4 +1,5 @@
-"""tools/abstep.py: its targets, and a short run of this checkout against itself."""
+"""tools/abstep.py: its targets, its interval, and a short run of this checkout
+against itself."""
 
 import json
 import re
@@ -6,6 +7,7 @@ import runpy
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -29,3 +31,18 @@ def test_one_checkout_against_itself(abstep, capsys):
                     "--target", "sod:z:20", "--target", "2d:z:6"])
     results = json.loads(capsys.readouterr().out.splitlines()[-1])
     assert {t: r["rounds"] for t, r in results.items()} == {"sod:z:20": 2, "2d:z:6": 2}
+
+
+def test_interval_resamples_blocks_of_adjacent_rounds(abstep):
+    # a busy phase over 10 adjacent rounds of 32: resampled as blocks it
+    # widens the interval, which single rounds drawn apart would not show
+    gen = np.random.default_rng(5)
+    base = 1.0 + 0.01 * gen.random(32)
+    head = base * (1.0 + 0.004 * gen.standard_normal(32))
+    head[11:21] *= 1.03
+    ratios = head / base
+    picks = np.random.default_rng(0).integers(0, 32, size=(10_000, 32))
+    single = np.percentile(np.median(ratios[picks], axis=1), [2.5, 97.5])
+    low, high = abstep["summarize"](base, head, np.random.default_rng(0))["ci95"]
+    assert low <= np.median(ratios) <= high
+    assert high - low > single[1] - single[0]

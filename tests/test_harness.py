@@ -8,7 +8,14 @@ from fvweno.harness import golden as golden_mod
 from fvweno.harness.golden import golden_check, load_fixture, print_quantum
 from fvweno.harness.norms import ErrorReport, convergence_order, norms
 from fvweno.harness.problems import get_problem, solve_characteristics
-from fvweno.harness.runs import RunConfig, reference_solution, restrict_to, run_problem
+from fvweno.harness.runs import (
+    RunConfig,
+    _study_point,
+    convergence_study,
+    reference_solution,
+    restrict_to,
+    run_problem,
+)
 from fvweno.mesh import CellField, Grid1D
 from fvweno.weno import WeightScheme
 
@@ -163,6 +170,38 @@ def test_run_problem_euler_csv_schema(tmp_path):
     run_problem(cfg)
     header = (tmp_path / "solution.csv").read_text().splitlines()[0]
     assert header == "x,rho,momentum,energy"
+
+
+# cell counts that are not integers, each on a problem that takes its form
+BAD_COUNTS = [("burgers1d", "12"), ("burgers1d", np.float64(12.0)), ("burgers1d", 10.7),
+              ("burgers2d", (8.5, 8))]
+
+
+@pytest.mark.parametrize("pid, n", BAD_COUNTS, ids=["str", "float64", "fraction", "pair"])
+def test_a_count_that_is_not_an_integer_is_refused(pid, n):
+    # the grid is the one owner of the rule; nothing on the way truncates
+    with pytest.raises(ConfigurationError, match="must be an integer"):
+        get_problem(pid).make_grid(n)
+    with pytest.raises(ConfigurationError, match="must be an integer"):
+        run_problem(RunConfig(pid, WeightScheme.z(), n=n, with_reference=False))
+    with pytest.raises(ConfigurationError, match="must be an integer"):
+        convergence_study(pid, WeightScheme.z(), [n])
+
+
+def test_equal_grids_share_one_study_point():
+    # the memo keys on the grid and the resolved time control, not on how
+    # the count or the default time was spelled
+    scheme = WeightScheme.z()
+    _study_point.cache_clear()
+    square = convergence_study("advection2d-accuracy", scheme, [6])
+    assert convergence_study("advection2d-accuracy", scheme, [(6, 6)]).rows == square.rows
+    prob = get_problem("advection1d-accuracy")
+    line = convergence_study("advection1d-accuracy", scheme, [np.int64(10)])
+    assert convergence_study("advection1d-accuracy", scheme, [10], time=prob.time,
+                             tfinal=prob.tfinal).rows == line.rows
+    info = _study_point.cache_info()
+    assert (info.hits, info.misses) == (2, 2)
+    assert [row[0] for row in square.rows + line.rows] == [6, 10]
 
 
 def test_conflicting_time_controls_rejected():

@@ -494,6 +494,33 @@ def test_scheme_validation():
         WeightScheme.js(eps=0.0)
 
 
+# --- the shapes the single-window helpers and the kernels take ----------------
+
+@pytest.mark.parametrize("window", [np.arange(7.0), [1.0, 2.0, 3.0], np.ones((2, 4))])
+def test_smoothness_indicators_take_five_cell_windows(window):
+    with pytest.raises(ConfigurationError, match="five cell averages"):
+        smoothness_indicators(window)
+
+
+@pytest.mark.parametrize("shape", [(1, 3), (4,), ()])
+def test_gauss_point_values_refuse_rows_shorter_than_a_window(shape):
+    with pytest.raises(ConfigurationError, match="too short"):
+        weno.gauss_point_values(np.ones(shape), WeightScheme.z())
+
+
+@pytest.mark.parametrize("scheme", SIX_SCHEMES, ids=lambda s: s.label)
+@pytest.mark.parametrize("beta, kwargs", [
+    (np.ones((4, 2)), {}),
+    (np.ones((4, 4)), {}),
+    (np.ones((2, 4)), {"axis": 0}),
+    (np.ones((4, 3)), {"d": [0.5, 0.5]}),
+    (np.ones(3), {"d": np.full((3, 2), 0.5)}),
+], ids=["pairs", "quadruples", "pairs-on-axis-0", "d-pair", "d-of-pairs"])
+def test_nonlinear_weights_refuse_what_is_not_a_triple(scheme, beta, kwargs):
+    with pytest.raises(ConfigurationError):
+        nonlinear_weights(beta, scheme, **kwargs)
+
+
 @pytest.mark.parametrize("family, label", [
     ("js", "JS"), ("m", "M"), ("z", "Z"), ("zr", "ZR(p=2)"), ("zl", "ZL(p=1,q=1)"),
     ("linear", "Linear")])

@@ -26,9 +26,13 @@ anew), two untimed steps from the initial data, then ``--steps`` timed
 ones, of which it keeps the fastest.  The side that goes first alternates
 (A B, B A, ...).  Per target the script prints the fastest step of each
 side over all rounds, the median over rounds of the ratio head / base of
-the round's fastest steps, a bootstrap 95 % interval of that median
-(resampling rounds), and in how many rounds the head was faster.  The
-last line is the same as JSON.
+the round's fastest steps, a bootstrap 95 % interval of that median, and
+in how many rounds the head was faster.  The last line is the same as JSON.
+
+A busy phase of the host spans several adjacent rounds, so the bootstrap
+resamples blocks of ceil(sqrt(R)) adjacent rounds of the R (a moving-block
+bootstrap): resampling single rounds would treat the rounds of one phase
+as independent and give too narrow an interval.
 
 Two copies of one tree (A/A) should give intervals that contain 1; their
 width is the resolution of the host.  BLAS threads are set to 1 before
@@ -41,6 +45,7 @@ import argparse
 import gc
 import importlib.util
 import json
+import math
 import os
 import sys
 import threading
@@ -126,11 +131,14 @@ def build_case(pkg, target):
 
 
 def summarize(base, head, rng, resamples=10_000):
-    """Fastest steps, the median per-round ratio head / base, its bootstrap
-    95 % interval, and the rounds the head was faster in."""
+    """Fastest steps, the median per-round ratio head / base, its moving-block
+    bootstrap 95 % interval, and the rounds the head was faster in."""
     base, head = np.asarray(base), np.asarray(head)
     ratios = head / base
-    picks = rng.integers(0, len(ratios), size=(resamples, len(ratios)))
+    rounds = len(ratios)
+    block = math.ceil(math.sqrt(rounds))
+    starts = rng.integers(0, rounds - block + 1, size=(resamples, math.ceil(rounds / block), 1))
+    picks = (starts + np.arange(block)).reshape(resamples, -1)[:, :rounds]
     medians = np.median(ratios[picks], axis=1)
     low, high = np.percentile(medians, [2.5, 97.5])
     return {"base_min_us": base.min() * 1e6, "head_min_us": head.min() * 1e6,
