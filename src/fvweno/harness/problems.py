@@ -232,7 +232,7 @@ def _shock_tube(pid, left, right, tfinal):
             rho, u, P = fan.sample(xq.ravel() / t)
             return EULER.conserved(rho, u, P).reshape(3, *xq.shape)
 
-        return CellField.from_interior(grid, gauss_average(conserved, grid.centers(), grid.dx))
+        return cell_average_of(conserved, grid)
 
     register(Problem(
         pid=pid,

@@ -141,14 +141,19 @@ def _label(grid):
 def convergence_study(problem_id, scheme, n_list, time=None, tfinal=None) -> ErrorReport:
     """Errors and observed orders over a refinement sequence, each entry of
     ``n_list`` as :meth:`Problem.make_grid` takes it, in the problem's time
-    control and to its final time unless given."""
+    control and to its final time unless given.  Sizes whose rows would
+    share a label are refused before any solve."""
     prob = get_problem(problem_id)
     time = prob.time if time is None else time
     tfinal = prob.tfinal if tfinal is None else tfinal
-    report = ErrorReport()
+    grids = {}
     for n in n_list:
         grid = prob.make_grid(n)
-        report.add(_label(grid), *_study_point(problem_id, scheme, grid, time, tfinal))
+        if grids.setdefault(_label(grid), grid) is not grid:
+            raise ConfigurationError(f"two sizes of the study share the row label {_label(grid)}")
+    report = ErrorReport()
+    for label, grid in grids.items():
+        report.add(label, *_study_point(problem_id, scheme, grid, time, tfinal))
     return report
 
 

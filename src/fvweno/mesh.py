@@ -269,7 +269,7 @@ def _ghost_steps(v, n, sides, inflow=None):
 
 
 def _fill_views(w, grid, bc, shape):
-    d = w.result("filled", 0, shape)
+    d = np.empty(shape)
     if isinstance(grid, Grid1D):
         steps = _ghost_steps(d, grid.n, _normalize_bc(bc, 2),
                              lambda profile, s: gauss_average(

@@ -112,8 +112,10 @@ class FluxPair2D:
     fy: ScalarFluxModel
 
     def speed_bound(self, u, out=None):
-        """The pair (alpha_x, alpha_y) of directional bounds."""
-        return self.fx.speed_bound(u, out), self.fy.speed_bound(u, out)
+        """The pair (alpha_x, alpha_y) of directional bounds; a flux shared
+        by both axes is bounded once."""
+        alpha_x = self.fx.speed_bound(u, out)
+        return alpha_x, alpha_x if self.fy is self.fx else self.fy.speed_bound(u, out)
 
 
 @dataclass(frozen=True)
@@ -129,15 +131,14 @@ class EulerModel:
         return np.stack([rho, rho * u, E])
 
     def primitive(self, U):
-        rho = U[0]
-        u = U[1] / rho
-        P = (GAMMA - 1.0) * (U[2] - 0.5 * U[1] * u)
-        return rho, u, P
+        """Primitives (rho, u, P) of ``U``, u and P in fresh arrays."""
+        w = np.empty(np.shape(U))
+        return self._primitive_into(U, w[1, ...], w[2, ...])
 
     @staticmethod
     def _primitive_into(U, u, P):
-        """primitive(U), with u and P written into the arrays ``u`` and
-        ``P`` in numpy's order of evaluation."""
+        """(rho, u, P) of ``U``: u = U1 / rho and P = (GAMMA - 1) (U2 - 0.5 U1 u)
+        written into the arrays ``u`` and ``P`` in numpy's order of evaluation."""
         np.divide(U[1], U[0], out=u)
         np.multiply(0.5, U[1], out=P)
         np.multiply(P, u, out=P)
@@ -204,7 +205,7 @@ def _lf_views(w, a, b):
         stacked = shape[:axis] + (2,) + shape[axis:]
         stack, f, jump = w.take("lf", stacked, stacked, shape)
         copies = tuple(zip(_halves(stack, axis), pair))
-    return w.result("lf", 0, shape), stack, f, jump, _halves(f, axis), copies, axis, *pair, a, b
+    return np.empty(shape), stack, f, jump, _halves(f, axis), copies, axis, *pair, a, b
 
 
 def lf_flux(a, b, flux, alpha, *, out=None):

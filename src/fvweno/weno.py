@@ -314,13 +314,10 @@ def _henrick_views(w, omega):
     return g, den, _rows(g), omega
 
 
-def _henrick(omega, coefficients, w):
-    """:func:`henrick_map` of the weights ``omega`` (3, ...) from the d-only
-    ``coefficients``, in its order of evaluation: the values and their rows."""
-    b = getattr(w, "henrick", None)
-    if b is None or b[-1] is not omega:
-        b = w.bind("henrick", _henrick_views, omega)
-    g, den, rows, _ = b
+def _henrick(omega, coefficients, g, den):
+    """:func:`henrick_map` of ``omega`` from the d-only ``coefficients``
+    into ``g``, with ``den`` as scratch, in numpy's order of evaluation of
+    omega ((d + d d) - 3 d omega + omega omega) / (d d + (1 - 2 d) omega)."""
     three_d, d_dd, dd, one_2d = coefficients
     np.multiply(three_d, omega, out=g)
     np.subtract(d_dd, g, out=g)
@@ -329,15 +326,16 @@ def _henrick(omega, coefficients, w):
     np.multiply(omega, g, out=g)
     np.multiply(one_2d, omega, out=den)
     np.add(dd, den, out=den)
-    return np.divide(g, den, out=g), rows
+    return np.divide(g, den, out=g)
 
 
 def henrick_map(omega, d):
-    """Henrick mapping g(omega); fixes d, 0 and 1, flattens near omega=d."""
-    omega = np.asarray(omega, dtype=float)
-    d = np.asarray(d, dtype=float)
-    return (omega * ((d + d * d) - 3.0 * d * omega + omega * omega)
-            / (d * d + (1.0 - 2.0 * d) * omega))
+    """Henrick mapping g(omega) of the M weights (Henrick, Aslam & Powers
+    2005, JCP 207); fixes d, 0 and 1, flattens near omega=d.  The kernel's
+    sequence on fresh arrays of the broadcast shape: the kernel's bits."""
+    omega, d = np.broadcast_arrays(np.asarray(omega, dtype=float), np.asarray(d, dtype=float))
+    g = _henrick(omega, _henrick_coefficients(d), np.empty(omega.shape), np.empty(omega.shape))
+    return g[()]    # a scalar for 0-d inputs, as numpy's arithmetic gives
 
 
 def _normalize(rows, alpha, total, out):
@@ -477,8 +475,11 @@ def nonlinear_weights(beta, scheme: WeightScheme, d=D_EDGE, axis=-1, *, out=None
         combine(table, factor[phi_at], out=omega)
         _normalize(rows, omega, total, omega)
         if family == "m":
-            g, g_rows = _henrick(omega, coefficients, w)
-            _normalize(g_rows, g, total, omega)
+            h = getattr(w, "henrick", None)
+            if h is None or h[-1] is not omega:
+                h = w.bind("henrick", _henrick_views, omega)
+            g, den, g_rows, _ = h
+            _normalize(g_rows, _henrick(omega, coefficients, g, den), total, omega)
     return result if axis == 0 else np.ascontiguousarray(result)
 
 
@@ -577,7 +578,7 @@ def _combine(u, table, omega, w, out):
 
 
 def _trace_views(w, u):
-    v = w.result("trace", 0, (2,) + u.shape[:-1] + (u.shape[-1] - 4,))
+    v = np.empty((2,) + u.shape[:-1] + (u.shape[-1] - 4,))
     return v, (v[0, ..., :-1], v[1, ..., 1:]), u
 
 
@@ -623,7 +624,7 @@ def interface_states(upad, scheme: WeightScheme, record=False, *, out=None):
 
 
 def _value_views(w, u):
-    vals = w.result("values", 0, u.shape[:-1] + (u.shape[-1] - 4, 3))
+    vals = np.empty(u.shape[:-1] + (u.shape[-1] - 4, 3))
     return vals, np.moveaxis(vals, -1, 0), u
 
 

@@ -12,7 +12,9 @@ model's wave-speed bound its scratch.
 
 The lifetime rule.  Results are never shared: the ``out*`` buffers, the
 interface traces, the ghost-filled field, the Lax-Friedrichs flux and
-whatever an operator keeps in a workspace have memory of their own.  The
+whatever an operator keeps in a workspace have memory of their own.  A
+kernel's result is made when its layer binds, so a layer bound anew hands
+out a new array and what it handed out before stays as it was.  The
 temporaries of a reconstruction (indicators, weight factor, weights, the
 Henrick map, candidates) and of the wave-speed bound and the Lax-Friedrichs
 flux are carved from three regions of memory, as
@@ -89,7 +91,8 @@ class Workspace:
     its layer: a tuple of the buffers, then the views, then what the views
     are bound to, made by :meth:`bind` when a call finds it missing or
     bound to other arrays.  A layer named in :data:`LAYOUT` makes its
-    temporaries with :meth:`take`.
+    temporaries with :meth:`take`, and a layer with a result makes it anew
+    with ``np.empty``.
     """
 
     def __init__(self, scratch=None):
@@ -124,14 +127,6 @@ class Workspace:
         return [None if p is None
                 else memory[p[0]][p[1]:p[1] + math.prod(p[2])].reshape(p[2])
                 for p in placed]
-
-    def result(self, layer, index, shape):
-        """The result buffer at ``index`` of the binding of ``layer`` if it
-        has ``shape``, else a new one: a layer bound anew keeps its results.
-        """
-        old = self.__dict__.get(layer)
-        buffer = None if old is None else old[index]
-        return buffer if buffer is not None and buffer.shape == shape else np.empty(shape)
 
     def bind(self, layer, build, *args):
         """Bind ``layer`` anew: ``build(self, *args)`` makes its buffers,

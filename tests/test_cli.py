@@ -89,6 +89,12 @@ def test_bad_cell_counts_exit_2(args, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_converge_refuses_sizes_that_share_a_label(capsys):
+    rc = main(["converge", "advection1d-accuracy", "--scheme", "z", "--n-list", "10,10"])
+    assert rc == 2
+    assert "row label 10" in capsys.readouterr().err
+
+
 def test_unknown_problem_exits_2():
     with pytest.raises(SystemExit) as err:
         main(["run", "not-a-problem", "--scheme", "z"])

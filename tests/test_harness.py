@@ -204,6 +204,18 @@ def test_equal_grids_share_one_study_point():
     assert [row[0] for row in square.rows + line.rows] == [6, 10]
 
 
+@pytest.mark.parametrize("pid, sizes, label", [
+    ("advection2d-accuracy", [(6, 6), (6, 12)], 6),     # a row is labelled by nx
+    ("advection1d-accuracy", [10, 20, 10], 10),
+], ids=["2d-same-nx", "1d-repeated"])
+def test_sizes_whose_rows_would_share_a_label_are_refused(pid, sizes, label):
+    # every grid is built and checked before the first solve
+    _study_point.cache_clear()
+    with pytest.raises(ConfigurationError, match=f"row label {label}$"):
+        convergence_study(pid, WeightScheme.z(), sizes)
+    assert _study_point.cache_info().misses == 0
+
+
 def test_conflicting_time_controls_rejected():
     cfg = RunConfig("burgers1d", WeightScheme.z(), cfl=0.4, dt_scale=0.1)
     with pytest.raises(ConfigurationError):

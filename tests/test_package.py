@@ -7,14 +7,20 @@ import types
 from pathlib import Path
 
 import fvweno
+import fvweno.harness
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def test_all_exports_resolve_and_hold_no_modules():
-    for name in fvweno.__all__:
-        value = getattr(fvweno, name)
-        assert not isinstance(value, types.ModuleType), name
+    for package in (fvweno, fvweno.harness):
+        for name in package.__all__:
+            value = getattr(package, name)
+            assert not isinstance(value, types.ModuleType), (package.__name__, name)
+    assert fvweno.harness.__all__ == [
+        "ErrorReport", "Problem", "REGISTRY", "RunConfig", "RunResult", "available_tables",
+        "convergence_order", "convergence_study", "get_problem", "golden_check", "norms",
+        "reference_solution", "run_problem"]
 
 
 def _perfbench_module(name):

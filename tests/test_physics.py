@@ -15,6 +15,7 @@ from fvweno.physics import (
     QUARTIC_NONCONVEX,
     EulerModel,
     FluxPair2D,
+    ScalarFluxModel,
     exact_riemann,
     lf_flux,
     max_wave_speed,
@@ -146,10 +147,31 @@ def test_max_wave_speed_flux_pair_2d():
     assert max_wave_speed(field, FluxPair2D(BURGERS, ADVECTION)) == (1.5, 1.0)
 
 
+def test_a_flux_shared_by_both_axes_is_bounded_once():
+    calls = []
+
+    def bound(u, out=None):
+        calls.append(u.shape)
+        return 2.0
+
+    shared = ScalarFluxModel("spy", BURGERS.flux, BURGERS.dflux, bound)
+    field = CellField.from_interior(Grid2D(0.0, 1.0, 0.0, 1.0, 3, 2), np.ones((1, 3, 2)))
+    assert max_wave_speed(field, FluxPair2D(shared, shared)) == (2.0, 2.0)
+    assert calls == [(1, 3, 2)]
+
+
 def test_max_wave_speed_sod_initial():
     U = np.stack([EULER.conserved(1.0, 0.0, 1.0),
                   EULER.conserved(0.125, 0.0, 0.1)], axis=1)
     assert max_wave_speed(_field(U), EULER) == pytest.approx(np.sqrt(1.4))
+
+
+def test_primitive_is_the_validated_primitives_bit_for_bit():
+    rng = np.random.default_rng(7)
+    U = EULER.conserved(rng.uniform(0.1, 3.0, 40), rng.normal(size=40),
+                        rng.uniform(0.05, 5.0, 40))
+    for got, want in zip(EULER.primitive(U), EULER.validate(U)):
+        assert same_bits(got, want)
 
 
 def test_euler_validate_checks_density_then_pressure():

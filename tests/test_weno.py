@@ -114,6 +114,17 @@ def test_henrick_map_known_value():
     assert henrick_map(1 / 7, 0.1) == pytest.approx(143 / 1421, rel=1e-14)
 
 
+@pytest.mark.parametrize("shape, d", [((500, 3), D_EDGE), ((3, 500), D_EDGE[:, None]),
+                                      ((3,), D_EDGE), ((), 0.1)],
+                         ids=["rows", "columns", "triple", "0-d"])
+def test_henrick_map_is_the_kernels_map_bit_for_bit(shape, d):
+    # the kernel's sequence on a workspace's buffers, as the M weights run it
+    omega = np.random.default_rng(3).uniform(0.0, 1.0, shape)
+    g, den = weno.Workspace().take("henrick", shape, shape)
+    kernel = weno._henrick(omega, weno._henrick_coefficients(np.asarray(d)), g, den)
+    assert same_bits(henrick_map(omega, d), kernel)
+
+
 def test_m_weights_zero_indicators():
     np.testing.assert_allclose(nonlinear_weights(np.zeros(3), WeightScheme.m()), D_EDGE,
                                atol=1e-15)

@@ -17,6 +17,8 @@ differing values, the largest |difference| and the largest
     PYTHONPATH=src python tools/fingerprint.py --save before.npz > before.txt
     PYTHONPATH=src python tools/fingerprint.py --compare before.npz after.npz
 
+``--compare`` exits 1 when any name differs and 0 when none does.
+
 It covers the reconstruction kernels on seeded rows, also with two inputs
 alternated on one workspace, the M weights with two linear-weight tables
 alternated on one workspace, the Henrick map, the model fluxes, wave-speed
@@ -157,7 +159,7 @@ def printer(saved=None):
 def compare(before, after):
     """Print, per name whose bits differ between two ``--save`` files, the
     count of differing values, max |after - before| and max |after -
-    before| / |before|; then how many names differ."""
+    before| / |before|; then how many names differ, which it returns."""
     a, b = np.load(before), np.load(after)
     names = list(a.files) + [n for n in b.files if n not in a.files]
     moved = 0
@@ -187,6 +189,7 @@ def compare(before, after):
         print(f"{name} {count}/{x.size} values, max|d| {np.nanmax(delta):.3e}, "
               f"max|d|/|ref| {np.nanmax(rel):.3e}")
     print(f"{moved} of {len(names)} names differ")
+    return moved
 
 
 def kernels(emit):
@@ -451,8 +454,7 @@ def main(argv=None):
                         help="list what differs between two saved runs, A the reference")
     args = parser.parse_args(argv)
     if args.compare:
-        compare(*args.compare)
-        return
+        return 1 if compare(*args.compare) else 0
     saved = {} if args.save else None
     emit = printer(saved)
     for part in (kernels, models, dissection, registry, runs, stepping):
@@ -462,4 +464,4 @@ def main(argv=None):
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())
