@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -9,7 +10,10 @@ import numpy as np
 from .errors import ConfigurationError, DivergenceError, StateError
 from .mesh import CellField, Grid1D
 from .physics import max_wave_speed
-from .workspace import workspace
+from .workspace import const, workspace
+
+# the 0-d operands of the stages (call convention of .workspace)
+_THREE_QUARTERS, _QUARTER, _THREE, _TWO_THIRDS = map(const, (0.75, 0.25, 3.0, 2.0 / 3.0))
 
 
 @dataclass(frozen=True)
@@ -37,7 +41,9 @@ def _check_cfl(cfl):
 
 
 def _rk3_buffers(ws, shape):
-    return np.empty(shape), np.empty(shape, dtype=bool)
+    # a stage's term, the finiteness mask, and a 0-d buffer of a multiple
+    # of dt, filled right before each use
+    return np.empty(shape), np.empty(shape, dtype=bool), np.empty(())
 
 
 def rk3_step(u: CellField, L, dt, observer=None, *, alpha=None) -> CellField:
@@ -63,7 +69,7 @@ def rk3_step(u: CellField, L, dt, observer=None, *, alpha=None) -> CellField:
     u0 = u.data
 
     ws = workspace(u0.shape)
-    term, finite = getattr(ws, "rk3", None) or ws.bind("rk3", _rk3_buffers, u0.shape)
+    term, finite, scaled_dt = getattr(ws, "rk3", None) or ws.bind("rk3", _rk3_buffers, u0.shape)
 
     def tend(field, stage, **given):
         try:
@@ -76,7 +82,9 @@ def rk3_step(u: CellField, L, dt, observer=None, *, alpha=None) -> CellField:
         return Lu.data, rec
 
     def stage_field(data, stage, rec):
-        if not np.isfinite(data, out=finite).all():
+        # one reduction; a sum that is not finite (NaN or inf in the data,
+        # or finite values whose sum overflows) is checked value by value
+        if not math.isfinite(np.add.reduce(data, None)) and not np.isfinite(data, finite).all():
             raise DivergenceError("non-finite values", stage=stage)
         # a float array of u's shape: no re-validation between stages
         field = CellField._of(grid, data)
@@ -87,18 +95,22 @@ def rk3_step(u: CellField, L, dt, observer=None, *, alpha=None) -> CellField:
     def update(first, c1, prev, c_dt, Lu):
         # (first + c1 prev) + (c_dt dt) Lu, numpy's order of evaluation, into
         # the fresh stage array ``first``
-        np.multiply(c1, prev, out=term)
-        np.add(first, term, out=first)
-        np.multiply(c_dt * dt, Lu, out=term)
-        return np.add(first, term, out=first)
+        np.multiply(c1, prev, term)
+        np.add(first, term, first)
+        scaled_dt[()] = c_dt * dt
+        np.multiply(scaled_dt, Lu, term)
+        return np.add(first, term, first)
 
     Lu, rec = tend(u, 1) if alpha is None else tend(u, 1, alpha=alpha)
-    u1 = np.multiply(dt, Lu)
-    u1 = stage_field(np.add(u0, u1, out=u1), 1, rec)
+    scaled_dt[()] = dt
+    u1 = np.multiply(scaled_dt, Lu)
+    u1 = stage_field(np.add(u0, u1, u1), 1, rec)
     Lu, rec = tend(u1, 2)
-    u2 = stage_field(update(np.multiply(0.75, u0), 0.25, u1.data, 0.25, Lu), 2, rec)
+    u2 = stage_field(update(np.multiply(_THREE_QUARTERS, u0), _QUARTER, u1.data, 0.25, Lu),
+                     2, rec)
     Lu, rec = tend(u2, 3)
-    return stage_field(update(np.divide(u0, 3.0), 2.0 / 3.0, u2.data, 2.0 / 3.0, Lu), 3, rec)
+    return stage_field(update(np.divide(u0, _THREE), _TWO_THIRDS, u2.data, 2.0 / 3.0, Lu),
+                       3, rec)
 
 
 def cfl_dt(field: CellField, model, cfl, remaining=None, *, alpha=None):
@@ -120,7 +132,7 @@ def cfl_dt(field: CellField, model, cfl, remaining=None, *, alpha=None):
         dt = cfl / denom if denom > 0.0 else np.inf
     if remaining is not None:
         dt = min(dt, remaining)
-    if not np.isfinite(dt):
+    if not math.isfinite(dt):
         raise ConfigurationError("unbounded time step: zero wave speed and no remaining time")
     return dt
 

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError
-from .workspace import Workspace
+from .workspace import Workspace, const
 
 # Nodes/weights of 5-point Gauss-Legendre on [-1, 1], used for cell averages
 # of smooth data (exact through degree 9, so initialization error never
@@ -26,6 +26,9 @@ _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(5)
 
 # Rows of cells a 2D cell average evaluates its function on at once.
 _AVERAGE_ROWS = 32
+
+# the 0-d factor of a reflected momentum (call convention of .workspace)
+_MINUS_ONE = const(-1.0)
 
 # Ghost cells on each side of every axis.  The fifth-order reconstruction
 # reads five-cell windows, so the traces at the n+1 faces of n cells reach
@@ -262,7 +265,7 @@ def _ghost_steps(v, n, sides, inflow=None):
                 )
             steps.append(partial(np.copyto, dst,
                                  (v[:, n : n + g] if hi else v[:, g : 2 * g])[:, ::-1]))
-            steps.append(partial(np.multiply, dst[1], -1.0, out=dst[1]))  # momentum
+            steps.append(partial(np.multiply, dst[1], _MINUS_ONE, dst[1]))  # momentum
         else:
             steps.append(partial(np.copyto, dst[0], inflow(bc.profile, ghosts)))
     return tuple(steps)

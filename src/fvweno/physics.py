@@ -18,9 +18,12 @@ import numpy as np
 
 from .errors import StateError
 from .mesh import CellField
-from .workspace import Workspace
+from .workspace import Workspace, const
 
 GAMMA = 1.4
+# the 0-d operands of the in-place fluxes and bounds (call convention of
+# .workspace); GAMMA stays a float
+_GAMMA, _GAMMA_1, _HALF = const(GAMMA), const(GAMMA - 1.0), const(0.5)
 
 
 @dataclass(frozen=True)
@@ -48,12 +51,12 @@ def _advection_speed(u, out=None):
 
 def _burgers_flux(u, out=None):
     # == 0.5 * np.square(u)
-    out = np.square(u, out=np.empty(np.shape(u)) if out is None else out)
-    return np.multiply(0.5, out, out=out)
+    out = np.square(u, np.empty(np.shape(u)) if out is None else out)
+    return np.multiply(_HALF, out, out)
 
 
 def _burgers_speed(u, out=None):
-    return float(np.absolute(u, out=out).max())
+    return float(np.absolute(u, out).max())
 
 
 def _interval_speed(dflux, critical):
@@ -139,11 +142,11 @@ class EulerModel:
     def _primitive_into(U, u, P):
         """(rho, u, P) of ``U``: u = U1 / rho and P = (GAMMA - 1) (U2 - 0.5 U1 u)
         written into the arrays ``u`` and ``P`` in numpy's order of evaluation."""
-        np.divide(U[1], U[0], out=u)
-        np.multiply(0.5, U[1], out=P)
-        np.multiply(P, u, out=P)
-        np.subtract(U[2], P, out=P)
-        np.multiply(GAMMA - 1.0, P, out=P)
+        np.divide(U[1], U[0], u)
+        np.multiply(_HALF, U[1], P)
+        np.multiply(P, u, P)
+        np.subtract(U[2], P, P)
+        np.multiply(_GAMMA_1, P, P)
         return U[0], u, P
 
     def flux(self, U, out=None):
@@ -152,10 +155,10 @@ class EulerModel:
         f = np.empty(np.shape(U)) if out is None else out
         _, u, P = self._primitive_into(U, f[0, ...], f[2, ...])
         m = f[1, ...]
-        np.multiply(U[1], u, out=m)
-        np.add(m, P, out=m)
-        np.add(U[2], P, out=P)
-        np.multiply(u, P, out=P)
+        np.multiply(U[1], u, m)
+        np.add(m, P, m)
+        np.add(U[2], P, P)
+        np.multiply(u, P, P)
         np.copyto(u, U[1])
         return f
 
@@ -179,11 +182,11 @@ class EulerModel:
         ``out`` (an array of U's shape) as scratch."""
         rho, u, c = self.validate(U, out)
         # == np.abs(u) + np.sqrt(GAMMA * P / rho)
-        np.multiply(GAMMA, c, out=c)
-        np.divide(c, rho, out=c)
-        np.sqrt(c, out=c)
-        np.absolute(u, out=u)
-        return float(np.add(u, c, out=u).max())
+        np.multiply(_GAMMA, c, c)
+        np.divide(c, rho, c)
+        np.sqrt(c, c)
+        np.absolute(u, u)
+        return float(np.add(u, c, u).max())
 
 
 EULER = EulerModel()
@@ -232,11 +235,11 @@ def lf_flux(a, b, flux, alpha, *, out=None):
         fab = flux(stack, f)
         fa, fb = halves if fab is f else _halves(fab, axis)     # a flux may ignore out
     # in numpy's order of evaluation
-    np.add(fa, fb, out=h)
-    np.subtract(b, a, out=jump)
-    np.multiply(alpha, jump, out=jump)
-    np.subtract(h, jump, out=h)
-    return np.multiply(0.5, h, out=h)
+    np.add(fa, fb, h)
+    np.subtract(b, a, jump)
+    np.multiply(alpha, jump, jump)
+    np.subtract(h, jump, h)
+    return np.multiply(_HALF, h, h)
 
 
 def _speed_views(w, field):

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .mesh import GHOST, CellField, Grid1D, Grid2D, _normalize_bc, fill_ghosts
-from .physics import EulerModel, FluxPair2D, ScalarFluxModel, lf_flux, max_wave_speed
+from .physics import _HALF, EulerModel, FluxPair2D, ScalarFluxModel, lf_flux, max_wave_speed
 from .weno import GAUSS_WEIGHTS, WeightScheme, gauss_point_values, interface_states
 from .workspace import Workspace, workspace
 
@@ -65,15 +65,19 @@ class SemiDiscreteOp1D:
         filled = fill_ghosts(field, self._sides, out=ws)
         alpha = max_wave_speed(filled, self.model, out=ws) if alpha is None else alpha
         states = interface_states(filled.data, self.scheme, record=record, out=ws)
-        h = lf_flux(states[0], states[1], self.model.flux, alpha, out=ws)
+        # alpha and -dx as 0-d operands, filled on each call
+        alpha0, neg_dx = getattr(ws, "scalars", None) or ws.bind(
+            "scalars", lambda ws: (np.empty(()), np.empty(())))
+        alpha0[()], neg_dx[()] = alpha, -grid.dx
+        h = lf_flux(states[0], states[1], self.model.flux, alpha0, out=ws)
         # kept, not sliced on the call: 1-2 % of a step at N = 20
         b = getattr(ws, "tendency", None)
         if b is None or b[-1] is not h:
             b = ws.bind("tendency", lambda ws, h: (h[..., 1:], h[..., :-1], h), h)
         data = np.zeros(field.data.shape)
         du = data[:, GHOST:-GHOST]
-        np.subtract(b[0], b[1], out=du)
-        np.divide(du, -grid.dx, out=du)  # == -(du) / dx, signed zeros included
+        np.subtract(b[0], b[1], du)
+        np.divide(du, neg_dx, du)  # == -(du) / dx, signed zeros included
         rec = None
         if record:
             om_minus, om_plus = states[2]
@@ -112,7 +116,9 @@ def _sweeps(ws, data, stack):
     groups of equal k and row shape share a sweep.  A group is its sweep,
     the copies of its axes' padded transverse rows 1..n_trans+4 into it,
     the slice of its axes and its face fluxes, (k, n+1, n_trans); then the
-    x and y face fluxes, (nx+1, ny) and (nx, ny+1), and the y-term."""
+    x and y face fluxes, (nx+1, ny) and (nx, ny+1), the y-term, and
+    the buffers of the two alphas, broadcast over a group's jump, and of
+    -dx and dy, filled on each call."""
     d = data[0]
     rows = (d.T[1:-1], d[1:-1])
     shared, groups = {}, []
@@ -123,7 +129,9 @@ def _sweeps(ws, data, stack):
         face = np.empty((len(r), r[0].shape[1] - 5, r[0].shape[0] - 4))
         groups.append((sweep, tuple(zip(sweep.rows, r)), axes, face))
     fx, fy = [block for *_, face in groups for block in face]
-    return groups, fx, fy.T, np.empty_like(fx[1:]), stack, data
+    speeds = np.empty(2)
+    return (groups, fx, fy.T, np.empty_like(fx[1:]), speeds, speeds.reshape(2, 1, 1, 1),
+            np.empty(()), np.empty(()), stack, data)
 
 
 @dataclass(frozen=True)
@@ -153,20 +161,22 @@ class SemiDiscreteOp2D:
         b = getattr(ws, "sweeps", None)
         if b is None or b[-1] is not filled.data or b[-2] is not stack:
             b = ws.bind("sweeps", _sweeps, filled.data, stack)
-        groups, fx, fy, dy_term = b[:4]
-        alphas = max_wave_speed(filled, self.model, out=ws) if alpha is None else alpha
-        alphas = np.reshape(alphas, (2, 1, 1, 1))       # broadcast over a group's jump
+        groups, fx, fy, dy_term, speeds, alphas, neg_dx, dy = b[:8]
+        if alpha is None:
+            alpha = max_wave_speed(filled, self.model, out=ws)
+        speeds[0], speeds[1] = alpha
+        neg_dx[()], dy[()] = -grid.dx, grid.dy
         for sweep, copies, axes, face in groups:
             flux = (self.model.fx, self.model.fy)[axes.start]
             self._face_flux(flux, alphas[axes], sweep, copies, face)
         out = CellField.zeros(grid, ncomp=1)
         # -(fx[1:] - fx[:-1]) / dx - (fy[:, 1:] - fy[:, :-1]) / dy
         dx_term = out.interior[0]
-        np.subtract(fx[1:, :], fx[:-1, :], out=dx_term)
-        np.divide(dx_term, -grid.dx, out=dx_term)  # == -(dx_term) / dx
-        np.subtract(fy[:, 1:], fy[:, :-1], out=dy_term)
-        np.divide(dy_term, grid.dy, out=dy_term)
-        np.subtract(dx_term, dy_term, out=dx_term)
+        np.subtract(fx[1:, :], fx[:-1, :], dx_term)
+        np.divide(dx_term, neg_dx, dx_term)  # == -(dx_term) / dx
+        np.subtract(fy[:, 1:], fy[:, :-1], dy_term)
+        np.divide(dy_term, dy, dy_term)
+        np.subtract(dx_term, dy_term, dx_term)
         return out
 
     def _face_flux(self, model, alpha, sweep, copies, face):
@@ -186,5 +196,5 @@ class SemiDiscreteOp2D:
         np.copyto(pair[1], np.swapaxes(u_plus, -1, -2))
         pts = gauss_point_values(pair, self.scheme, out=g)  # (2, k, n+1, n_trans, 3)
         h = lf_flux(pts, None, model.flux, alpha, out=sweep.edge)
-        np.matmul(h, GAUSS_WEIGHTS, out=face)
-        return np.multiply(0.5, face, out=face)
+        np.matmul(h, GAUSS_WEIGHTS, face)
+        return np.multiply(_HALF, face, face)

@@ -36,7 +36,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConfigurationError
-from .workspace import Workspace
+from .workspace import Workspace, const
 
 F = Fraction
 SQRT15 = math.sqrt(15.0)
@@ -60,14 +60,9 @@ def _render(exact):
         return float(exact.a) + float(exact.b) * SQRT15
     if isinstance(exact, Fraction):
         return float(exact)
-    return _frozen(np.array([_render(e) for e in exact]))
-
-
-def _frozen(a):
-    """``a`` made read-only: the module's tables, which the workspaces bind
-    their linear weights and candidates to."""
-    a.flags.writeable = False
-    return a
+    # read-only: the workspaces bind their linear weights and candidates to
+    # the module's tables
+    return const([_render(e) for e in exact])
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +152,11 @@ GAMMA_MINUS = _render(GAMMA_MINUS_EXACT)
 SIGMA_PLUS = _render(SIGMA_PLUS_EXACT)
 SIGMA_MINUS = _render(SIGMA_MINUS_EXACT)
 
+# The kernels' constant operands, as 0-d arrays (the call convention of
+# :mod:`.workspace`); the public constants above stay floats.
+_SIGMA_PLUS, _SIGMA_MINUS = const(SIGMA_PLUS), const(SIGMA_MINUS)
+_THIRTEEN_TWELFTHS, _THREE, _QUARTER, _ONE = map(const, (13.0 / 12.0, 3.0, 0.25, 1.0))
+
 GAUSS_NODES = ("minus", "center", "plus")
 # 3-point Gauss-Legendre rule on [-1, 1], ordered to match GAUSS_NODES.
 GAUSS_XI = math.sqrt(3.0 / 5.0)
@@ -208,6 +208,10 @@ class WeightScheme:
                 raise ConfigurationError("zl requires p > 0")
             if not self.q >= 1.0:
                 raise ConfigurationError("zl requires q >= 1")
+        # eps, p, q and zr's 1/p as the kernels' 0-d operands; not fields,
+        # so equality, hashing and repr do not see them
+        root = const(1.0 / self.p) if self.family == "zr" else None
+        object.__setattr__(self, "_operands", (*map(const, (self.eps, self.p, self.q)), root))
 
     @classmethod
     def js(cls, eps=None):
@@ -289,19 +293,19 @@ def _indicators(u, w):
     if b is None or b[-1] is not u:
         b = w.bind("indicators", _indicator_views, u)
     d, curv, triple, slope, beta, u_hi, u_lo, d_hi, d_lo, d1, d2, s02, s1, c, tripled, ends, _ = b
-    np.subtract(u_hi, u_lo, out=d)
-    np.subtract(d_hi, d_lo, out=curv)
+    np.subtract(u_hi, u_lo, d)
+    np.subtract(d_hi, d_lo, curv)
     # (13/12) (c c), once per cell
-    np.multiply(curv, curv, out=curv)
-    np.multiply(13.0 / 12.0, curv, out=curv)
+    np.multiply(curv, curv, curv)
+    np.multiply(_THIRTEEN_TWELFTHS, curv, curv)
     # first-derivative terms of the three substencils: 3 d1 - d0, d1 + d2, 3 d2 - d3
-    np.multiply(3.0, d, out=triple)
-    np.subtract(tripled, ends, out=s02)
-    np.add(d1, d2, out=s1)
+    np.multiply(_THREE, d, triple)
+    np.subtract(tripled, ends, s02)
+    np.add(d1, d2, s1)
     # (13/12) (c c) + 0.25 slope^2
-    np.square(slope, out=slope)
-    np.multiply(0.25, slope, out=slope)
-    return np.add(c, slope, out=beta)
+    np.square(slope, slope)
+    np.multiply(_QUARTER, slope, slope)
+    return np.add(c, slope, beta)
 
 
 def _henrick_coefficients(d):
@@ -319,14 +323,14 @@ def _henrick(omega, coefficients, g, den):
     into ``g``, with ``den`` as scratch, in numpy's order of evaluation of
     omega ((d + d d) - 3 d omega + omega omega) / (d d + (1 - 2 d) omega)."""
     three_d, d_dd, dd, one_2d = coefficients
-    np.multiply(three_d, omega, out=g)
-    np.subtract(d_dd, g, out=g)
-    np.multiply(omega, omega, out=den)
-    np.add(g, den, out=g)
-    np.multiply(omega, g, out=g)
-    np.multiply(one_2d, omega, out=den)
-    np.add(dd, den, out=den)
-    return np.divide(g, den, out=g)
+    np.multiply(three_d, omega, g)
+    np.subtract(d_dd, g, g)
+    np.multiply(omega, omega, den)
+    np.add(g, den, g)
+    np.multiply(omega, g, g)
+    np.multiply(one_2d, omega, den)
+    np.add(dd, den, den)
+    return np.divide(g, den, g)
 
 
 def henrick_map(omega, d):
@@ -345,9 +349,9 @@ def _normalize(rows, alpha, total, out):
     The outer pair is summed first, so the sum does not change when the
     triple is reversed, and the weights of a reflected window are the
     weights of the window reversed, bit for bit."""
-    np.add(rows[0], rows[2], out=total)
-    np.add(total, rows[1], out=total)
-    return np.divide(alpha, total, out=out)
+    np.add(rows[0], rows[2], total)
+    np.add(total, rows[1], total)
+    return np.divide(alpha, total, out)
 
 
 def _factor_views(w, beta, family):
@@ -383,29 +387,30 @@ def _factor(beta, scheme: WeightScheme, w):
     Z-type families, and ``aux`` for the roots of ``zr`` and the logarithms
     of beta0 and beta2 of ``zl``.
     """
-    family, eps = scheme.family, scheme.eps
+    family = scheme.family
+    eps, p, q, root = scheme._operands
     b = getattr(w, "factor", None)
     if b is None or b[-1] is not beta or b[-2] != family:
         b = w.bind("factor", _factor_views, beta, family)
     phi, tau, aux, _, ends, lo, hi, base, _, _ = b
     if family in ("js", "m"):
-        np.add(beta, eps, out=phi)              # (beta + eps) ** 2
-        np.square(phi, out=phi)
+        np.add(beta, eps, phi)                  # (beta + eps) ** 2
+        np.square(phi, phi)
         return b
     if family == "zr":
-        np.power(beta, 1.0 / scheme.p, out=aux)
+        np.power(beta, root, aux)
     elif family == "zl":                        # tau reads beta0 and beta2 only
-        np.log1p(ends, out=aux)
-    np.subtract(lo, hi, out=tau)                # tau = |lo - hi|
-    np.absolute(tau, out=tau)
+        np.log1p(ends, aux)
+    np.subtract(lo, hi, tau)                    # tau = |lo - hi|
+    np.absolute(tau, tau)
     if family == "zl":
-        np.divide(tau, scheme.p, out=tau)
+        np.divide(tau, p, tau)
     # 1 + tau / (base + eps), to the power p for zr and q for zl
-    np.add(base, eps, out=phi)
-    np.divide(tau, phi, out=phi)
+    np.add(base, eps, phi)
+    np.divide(tau, phi, phi)
     if family != "z":
-        np.power(phi, scheme.p if family == "zr" else scheme.q, out=phi)
-    np.add(1.0, phi, out=phi)
+        np.power(phi, p if family == "zr" else q, phi)
+    np.add(_ONE, phi, phi)
     return b
 
 
@@ -472,7 +477,7 @@ def nonlinear_weights(beta, scheme: WeightScheme, d=D_EDGE, axis=-1, *, out=None
         np.copyto(omega, table)
     else:
         combine = np.divide if family in ("js", "m") else np.multiply
-        combine(table, factor[phi_at], out=omega)
+        combine(table, factor[phi_at], omega)
         _normalize(rows, omega, total, omega)
         if family == "m":
             h = getattr(w, "henrick", None)
@@ -504,8 +509,8 @@ def reconstruct_interface(window, scheme: WeightScheme, orientation="left"):
 # Linear weights of the Gauss nodes for one weight call: minus, gamma+,
 # plus, gamma-; the split pair in rows 1 and 3 combines into row 1, so rows
 # 0..2 follow GAUSS_NODES.  The linear scheme takes D_GAUSS_CENTER as is.
-_D_GAUSS_SETS = _frozen(np.stack([D_GAUSS_MINUS, GAMMA_PLUS, D_GAUSS_PLUS, GAMMA_MINUS]))
-_D_GAUSS_LINEAR = _frozen(np.stack([D_GAUSS_MINUS, D_GAUSS_CENTER, D_GAUSS_PLUS]))
+_D_GAUSS_SETS = const(np.stack([D_GAUSS_MINUS, GAMMA_PLUS, D_GAUSS_PLUS, GAMMA_MINUS]))
+_D_GAUSS_LINEAR = const(np.stack([D_GAUSS_MINUS, D_GAUSS_CENTER, D_GAUSS_PLUS]))
 
 
 def _gauss_weights(beta, scheme: WeightScheme, out=None):
@@ -516,9 +521,9 @@ def _gauss_weights(beta, scheme: WeightScheme, out=None):
     omega = nonlinear_weights(beta, scheme, d=_D_GAUSS_SETS, axis=0, out=out)
     plus, minus = omega[:, 1], omega[:, 3]
     # sigma+ gamma+ - sigma- gamma-; set 3 is not returned
-    np.multiply(SIGMA_PLUS, plus, out=plus)
-    np.multiply(SIGMA_MINUS, minus, out=minus)
-    np.subtract(plus, minus, out=plus)
+    np.multiply(_SIGMA_PLUS, plus, plus)
+    np.multiply(_SIGMA_MINUS, minus, minus)
+    np.subtract(plus, minus, plus)
     return omega[:, :3]
 
 
@@ -546,9 +551,9 @@ def _to_back(a):
 # j.  Edge point 1 is the reflected window's candidate 2-s (the right-biased
 # value at the left edge), to pair with weight s of D_EDGE[::-1], which is
 # weight 2-s of the reflected window.
-_D_EDGE_PAIR = _frozen(np.stack([D_EDGE, D_EDGE[::-1]]))
-_CAND_PAIR = _frozen(np.stack([CAND_EDGE, CAND_EDGE[::-1, ::-1]], axis=1).reshape(6, 5))
-_CAND_GAUSS = _frozen(np.stack([CAND_GAUSS_MINUS, CAND_GAUSS_CENTER, CAND_GAUSS_PLUS],
+_D_EDGE_PAIR = const(np.stack([D_EDGE, D_EDGE[::-1]]))
+_CAND_PAIR = const(np.stack([CAND_EDGE, CAND_EDGE[::-1, ::-1]], axis=1).reshape(6, 5))
+_CAND_GAUSS = const(np.stack([CAND_GAUSS_MINUS, CAND_GAUSS_CENTER, CAND_GAUSS_PLUS],
                                axis=1).reshape(9, 5))
 
 
@@ -570,11 +575,11 @@ def _combine(u, table, omega, w, out):
     if b is None or b[-1] is not u or b[-2] is not table:
         b = w.bind("combine", _combine_views, u, table)
     cand, prod, p0, p1, p2, windows, _, _ = b
-    np.matmul(table, windows, out=cand)                   # (..., 3k, N-4)
-    np.multiply(omega, prod, out=prod)                    # (3, k, ..., N-4)
+    np.matmul(table, windows, cand)                       # (..., 3k, N-4)
+    np.multiply(omega, prod, prod)                        # (3, k, ..., N-4)
     # (p0 + p2) + p1: the order in which numpy's einsum sums three products
-    np.add(p0, p2, out=out)
-    return np.add(out, p1, out=out)
+    np.add(p0, p2, out)
+    return np.add(out, p1, out)
 
 
 def _trace_views(w, u):

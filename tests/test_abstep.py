@@ -16,7 +16,8 @@ ROOT = Path(__file__).resolve().parents[1]
 @pytest.fixture(scope="module")
 def abstep():
     yield runpy.run_path(str(ROOT / "tools" / "abstep.py"))     # its globals, by name
-    for name in [m for m in sys.modules if m.split(".")[0] in ("fvweno_base", "fvweno_head")]:
+    sides = ("fvweno_base", "fvweno_head", "fvweno_null")
+    for name in [m for m in sys.modules if m.split(".")[0] in sides]:
         del sys.modules[name]
 
 
@@ -31,6 +32,7 @@ def test_one_checkout_against_itself(abstep, capsys):
                     "--target", "sod:z:20", "--target", "2d:z:6"])
     results = json.loads(capsys.readouterr().out.splitlines()[-1])
     assert {t: r["rounds"] for t, r in results.items()} == {"sod:z:20": 2, "2d:z:6": 2}
+    assert {t: r["null"]["rounds"] for t, r in results.items()} == {"sod:z:20": 2, "2d:z:6": 2}
 
 
 def test_interval_resamples_blocks_of_adjacent_rounds(abstep):

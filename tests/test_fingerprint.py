@@ -1,7 +1,11 @@
-"""tools/fingerprint.py --compare: what it prints and its exit status, on
-two small saved files (the fingerprint itself is not run)."""
+"""tools/fingerprint.py: the committed fingerprint, recomputed on a matching
+platform; --compare, what it prints and its exit status, on two small saved
+files."""
 
+import os
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +17,23 @@ ROOT = Path(__file__).resolve().parents[1]
 @pytest.fixture(scope="module")
 def fingerprint():
     return runpy.run_path(str(ROOT / "tools" / "fingerprint.py"))     # its globals, by name
+
+
+def test_outputs_keep_the_bits_of_the_committed_fingerprint(fingerprint):
+    # every output hash of tests/fingerprint.txt, recomputed by the tool in a
+    # fresh interpreter; the hashes hold only on the platform they came from
+    header, *committed = (ROOT / "tests" / "fingerprint.txt").read_text().splitlines()
+    key = fingerprint["KEY_PREFIX"] + fingerprint["platform_key"]()
+    if header != key:
+        pytest.skip(f"tests/fingerprint.txt is of another platform:\n  {header}\n  {key}")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    run = subprocess.run([sys.executable, str(ROOT / "tools" / "fingerprint.py")], env=env,
+                         capture_output=True, text=True, check=True)
+    _, *lines = run.stdout.splitlines()
+    want, got = (dict(line.split() for line in text) for text in (committed, lines))
+    differ = sorted(name for name in want.keys() | got.keys() if want.get(name) != got.get(name))
+    assert not differ, f"{len(differ)} of {len(want)} names differ: {', '.join(differ)}"
 
 
 def _saved(path, **arrays):

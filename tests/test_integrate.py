@@ -74,6 +74,38 @@ def test_rk3_divergence_names_stage():
     assert err.value.stage == 2
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("stage", [1, 2, 3])
+def test_a_non_finite_value_in_a_stage_is_named_with_that_stage(stage, bad):
+    # the stage's field sums to a value that is not finite, so one reduction
+    # finds it; the check value by value confirms it
+    calls = []
+
+    def L(f):
+        calls.append(f)
+        data = np.zeros_like(f.data)
+        if len(calls) == stage:
+            data[0, 4] = bad
+        return CellField(f.grid, data)
+
+    with pytest.raises(DivergenceError) as err:
+        rk3_step(_scalar_field([1.0, -2.0, 3.0, 0.5]), L, 0.1)
+    assert err.value.stage == stage
+    assert str(err.value) == f"non-finite values (stage {stage})"
+
+
+def test_finite_values_whose_sum_overflows_pass_every_stage():
+    # four cells of 1e308 sum to inf, yet every value is finite: a check that
+    # only summed would stop at stage 1; numpy warns of the overflowing sum
+    seen = []
+    zero = lambda f: CellField(f.grid, np.zeros_like(f.data))
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        out = rk3_step(_scalar_field([1e308] * 4), zero, 0.1,
+                       observer=lambda stage, field, rec: seen.append(stage))
+    assert seen == [1, 2, 3]
+    np.testing.assert_allclose(out.interior, 1e308, rtol=1e-15)
+
+
 def test_rk3_observer_sees_stages():
     seen = []
     L = lambda f: CellField(f.grid, -f.data)

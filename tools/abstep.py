@@ -6,6 +6,9 @@
 ``src/fvweno``).  Each tree's package is imported under a name of its own
 (``fvweno_base``, ``fvweno_head``), so both run in one interpreter on one
 heap, on the same core, through the same quiet and busy phases of the host.
+The base tree is imported a second time (``fvweno_null``, side A'), and
+timed as a third side: A'/A is the in-run null, what the host alone makes
+of two copies of one tree in the same rounds as B/A.
 
 A target is ``KIND:FAMILY[:P[:Q]]:N``:
 
@@ -23,19 +26,22 @@ FAMILY is js, m, z, zr, zl or linear; P and Q are ZR's p and ZL's p and q
 once.  A round times, for every target, a pass on each side: in a new
 thread, whose workspaces start empty (so each pass places its buffers
 anew), two untimed steps from the initial data, then ``--steps`` timed
-ones, of which it keeps the fastest.  The side that goes first alternates
-(A B, B A, ...).  Per target the script prints the fastest step of each
-side over all rounds, the median over rounds of the ratio head / base of
-the round's fastest steps, a bootstrap 95 % interval of that median, and
-in how many rounds the head was faster.  The last line is the same as JSON.
+ones, of which it keeps the fastest.  The order of the three sides runs
+through their six permutations, one a round.  Per target the script prints
+the fastest step of each side over all rounds, the median over rounds of
+the ratio head / base of the round's fastest steps, a bootstrap 95 %
+interval of that median, and in how many rounds the head was faster; then
+the median and interval of A'/A.  The last line is the same as JSON, the
+null under ``"null"``.  A claim needs B/A's interval to exclude 1 while
+A'/A's contains 1 in the same run.
 
 A busy phase of the host spans several adjacent rounds, so the bootstrap
 resamples blocks of ceil(sqrt(R)) adjacent rounds of the R (a moving-block
 bootstrap): resampling single rounds would treat the rounds of one phase
 as independent and give too narrow an interval.
 
-Two copies of one tree (A/A) should give intervals that contain 1; their
-width is the resolution of the host.  BLAS threads are set to 1 before
+Two copies of one tree should give intervals that contain 1; their width
+is the resolution of the host.  BLAS threads are set to 1 before
 numpy is imported, as the benchmark does.
 """
 
@@ -44,6 +50,7 @@ from __future__ import annotations
 import argparse
 import gc
 import importlib.util
+import itertools
 import json
 import math
 import os
@@ -65,6 +72,8 @@ KINDS = {
     "sod": ("sod", 1, None),
 }
 WARMUP = 2
+# the order of the sides base, head and null in round r is ORDERS[r % 6]
+ORDERS = list(itertools.permutations(range(3)))
 
 
 def load_tree(tree, name):
@@ -159,11 +168,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
     targets = [parse_target(t) for t in args.target]
     sides = [load_tree(tree, f"fvweno_{name}")
-             for tree, name in ((args.base, "base"), (args.head, "head"))]
+             for tree, name in ((args.base, "base"), (args.head, "head"), (args.base, "null"))]
     cases = [[build_case(pkg, t) for t in targets] for pkg in sides]
     best = [[[] for _ in targets] for _ in sides]
     for r in range(args.rounds):
-        for side in ((0, 1) if r % 2 == 0 else (1, 0)):
+        for side in ORDERS[r % len(ORDERS)]:
             for k, run in enumerate(cases[side]):
                 gc.collect()
                 best[side][k].append(run(args.steps))
@@ -171,10 +180,13 @@ def main(argv=None):
     results = {}
     for k, text in enumerate(args.target):
         s = results[text] = summarize(best[0][k], best[1][k], rng)
+        null = s["null"] = summarize(best[0][k], best[2][k], rng)
         print(f"{text}: base min {s['base_min_us']:.1f} us, head min {s['head_min_us']:.1f} us, "
               f"ratio of minima {s['ratio_of_minima']:.3f}, median per-round ratio "
               f"{s['median_ratio']:.3f} [{s['ci95'][0]:.3f}, {s['ci95'][1]:.3f}], "
-              f"head faster in {s['head_faster']}/{s['rounds']} rounds", flush=True)
+              f"head faster in {s['head_faster']}/{s['rounds']} rounds; null A'/A "
+              f"{null['median_ratio']:.3f} [{null['ci95'][0]:.3f}, {null['ci95'][1]:.3f}]",
+              flush=True)
     print(json.dumps(results))
 
 

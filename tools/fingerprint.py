@@ -8,6 +8,15 @@ output on two checkouts is the evidence that a change kept the bits:
 
     PYTHONPATH=src python tools/fingerprint.py > after.txt
 
+The first line is the platform key (``# platform ...``): numpy's version,
+``platform.machine()`` and the CPU features numpy dispatches to here, on
+which the hashes of SIMD loops such as ``log1p`` and ``power`` depend.
+``tests/fingerprint.txt`` is this output, committed; a tier-1 test
+recomputes it and compares when the key matches.  A change that moves
+bits on purpose rewrites it in the same commit:
+
+    PYTHONPATH=src python tools/fingerprint.py > tests/fingerprint.txt
+
 A change that moves bits says what moved and by how much.  ``--save``
 keeps every hashed value in an ``.npz`` as well, and ``--compare`` prints,
 for each name whose bits differ between two such files, the count of
@@ -45,6 +54,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import platform
 
 import numpy as np
 
@@ -81,6 +91,11 @@ from fvweno.weno import (
     nonlinear_weights,
 )
 from fvweno.workspace import Workspace
+
+try:
+    from numpy._core import _multiarray_umath as _umath
+except ImportError:                                     # numpy < 2
+    from numpy.core import _multiarray_umath as _umath
 
 KERNEL_SCHEMES = (
     WeightScheme.js(),
@@ -132,6 +147,17 @@ BURGERS_2D = FluxPair2D(BURGERS, BURGERS)
 # set is the left-biased one reversed.
 EDGE_PAIR = np.stack([D_EDGE, D_EDGE[::-1]])
 EDGE_PAIR.flags.writeable = False
+
+
+KEY_PREFIX = "# platform "
+
+
+def platform_key():
+    """numpy's version, the machine, numpy's baseline CPU features and
+    those of its dispatch targets this CPU has."""
+    dispatched = [f for f in _umath.__cpu_dispatch__ if _umath.__cpu_features__.get(f)]
+    return " ".join([f"numpy-{np.__version__}", platform.machine(),
+                     *_umath.__cpu_baseline__, *dispatched])
 
 
 def digest(value):
@@ -457,6 +483,7 @@ def main(argv=None):
         return 1 if compare(*args.compare) else 0
     saved = {} if args.save else None
     emit = printer(saved)
+    print(KEY_PREFIX + platform_key(), flush=True)
     for part in (kernels, models, dissection, registry, runs, stepping):
         part(emit)
     if args.save:
