@@ -41,9 +41,21 @@ def _check_cfl(cfl):
 
 
 def _rk3_buffers(ws, shape):
-    # a stage's term, the finiteness mask, and a 0-d buffer of a multiple
-    # of dt, filled right before each use
-    return np.empty(shape), np.empty(shape, dtype=bool), np.empty(())
+    # a stage's term, a 0-d buffer of a multiple of dt, filled right before
+    # each use, and the zeros a stage is dotted with
+    return np.empty(shape), np.empty(()), np.zeros(math.prod(shape))
+
+
+def _stage(grid, data, stage, observer, rec, zeros):
+    """The field of a stage's fresh array ``data`` of u's shape, not
+    validated again, shown to ``observer``.  Its dot with zeros is 0 for
+    finite values, and NaN, never an overflow, for a NaN or an inf."""
+    if not math.isfinite(data.ravel().dot(zeros)):
+        raise DivergenceError("non-finite values", stage=stage)
+    field = CellField._of(grid, data)
+    if observer is not None:
+        observer(stage, field, rec)
+    return field
 
 
 def rk3_step(u: CellField, L, dt, observer=None, *, alpha=None) -> CellField:
@@ -61,56 +73,57 @@ def rk3_step(u: CellField, L, dt, observer=None, *, alpha=None) -> CellField:
     Non-finite values (or an inadmissible state met while evaluating ``L``)
     raise :class:`DivergenceError` naming the stage; a ``dt`` that is not
     positive and finite is a :class:`ConfigurationError`.
+
+    Each stage computes ``(first + c1 prev) + (c_dt dt) L(prev)`` in
+    numpy's order of evaluation, into its fresh array.
     """
     if not 0.0 < dt < np.inf:
         raise ConfigurationError(f"dt must be positive and finite; got {dt!r}")
     recorded = observer is not None and hasattr(L, "tendency_recorded")
     grid = u.grid
     u0 = u.data
-
     ws = workspace(u0.shape)
-    term, finite, scaled_dt = getattr(ws, "rk3", None) or ws.bind("rk3", _rk3_buffers, u0.shape)
+    term, scaled_dt, zeros = getattr(ws, "rk3", None) or ws.bind("rk3", _rk3_buffers, u0.shape)
+    rec = None
 
-    def tend(field, stage, **given):
-        try:
-            if recorded:
-                Lu, rec = L.tendency_recorded(field)
-            else:
-                Lu, rec = L(field, **given), None
-        except StateError as exc:
-            raise DivergenceError(str(exc), stage=stage) from exc
-        return Lu.data, rec
-
-    def stage_field(data, stage, rec):
-        # one reduction; a sum that is not finite (NaN or inf in the data,
-        # or finite values whose sum overflows) is checked value by value
-        if not math.isfinite(np.add.reduce(data, None)) and not np.isfinite(data, finite).all():
-            raise DivergenceError("non-finite values", stage=stage)
-        # a float array of u's shape: no re-validation between stages
-        field = CellField._of(grid, data)
-        if observer is not None:
-            observer(stage, field, rec)
-        return field
-
-    def update(first, c1, prev, c_dt, Lu):
-        # (first + c1 prev) + (c_dt dt) Lu, numpy's order of evaluation, into
-        # the fresh stage array ``first``
-        np.multiply(c1, prev, term)
-        np.add(first, term, first)
-        scaled_dt[()] = c_dt * dt
-        np.multiply(scaled_dt, Lu, term)
-        return np.add(first, term, first)
-
-    Lu, rec = tend(u, 1) if alpha is None else tend(u, 1, alpha=alpha)
+    try:
+        if recorded:
+            Lu, rec = L.tendency_recorded(u)
+        else:
+            Lu = L(u) if alpha is None else L(u, alpha=alpha)
+    except StateError as exc:
+        raise DivergenceError(str(exc), stage=1) from exc
     scaled_dt[()] = dt
-    u1 = np.multiply(scaled_dt, Lu)
-    u1 = stage_field(np.add(u0, u1, u1), 1, rec)
-    Lu, rec = tend(u1, 2)
-    u2 = stage_field(update(np.multiply(_THREE_QUARTERS, u0), _QUARTER, u1.data, 0.25, Lu),
-                     2, rec)
-    Lu, rec = tend(u2, 3)
-    return stage_field(update(np.divide(u0, _THREE), _TWO_THIRDS, u2.data, 2.0 / 3.0, Lu),
-                       3, rec)
+    u1 = np.multiply(scaled_dt, Lu.data)
+    u1 = _stage(grid, np.add(u0, u1, u1), 1, observer, rec, zeros)
+
+    try:
+        if recorded:
+            Lu, rec = L.tendency_recorded(u1)
+        else:
+            Lu = L(u1)
+    except StateError as exc:
+        raise DivergenceError(str(exc), stage=2) from exc
+    u2 = np.multiply(_THREE_QUARTERS, u0)
+    np.multiply(_QUARTER, u1.data, term)
+    np.add(u2, term, u2)
+    scaled_dt[()] = 0.25 * dt
+    np.multiply(scaled_dt, Lu.data, term)
+    u2 = _stage(grid, np.add(u2, term, u2), 2, observer, rec, zeros)
+
+    try:
+        if recorded:
+            Lu, rec = L.tendency_recorded(u2)
+        else:
+            Lu = L(u2)
+    except StateError as exc:
+        raise DivergenceError(str(exc), stage=3) from exc
+    u3 = np.divide(u0, _THREE)
+    np.multiply(_TWO_THIRDS, u2.data, term)
+    np.add(u3, term, u3)
+    scaled_dt[()] = 2.0 / 3.0 * dt
+    np.multiply(scaled_dt, Lu.data, term)
+    return _stage(grid, np.add(u3, term, u3), 3, observer, rec, zeros)
 
 
 def cfl_dt(field: CellField, model, cfl, remaining=None, *, alpha=None):

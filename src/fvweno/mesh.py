@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -235,17 +234,18 @@ def gauss_average(fn, centers, dx):
 
 
 def _ghost_steps(v, n, sides, inflow=None):
-    """The steps that fill the ghosts along axis 1 of ``v`` (GHOST ghosts,
+    """The copies that fill the ghosts along axis 1 of ``v`` (GHOST ghosts,
     n interior cells, GHOST ghosts; ``v`` is a view of a field buffer) per
-    the (lo, hi) ``sides``, which :func:`_normalize_bc` has checked: a tuple
-    of calls on views of ``v``, bound once.
+    the (lo, hi) ``sides``, which :func:`_normalize_bc` has checked: a list
+    of (target, source) pairs of views of ``v``, bound once, and a list of
+    the momentum rows of reflective ghosts, negated after the copies.
 
     Periodic and reflective ghosts copy GHOST interior cells, so they need
     at least that many.  An inflow side fills row 0 of its ghost slice
     ``s`` with ``inflow(profile, s)``, evaluated here, once.
     """
     g = GHOST
-    steps = []
+    copies, flips = [], []
     for hi, bc in enumerate(sides):
         kind = bc.kind
         if n < g and kind in ("periodic", "reflective"):
@@ -254,41 +254,40 @@ def _ghost_steps(v, n, sides, inflow=None):
         ghosts = slice(n + g, None) if hi else slice(0, g)
         dst = v[:, ghosts]
         if kind == "periodic":
-            steps.append(partial(np.copyto, dst, v[:, g : 2 * g] if hi else v[:, n : n + g]))
+            copies.append((dst, v[:, g : 2 * g] if hi else v[:, n : n + g]))
         elif kind == "outflow":
-            steps.append(partial(np.copyto, dst,
-                                 v[:, n + g - 1 : n + g] if hi else v[:, g : g + 1]))
+            copies.append((dst, v[:, n + g - 1 : n + g] if hi else v[:, g : g + 1]))
         elif kind == "reflective":
             if v.shape[0] != 3:
                 raise ConfigurationError(
                     "reflective boundaries apply only to 3-component Euler fields"
                 )
-            steps.append(partial(np.copyto, dst,
-                                 (v[:, n : n + g] if hi else v[:, g : 2 * g])[:, ::-1]))
-            steps.append(partial(np.multiply, dst[1], _MINUS_ONE, dst[1]))  # momentum
+            copies.append((dst, (v[:, n : n + g] if hi else v[:, g : 2 * g])[:, ::-1]))
+            flips.append(dst[1])
         else:
-            steps.append(partial(np.copyto, dst[0], inflow(bc.profile, ghosts)))
-    return tuple(steps)
+            copies.append((dst[0], inflow(bc.profile, ghosts)))
+    return copies, flips
 
 
 def _fill_views(w, grid, bc, shape):
     d = np.empty(shape)
     if isinstance(grid, Grid1D):
-        steps = _ghost_steps(d, grid.n, _normalize_bc(bc, 2),
-                             lambda profile, s: gauss_average(
-                                 profile, grid.centers(ghosts=True)[s], grid.dx))
+        copies, flips = _ghost_steps(d, grid.n, _normalize_bc(bc, 2),
+                                     lambda profile, s: gauss_average(
+                                         profile, grid.centers(ghosts=True)[s], grid.dx))
     else:
         sides = _normalize_bc(bc, 4)
         # x first over the interior rows, then y over the full width, so the
-        # corner ghosts come out consistent
-        steps = (_ghost_steps(d[:, :, GHOST:-GHOST], grid.nx, sides[:2])
-                 + _ghost_steps(d.swapaxes(1, 2), grid.ny, sides[2:],
-                                lambda profile, s: gauss_average(
-                                    profile, grid.xcenters(ghosts=True), grid.dx)))
+        # corner ghosts come out consistent (2D sides are never reflective)
+        copies, _ = _ghost_steps(d[:, :, GHOST:-GHOST], grid.nx, sides[:2])
+        copies += _ghost_steps(d.swapaxes(1, 2), grid.ny, sides[2:],
+                               lambda profile, s: gauss_average(
+                                   profile, grid.xcenters(ghosts=True), grid.dx))[0]
+        flips = []
     # conditions in a list, which may change under the binding, bind for one
     # call only
     key = bc if isinstance(bc, (tuple, BoundaryCondition)) else None
-    return d, CellField._of(grid, d), steps, grid, key, shape
+    return d, CellField._of(grid, d), tuple(copies), tuple(flips), grid, key, shape
 
 
 def fill_ghosts(field: CellField, bc, *, out=None) -> CellField:
@@ -306,10 +305,14 @@ def fill_ghosts(field: CellField, bc, *, out=None) -> CellField:
     b = getattr(w, "filled", None)
     if b is None or b[-3] is not field.grid or b[-2] is not bc or b[-1] != data.shape:
         b = w.bind("filled", _fill_views, field.grid, bc, data.shape)
-    np.copyto(b[0], data)
-    for step in b[2]:
-        step()
-    return b[1]
+    d, filled, copies, flips, _, _, _ = b
+    # slice assignment: a plain copy, without np.copyto's dispatch
+    d[...] = data
+    for target, source in copies:
+        target[...] = source
+    for momentum in flips:
+        np.multiply(momentum, _MINUS_ONE, momentum)
+    return filled
 
 
 def cell_average_of(fn, grid) -> CellField:

@@ -414,7 +414,7 @@ def _factor(beta, scheme: WeightScheme, w):
     return b
 
 
-def _weight_views(w, beta, d, axis):
+def _weight_views(w, beta, d, axis, given):
     table = np.asarray(d, dtype=float).T  # linear weights on axis 0, sets on 1
     if table.ndim not in (1, 2) or len(table) != 3:
         raise ConfigurationError(f"d has shape (3,) or (k, 3), not {np.shape(d)}")
@@ -429,7 +429,23 @@ def _weight_views(w, beta, d, axis):
     # a table that may change under the binding binds for one call only
     key = d if isinstance(d, np.ndarray) and not d.flags.writeable else None
     return (omega, total, _rows(omega), table, 3 if extra else 0,
-            _henrick_coefficients(table), result, beta.shape, key, axis)
+            _henrick_coefficients(table), result, beta.shape, beta, axis, key, given)
+
+
+def _triples(beta, axis):
+    """``beta`` as float triples along axis 0, checked, and the object a
+    later call may pass for them: ``beta`` itself if it is already a float
+    array (the triples are then a view of it), else the converted copy,
+    which no caller holds."""
+    a = np.asarray(beta, dtype=float)
+    if axis not in (0, -1):
+        raise ConfigurationError(f"triples lie along axis 0 or -1, not {axis!r}")
+    if a.shape[axis:][:1] != (3,):
+        raise ConfigurationError(f"triples of three along axis {axis}, not shape {a.shape}")
+    given = beta if a is beta else a
+    if axis == -1:
+        a = a.transpose((a.ndim - 1,) + tuple(range(a.ndim - 1)))
+    return a, given
 
 
 def nonlinear_weights(beta, scheme: WeightScheme, d=D_EDGE, axis=-1, *, out=None):
@@ -454,25 +470,29 @@ def nonlinear_weights(beta, scheme: WeightScheme, d=D_EDGE, axis=-1, *, out=None
     into; for ``axis=0`` the weights returned are one of those temporaries
     and hold until the next kernel call on it.  Its weights layer keeps the
     linear weights, and for M their Henrick coefficients, for as long as it
-    is called with the same read-only table ``d``, as the module's are.
+    is called with the same read-only table ``d``, as the module's are; it
+    converts and checks ``beta`` when it binds, and a call with the float
+    array it is bound to (the kernels pass their indicator buffer) is not
+    checked again.
     """
-    beta = np.asarray(beta, dtype=float)
-    if axis not in (0, -1):
-        raise ConfigurationError(f"triples lie along axis 0 or -1, not {axis!r}")
-    if beta.shape[axis:][:1] != (3,):
-        raise ConfigurationError(f"triples of three along axis {axis}, not shape {beta.shape}")
-    if axis == -1:
-        beta = beta.transpose((beta.ndim - 1,) + tuple(range(beta.ndim - 1)))
     w = Workspace() if out is None else out
+    b = getattr(w, "weights", None)
+    if b is not None and b[-1] is beta and b[-2] is d and b[-3] is axis:
+        beta = b[-4]
+    else:
+        beta, given = _triples(beta, axis)
+        if b is not None and (b[-2] is not d or b[-3] is not axis or b[-5] != beta.shape):
+            b = None
     family = scheme.family
     if family != "linear":
         # the factor first, in the order of LAYOUT: a region the weights
-        # layer grows then drops the factor's views of beta with it
+        # layer grows then drops the factor's views of beta with it.  A
+        # region the factor grows drops the weights layer after ``b`` was
+        # read; its buffers then still serve this call, and the next binds
         factor = _factor(beta, scheme, w)
-    b = getattr(w, "weights", None)
-    if b is None or b[-2] is not d or b[-1] is not axis or b[-3] != beta.shape:
-        b = w.bind("weights", _weight_views, beta, d, axis)
-    omega, total, rows, table, phi_at, coefficients, result, _, _, _ = b
+    if b is None:
+        b = w.bind("weights", _weight_views, beta, d, axis, given)
+    omega, total, rows, table, phi_at, coefficients, result = b[:7]
     if family == "linear":
         np.copyto(omega, table)
     else:
@@ -502,7 +522,9 @@ def reconstruct_interface(window, scheme: WeightScheme, orientation="left"):
     """
     if orientation not in ("left", "right"):
         raise ConfigurationError(f"unknown orientation {orientation!r}")
-    v, _, _ = _edge_values(_window(window), scheme, Workspace())
+    u, w = _window(window), Workspace()
+    omega = nonlinear_weights(_indicators(u, w), scheme, d=_D_EDGE_PAIR, axis=0, out=w)
+    v = _combine(u, _CAND_PAIR, omega, w, np.empty((2,) + u.shape[:-1] + (1,)))
     return v[int(orientation == "right"), ..., 0]
 
 
@@ -587,18 +609,6 @@ def _trace_views(w, u):
     return v, (v[0, ..., :-1], v[1, ..., 1:]), u
 
 
-def _edge_values(u, scheme: WeightScheme, w):
-    """Left-biased value at the right edge and right-biased value at the left
-    edge of every window of a padded array (..., N), shape (2, ..., N-4),
-    with the traces :func:`interface_states` returns, and their weights,
-    shape (3, 2, ..., N-4)."""
-    omega = nonlinear_weights(_indicators(u, w), scheme, d=_D_EDGE_PAIR, axis=0, out=w)
-    b = getattr(w, "trace", None)
-    if b is None or b[-1] is not u:
-        b = w.bind("trace", _trace_views, u)
-    return _combine(u, _CAND_PAIR, omega, w, b[0]), b[1], omega
-
-
 def interface_states(upad, scheme: WeightScheme, record=False, *, out=None):
     """Left/right interface traces from a padded cell-average array.
 
@@ -615,17 +625,26 @@ def interface_states(upad, scheme: WeightScheme, record=False, *, out=None):
 
     All of them are views of buffers in ``out``, the :class:`Workspace`
     (a fresh one by default); the weights are temporaries there and hold
-    until the next kernel call on it.  ``upad`` that is not a C-contiguous
-    float array is copied on every call.
+    until the next kernel call on it.  ``upad`` is checked when the trace
+    layer binds to it, and not again on a call with that array; ``upad``
+    that is not a C-contiguous float array is copied on every call.
     """
     w = Workspace() if out is None else out
-    u = np.ascontiguousarray(upad, dtype=float)
-    if u.shape[-1] < 6:
-        raise ConfigurationError("padded array too short for a 5-cell stencil")
-    _, traces, omega = _edge_values(u, scheme, w)
+    b = getattr(w, "trace", None)
+    if b is None or b[-1] is not upad:
+        u = np.ascontiguousarray(upad, dtype=float)
+        if u.shape[-1] < 6:
+            raise ConfigurationError("padded array too short for a 5-cell stencil")
+        if b is None or b[-1] is not u:
+            b = w.bind("trace", _trace_views, u)
+    u = b[-1]
+    # the left-biased value at the right edge and the right-biased value at
+    # the left edge of every window, (2, ..., N-4), with their weights
+    omega = nonlinear_weights(_indicators(u, w), scheme, d=_D_EDGE_PAIR, axis=0, out=w)
+    _combine(u, _CAND_PAIR, omega, w, b[0])
     if record:
-        return (*traces, (_to_back(omega[:, 0, ..., :-1]), _to_back(omega[::-1, 1, ..., 1:])))
-    return traces
+        return (*b[1], (_to_back(omega[:, 0, ..., :-1]), _to_back(omega[::-1, 1, ..., 1:])))
+    return b[1]
 
 
 def _value_views(w, u):

@@ -32,14 +32,19 @@ would cost a measurable share of a 1D step at the paper's sizes (the
 indicators alone read a dozen views, at about 0.15-0.3 us each, against
 about 100 us a step at N = 20).  Every other view is sliced on the call.
 The views kept are bound to the array objects the layer is called with
-(and to the read-only linear-weight tables), made by :meth:`Workspace.bind`
-the first time a layer meets them; they live in the layer's attribute.
-A region that grows drops every :data:`LAYOUT` layer of every workspace
-sharing it, so no view kept holds the memory it gave up; regions grow
-only while a workspace warms up, so steady stepping binds nothing.
+(and to the read-only linear-weight tables, and the 1D tendency to its
+grid, whose -dx it keeps), made by :meth:`Workspace.bind` the first time a
+layer meets them; they live in the layer's attribute.  A layer converts
+and checks its inputs when it binds, so a call on the objects it is bound
+to is not checked again and runs only its numpy calls: an input it is not
+bound to (another array, a list, a view that is not C-contiguous) is
+converted and checked on every call.  A region that grows drops every
+:data:`LAYOUT` layer of every workspace sharing it, so no view kept holds
+the memory it gave up; regions grow only while a workspace warms up, so
+steady stepping binds nothing.
 
 The call convention.  At the paper's sizes a step costs numpy dispatch,
-not arithmetic (a 1D step at N = 20 makes 96-129 ufunc calls), so the
+not arithmetic (a 1D step at N = 20 makes 93-126 ufunc calls), so the
 kernels on the step path keep the cost of each call down:
 
 - a constant operand is a float64 0-d array made once (:func:`const`; a
@@ -52,16 +57,18 @@ kernels on the step path keep the cost of each call down:
   into a 0-d buffer of the workspace right before its use: ``b[()] = x``
   took 43 ns, ``np.array(x)`` 279 ns;
 - outputs are passed positionally: ``out=o`` took 30-40 ns more;
-- ``rk3_step`` checks a stage for non-finite values with one reduction, a
-  sum (1.07 us against 1.86 us for ``isfinite(...).all()``), and checks
-  value by value only a sum that is not finite.
+- ``rk3_step`` checks a stage for non-finite values with one dot product
+  with zeros, which is 0 for finite values and NaN for a NaN or an inf, and
+  cannot overflow as a sum of the values can (0.55 us against 1.07 us for
+  the sum at (1, 26)).
 
 A float64 0-d operand runs the ufunc loop of the Python float it stands
 for, on the same value, so it keeps every bit.
 
 The semi-discrete operators and ``rk3_step`` fetch the calling thread's
 workspace for the padded field shape once per call, with
-:func:`workspace`.  Every operator on that shape shares it, so an array
+:func:`workspace`, which returns the last one fetched at once when the
+shape repeats.  Every operator on that shape shares it, so an array
 read out of it holds only until the next call on that shape in that
 thread; the operators copy what they hand out.  A thread keeps the
 workspaces of its :data:`SHAPES` most recently used shapes.
@@ -169,6 +176,7 @@ def const(value):
 class _Store(threading.local):
     def __init__(self):
         self.spaces = OrderedDict()
+        self.last = (None, None)        # the shape and workspace last fetched
 
 
 _STORE = _Store()
@@ -176,7 +184,11 @@ _STORE = _Store()
 
 def workspace(shape):
     """The calling thread's workspace for padded fields of ``shape``."""
-    spaces = _STORE.spaces
+    store = _STORE
+    last = store.last
+    if last[0] == shape:                # the newest already: the order holds
+        return last[1]
+    spaces = store.spaces
     ws = spaces.get(shape)
     if ws is None:
         ws = spaces[shape] = Workspace()
@@ -184,4 +196,5 @@ def workspace(shape):
             spaces.popitem(last=False)
     else:
         spaces.move_to_end(shape)
+    store.last = (shape, ws)
     return ws

@@ -48,3 +48,22 @@ def test_interval_resamples_blocks_of_adjacent_rounds(abstep):
     low, high = abstep["summarize"](base, head, np.random.default_rng(0))["ci95"]
     assert low <= np.median(ratios) <= high
     assert high - low > single[1] - single[0]
+
+
+def test_json_appends_the_run_under_interleaved_keeping_other_keys(abstep, tmp_path, capsys):
+    path = tmp_path / "BENCH_x.json"
+    path.write_text(json.dumps({"label": "x"}))
+    for _ in range(2):
+        abstep["main"](["--base", str(ROOT), "--head", str(ROOT), "--rounds", "1",
+                        "--steps", "1", "--target", "1d:z:10", "--json", str(path)])
+    printed = capsys.readouterr().out.splitlines()
+    data = json.loads(path.read_text())
+    assert data["label"] == "x" and len(data["interleaved"]) == 2
+    run = data["interleaved"][1]
+    assert (run["rounds"], run["steps"], run["seed"]) == (1, 1, 0)
+    assert run["lines"] == [printed[-2]]
+    assert run["results"] == json.loads(printed[-1])
+    fresh = tmp_path / "new.json"
+    abstep["main"](["--base", str(ROOT), "--head", str(ROOT), "--rounds", "1", "--steps", "1",
+                    "--target", "1d:z:10", "--json", str(fresh)])
+    assert list(json.loads(fresh.read_text())) == ["interleaved"]

@@ -77,8 +77,8 @@ def test_rk3_divergence_names_stage():
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
 @pytest.mark.parametrize("stage", [1, 2, 3])
 def test_a_non_finite_value_in_a_stage_is_named_with_that_stage(stage, bad):
-    # the stage's field sums to a value that is not finite, so one reduction
-    # finds it; the check value by value confirms it
+    # the stage's field dotted with zeros is NaN, not 0, so the one check of
+    # the stage finds it
     calls = []
 
     def L(f):
@@ -96,10 +96,12 @@ def test_a_non_finite_value_in_a_stage_is_named_with_that_stage(stage, bad):
 
 def test_finite_values_whose_sum_overflows_pass_every_stage():
     # four cells of 1e308 sum to inf, yet every value is finite: a check that
-    # only summed would stop at stage 1; numpy warns of the overflowing sum
+    # only summed would stop at stage 1, and one that reduced them would make
+    # numpy warn of the overflow
     seen = []
     zero = lambda f: CellField(f.grid, np.zeros_like(f.data))
-    with pytest.warns(RuntimeWarning, match="overflow"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         out = rk3_step(_scalar_field([1e308] * 4), zero, 0.1,
                        observer=lambda stage, field, rec: seen.append(stage))
     assert seen == [1, 2, 3]

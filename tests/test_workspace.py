@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from fvweno import workspace as workspace_module
-from fvweno.errors import DivergenceError
+from fvweno.errors import ConfigurationError, DivergenceError
 from fvweno.harness.problems import get_problem
 from fvweno.integrate import cfl_dt, integrate_to, rk3_step
 from fvweno.mesh import (
@@ -330,6 +330,52 @@ def test_arguments_that_may_change_are_read_anew_on_every_call():
     sides[:] = [PERIODIC, PERIODIC]
     got = fill_ghosts(field, sides, out=w)
     assert same_bits(got.data, fill_ghosts(field, tuple(sides)).data)
+
+
+def _in_new_thread(fn):
+    """``fn()`` in a new thread, whose workspaces start empty."""
+    out = []
+    worker = threading.Thread(target=lambda: out.append(fn()))
+    worker.start()
+    worker.join(timeout=60)
+    assert out
+    return out[0]
+
+
+@pytest.mark.parametrize("scheme", SCHEMES, ids=lambda s: s.label)
+def test_bound_layers_still_check_what_they_are_not_bound_to(scheme):
+    # a layer converts and checks its input when it binds, and a call with
+    # the array it is bound to is not checked again; every other input is
+    rng = np.random.default_rng(14)
+    beta = np.abs(rng.normal(size=(3, 20)))
+    w = Workspace()
+    for _ in range(2):                      # the second call finds every layer bound
+        nonlinear_weights(beta, scheme, axis=0, out=w)
+    for bad in (beta.T, beta[:2]):          # another shape; 2 on the triple axis
+        with pytest.raises(ConfigurationError):
+            nonlinear_weights(bad, scheme, axis=0, out=w)
+    want = nonlinear_weights(beta, scheme, axis=0)
+    for x in (beta.tolist(), beta):         # a list equal to the bound array, then it
+        assert same_bits(nonlinear_weights(x, scheme, axis=0, out=w), want)
+    upad = rng.normal(size=(3, 26))
+    for _ in range(2):
+        interface_states(upad, scheme, record=True, out=w)
+    strided = rng.normal(size=(3, 52))[:, ::2]
+    for x in (strided, np.arange(78).reshape(3, 26) % 7, upad):
+        got = _arrays(interface_states(x, scheme, record=True, out=w))
+        want = _arrays(interface_states(x, scheme, record=True))
+        assert all(same_bits(a, b) for a, b in zip(got, want, strict=True))
+
+
+def test_one_operator_alternating_grids_of_one_shape_matches_fresh_runs():
+    # the tendency binds -dx to the grid object: another grid of the same
+    # padded shape and another dx binds anew
+    fields = [cell_average_of(lambda x: np.sin(np.pi * x) + 0.5, grid)
+              for grid in (Grid1D(-1.0, 1.0, 20), Grid1D(0.0, 3.0, 20))]
+    op = _op(WeightScheme.z())
+    wants = [_in_new_thread(lambda f=f: op(f).data) for f in fields]
+    gots = _in_new_thread(lambda: [op(fields[k % 2]).data for k in range(6)])
+    assert all(same_bits(got, wants[k % 2]) for k, got in enumerate(gots))
 
 
 def _stepping_case(label):

@@ -35,6 +35,14 @@ the median and interval of A'/A.  The last line is the same as JSON, the
 null under ``"null"``.  A claim needs B/A's interval to exclude 1 while
 A'/A's contains 1 in the same run.
 
+``--json PATH`` also appends the run (its rounds, steps, seed, printed
+lines and results) to the list under the ``interleaved`` key of the JSON
+file ``PATH``, a ``BENCH_<label>.json``, keeping its other keys; the file is
+made if it does not exist:
+
+    python tools/abstep.py --base PARENT --head CHANGE --target 1d:z:20 \
+        --rounds 64 --steps 10 --json BENCH_pr27.json
+
 A busy phase of the host spans several adjacent rounds, so the bootstrap
 resamples blocks of ceil(sqrt(R)) adjacent rounds of the R (a moving-block
 bootstrap): resampling single rounds would treat the rounds of one phase
@@ -81,6 +89,8 @@ def load_tree(tree, name):
     init = Path(tree, "src", "fvweno", "__init__.py")
     if not init.is_file():
         raise SystemExit(f"no src/fvweno in {tree}")
+    for stale in [m for m in sys.modules if m.split(".")[0] == name]:   # an earlier run's
+        del sys.modules[stale]
     spec = importlib.util.spec_from_file_location(
         name, init, submodule_search_locations=[str(init.parent)])
     module = importlib.util.module_from_spec(spec)
@@ -165,6 +175,8 @@ def main(argv=None):
     parser.add_argument("--rounds", type=int, default=24)
     parser.add_argument("--steps", type=int, default=20, help="timed steps a pass")
     parser.add_argument("--seed", type=int, default=0, help="seed of the bootstrap")
+    parser.add_argument("--json", metavar="PATH",
+                        help="append the run under 'interleaved' in this BENCH_*.json")
     args = parser.parse_args(argv)
     targets = [parse_target(t) for t in args.target]
     sides = [load_tree(tree, f"fvweno_{name}")
@@ -177,17 +189,33 @@ def main(argv=None):
                 gc.collect()
                 best[side][k].append(run(args.steps))
     rng = np.random.default_rng(args.seed)
-    results = {}
+    results, lines = {}, []
     for k, text in enumerate(args.target):
         s = results[text] = summarize(best[0][k], best[1][k], rng)
         null = s["null"] = summarize(best[0][k], best[2][k], rng)
-        print(f"{text}: base min {s['base_min_us']:.1f} us, head min {s['head_min_us']:.1f} us, "
-              f"ratio of minima {s['ratio_of_minima']:.3f}, median per-round ratio "
-              f"{s['median_ratio']:.3f} [{s['ci95'][0]:.3f}, {s['ci95'][1]:.3f}], "
-              f"head faster in {s['head_faster']}/{s['rounds']} rounds; null A'/A "
-              f"{null['median_ratio']:.3f} [{null['ci95'][0]:.3f}, {null['ci95'][1]:.3f}]",
-              flush=True)
+        lines.append(f"{text}: base min {s['base_min_us']:.1f} us, head min "
+                     f"{s['head_min_us']:.1f} us, ratio of minima {s['ratio_of_minima']:.3f}, "
+                     f"median per-round ratio {s['median_ratio']:.3f} [{s['ci95'][0]:.3f}, "
+                     f"{s['ci95'][1]:.3f}], head faster in {s['head_faster']}/{s['rounds']} "
+                     f"rounds; null A'/A {null['median_ratio']:.3f} [{null['ci95'][0]:.3f}, "
+                     f"{null['ci95'][1]:.3f}]")
+        print(lines[-1], flush=True)
+    if args.json:
+        save_run(args.json, {"rounds": args.rounds, "steps": args.steps, "seed": args.seed,
+                             "lines": lines, "results": results})
     print(json.dumps(results))
+
+
+def save_run(path, run):
+    """Append ``run`` to the list under ``interleaved`` in the JSON file
+    ``path``, made if missing, its other keys kept."""
+    path = Path(path)
+    data = json.loads(path.read_text()) if path.exists() else {}
+    runs = data.setdefault("interleaved", [])
+    if not isinstance(runs, list):
+        raise SystemExit(f"{path}: 'interleaved' is not a list of runs")
+    runs.append(run)
+    path.write_text(json.dumps(data, indent=1) + "\n")
 
 
 if __name__ == "__main__":
