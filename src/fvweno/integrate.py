@@ -12,8 +12,12 @@ from .mesh import CellField, Grid1D
 from .physics import max_wave_speed
 from .workspace import const, workspace
 
-# the 0-d operands of the stages (call convention of .workspace)
-_THREE_QUARTERS, _QUARTER, _THREE, _TWO_THIRDS = map(const, (0.75, 0.25, 3.0, 2.0 / 3.0))
+# The stages, each ``(first + c_prev prev) + (c_dt dt) L(prev)``: u0's scale
+# as a ufunc and its 0-d operand (u0 itself in stage 1), the previous
+# stage's factor c_prev (none in stage 1) and dt's multiple c_dt
+_STAGES = ((None, None, None, 1.0),
+           (np.multiply, const(0.75), const(0.25), 0.25),
+           (np.divide, const(3.0), const(2.0 / 3.0), 2.0 / 3.0))
 
 
 @dataclass(frozen=True)
@@ -42,20 +46,9 @@ def _check_cfl(cfl):
 
 def _rk3_buffers(ws, shape):
     # a stage's term, a 0-d buffer of a multiple of dt, filled right before
-    # each use, and the zeros a stage is dotted with
-    return np.empty(shape), np.empty(()), np.zeros(math.prod(shape))
-
-
-def _stage(grid, data, stage, observer, rec, zeros):
-    """The field of a stage's fresh array ``data`` of u's shape, not
-    validated again, shown to ``observer``.  Its dot with zeros is 0 for
-    finite values, and NaN, never an overflow, for a NaN or an inf."""
-    if not math.isfinite(data.ravel().dot(zeros)):
-        raise DivergenceError("non-finite values", stage=stage)
-    field = CellField._of(grid, data)
-    if observer is not None:
-        observer(stage, field, rec)
-    return field
+    # each use, and the weights 0.5/n a stage is dotted with
+    n = math.prod(shape)
+    return np.empty(shape), np.empty(()), np.full(n, 0.5 / n)
 
 
 def rk3_step(u: CellField, L, dt, observer=None, *, alpha=None) -> CellField:
@@ -74,8 +67,10 @@ def rk3_step(u: CellField, L, dt, observer=None, *, alpha=None) -> CellField:
     raise :class:`DivergenceError` naming the stage; a ``dt`` that is not
     positive and finite is a :class:`ConfigurationError`.
 
-    Each stage computes ``(first + c1 prev) + (c_dt dt) L(prev)`` in
-    numpy's order of evaluation, into its fresh array.
+    Each stage computes ``(first + c_prev prev) + (c_dt dt) L(prev)`` in
+    numpy's order of evaluation, into its fresh array, and is checked by
+    its dot with the weights 0.5/n: at most half its largest magnitude for
+    finite values, so it cannot overflow, and NaN or inf for a NaN or an inf.
     """
     if not 0.0 < dt < np.inf:
         raise ConfigurationError(f"dt must be positive and finite; got {dt!r}")
@@ -83,47 +78,32 @@ def rk3_step(u: CellField, L, dt, observer=None, *, alpha=None) -> CellField:
     grid = u.grid
     u0 = u.data
     ws = workspace(u0.shape)
-    term, scaled_dt, zeros = getattr(ws, "rk3", None) or ws.bind("rk3", _rk3_buffers, u0.shape)
+    term, scaled_dt, halves = getattr(ws, "rk3", None) or ws.bind("rk3", _rk3_buffers, u0.shape)
     rec = None
-
-    try:
-        if recorded:
-            Lu, rec = L.tendency_recorded(u)
-        else:
-            Lu = L(u) if alpha is None else L(u, alpha=alpha)
-    except StateError as exc:
-        raise DivergenceError(str(exc), stage=1) from exc
-    scaled_dt[()] = dt
-    u1 = np.multiply(scaled_dt, Lu.data)
-    u1 = _stage(grid, np.add(u0, u1, u1), 1, observer, rec, zeros)
-
-    try:
-        if recorded:
-            Lu, rec = L.tendency_recorded(u1)
-        else:
-            Lu = L(u1)
-    except StateError as exc:
-        raise DivergenceError(str(exc), stage=2) from exc
-    u2 = np.multiply(_THREE_QUARTERS, u0)
-    np.multiply(_QUARTER, u1.data, term)
-    np.add(u2, term, u2)
-    scaled_dt[()] = 0.25 * dt
-    np.multiply(scaled_dt, Lu.data, term)
-    u2 = _stage(grid, np.add(u2, term, u2), 2, observer, rec, zeros)
-
-    try:
-        if recorded:
-            Lu, rec = L.tendency_recorded(u2)
-        else:
-            Lu = L(u2)
-    except StateError as exc:
-        raise DivergenceError(str(exc), stage=3) from exc
-    u3 = np.divide(u0, _THREE)
-    np.multiply(_TWO_THIRDS, u2.data, term)
-    np.add(u3, term, u3)
-    scaled_dt[()] = 2.0 / 3.0 * dt
-    np.multiply(scaled_dt, Lu.data, term)
-    return _stage(grid, np.add(u3, term, u3), 3, observer, rec, zeros)
+    for stage, (scale, c, c_prev, c_dt) in enumerate(_STAGES, 1):
+        try:
+            if recorded:
+                Lu, rec = L.tendency_recorded(u)
+            elif stage == 1 and alpha is not None:
+                Lu = L(u, alpha=alpha)
+            else:
+                Lu = L(u)
+        except StateError as exc:
+            raise DivergenceError(str(exc), stage=stage) from exc
+        first = u0
+        if scale is not None:
+            first = scale(u0, c)
+            np.multiply(c_prev, u.data, term)
+            np.add(first, term, first)
+        scaled_dt[()] = c_dt * dt
+        np.multiply(scaled_dt, Lu.data, term)
+        data = np.add(first, term, None if scale is None else first)
+        if not math.isfinite(data.ravel().dot(halves)):
+            raise DivergenceError("non-finite values", stage=stage)
+        u = CellField._of(grid, data)
+        if observer is not None:
+            observer(stage, u, rec)
+    return u
 
 
 def cfl_dt(field: CellField, model, cfl, remaining=None, *, alpha=None):

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import StateError
-from .mesh import CellField
+from .mesh import _INTERIOR, CellField
 from .workspace import Workspace, const
 
 GAMMA = 1.4
@@ -243,8 +243,9 @@ def lf_flux(a, b, flux, alpha, *, out=None):
 
 
 def _speed_views(w, field):
-    interior = field.interior
-    return *w.take("speed", interior.shape), interior, field.data
+    # the interior's index: slicing with it skips the property's work
+    shape = field.data.shape
+    return *w.take("speed", field.interior.shape), _INTERIOR[:len(shape)], shape
 
 
 def max_wave_speed(field: CellField, model, *, out=None):
@@ -252,18 +253,17 @@ def max_wave_speed(field: CellField, model, *, out=None):
     ``speed_bound`` (a float, or an (alpha_x, alpha_y) pair in 2D).
 
     Its scratch is a temporary of ``out``, a
-    :class:`~fvweno.workspace.Workspace` (a fresh one by default), bound
-    with the interior view to the first field array of the shape it meets.
-    The interior of another array of that shape (``cfl_dt`` meets a new one
-    every step) is sliced on the call, onto the same scratch.
+    :class:`~fvweno.workspace.Workspace` (a fresh one by default), bound to
+    the padded shape of the field.  The interior is sliced on every call:
+    ``integrate_to`` bounds a new field array every step, which a binding
+    to the array would meet only to bind anew.
     """
     w = Workspace() if out is None else out
+    data = field.data
     bound = getattr(w, "speed", None)
-    if bound is not None and bound[-1] is field.data:
-        return model.speed_bound(bound[1], bound[0])
-    if bound is None or bound[-1].shape != field.data.shape:
+    if bound is None or bound[-1] != data.shape:
         bound = w.bind("speed", _speed_views, field)
-    return model.speed_bound(field.interior, bound[0])
+    return model.speed_bound(data[bound[1]], bound[0])
 
 
 # ---------------------------------------------------------------------------

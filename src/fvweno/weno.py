@@ -429,7 +429,7 @@ def _weight_views(w, beta, d, axis, given):
     # a table that may change under the binding binds for one call only
     key = d if isinstance(d, np.ndarray) and not d.flags.writeable else None
     return (omega, total, _rows(omega), table, 3 if extra else 0,
-            _henrick_coefficients(table), result, beta.shape, beta, axis, key, given)
+            _henrick_coefficients(table), result, beta, axis, key, given)
 
 
 def _triples(beta, axis):
@@ -470,10 +470,10 @@ def nonlinear_weights(beta, scheme: WeightScheme, d=D_EDGE, axis=-1, *, out=None
     into; for ``axis=0`` the weights returned are one of those temporaries
     and hold until the next kernel call on it.  Its weights layer keeps the
     linear weights, and for M their Henrick coefficients, for as long as it
-    is called with the same read-only table ``d``, as the module's are; it
-    converts and checks ``beta`` when it binds, and a call with the float
-    array it is bound to (the kernels pass their indicator buffer) is not
-    checked again.
+    is called with the same read-only table ``d``, as the module's are.  It
+    is bound to ``beta``, ``d`` and ``axis``: a call with the float array it
+    is bound to (the kernels pass their indicator buffer) is not checked
+    again, and any other ``beta`` is converted, checked and bound anew.
     """
     w = Workspace() if out is None else out
     b = getattr(w, "weights", None)
@@ -481,8 +481,7 @@ def nonlinear_weights(beta, scheme: WeightScheme, d=D_EDGE, axis=-1, *, out=None
         beta = b[-4]
     else:
         beta, given = _triples(beta, axis)
-        if b is not None and (b[-2] is not d or b[-3] is not axis or b[-5] != beta.shape):
-            b = None
+        b = None
     family = scheme.family
     if family != "linear":
         # the factor first, in the order of LAYOUT: a region the weights
@@ -659,16 +658,21 @@ def gauss_point_values(ubar, scheme: WeightScheme, *, out=None):
     axis ordered (minus, center, plus).  The smoothness indicators and the
     weights of all three nodes come from one evaluation per window.  The
     values are a buffer of ``out``, the :class:`Workspace` (a fresh one by
-    default).  ``ubar`` that is not a C-contiguous float array is copied on
-    every call.
+    default).  ``ubar`` is checked when the values layer binds to it, and
+    not again on a call with that array; ``ubar`` that is not a C-contiguous
+    float array is copied on every call.
     """
     w = Workspace() if out is None else out
-    u = np.ascontiguousarray(ubar, dtype=float)
-    if u.shape[-1:] < (5,):
-        raise ConfigurationError("rows too short for a 5-cell stencil")
-    omega = _gauss_weights(_indicators(u, w), scheme, w)
     b = getattr(w, "values", None)
+    u = ubar
     if b is None or b[-1] is not u:
+        u = np.ascontiguousarray(ubar, dtype=float)
+        if u.shape[-1:] < (5,):
+            raise ConfigurationError("rows too short for a 5-cell stencil")
+    omega = _gauss_weights(_indicators(u, w), scheme, w)
+    if b is None or b[-1] is not u:
+        # bound after the weights, so that the values are not live while a
+        # first call grows the regions
         b = w.bind("values", _value_views, u)
     _combine(u, _CAND_GAUSS, omega, w, b[1])
     return b[0]

@@ -34,14 +34,17 @@ about 100 us a step at N = 20).  Every other view is sliced on the call.
 The views kept are bound to the array objects the layer is called with
 (and to the read-only linear-weight tables, and the 1D tendency to its
 grid, whose -dx it keeps), made by :meth:`Workspace.bind` the first time a
-layer meets them; they live in the layer's attribute.  A layer converts
+layer meets them; they live in the layer's attribute.  The wave-speed
+scratch is bound to the padded shape, and the interior sliced on the call,
+as ``integrate_to`` bounds a new field array every step.  A layer converts
 and checks its inputs when it binds, so a call on the objects it is bound
-to is not checked again and runs only its numpy calls: an input it is not
-bound to (another array, a list, a view that is not C-contiguous) is
-converted and checked on every call.  A region that grows drops every
-:data:`LAYOUT` layer of every workspace sharing it, so no view kept holds
-the memory it gave up; regions grow only while a workspace warms up, so
-steady stepping binds nothing.
+to is not checked again and runs only its numpy calls.  An input it is not
+bound to is converted, checked and bound anew, so the next call with it
+is steady again; input that cannot be bound (a list, or a view whose
+conversion is a copy) is therefore converted on every call.  A region
+that grows drops every :data:`LAYOUT` layer of every workspace sharing it,
+so no view kept holds the memory it gave up; regions grow only while a
+workspace warms up, so steady stepping binds nothing.
 
 The call convention.  At the paper's sizes a step costs numpy dispatch,
 not arithmetic (a 1D step at N = 20 makes 93-126 ufunc calls), so the
@@ -58,9 +61,12 @@ kernels on the step path keep the cost of each call down:
   took 43 ns, ``np.array(x)`` 279 ns;
 - outputs are passed positionally: ``out=o`` took 30-40 ns more;
 - ``rk3_step`` checks a stage for non-finite values with one dot product
-  with zeros, which is 0 for finite values and NaN for a NaN or an inf, and
-  cannot overflow as a sum of the values can (0.55 us against 1.07 us for
-  the sum at (1, 26)).
+  with the weights 0.5/n, which is at most half the largest magnitude of
+  finite values, so it cannot overflow as a sum of the values can, and is
+  NaN or inf for a NaN or an inf, without the warning of an invalid value
+  that a dot with zeros gives (inf times 0); only +inf and -inf in one
+  stage still warn.  It costs what the dot with zeros did (1.08 against
+  1.04 us at (1, 26), 1.92 us for the sum).
 
 A float64 0-d operand runs the ufunc loop of the Python float it stands
 for, on the same value, so it keeps every bit.

@@ -16,6 +16,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fvweno import weno as weno_module
 from fvweno import workspace as workspace_module
 from fvweno.errors import ConfigurationError, DivergenceError
 from fvweno.harness.problems import get_problem
@@ -365,6 +366,12 @@ def test_bound_layers_still_check_what_they_are_not_bound_to(scheme):
         got = _arrays(interface_states(x, scheme, record=True, out=w))
         want = _arrays(interface_states(x, scheme, record=True))
         assert all(same_bits(a, b) for a, b in zip(got, want, strict=True))
+    for _ in range(2):
+        gauss_point_values(upad, scheme, out=w)
+    with pytest.raises(ConfigurationError):
+        gauss_point_values(upad[:, :4], scheme, out=w)
+    for x in (strided, np.arange(78).reshape(3, 26) % 7, upad):
+        assert same_bits(gauss_point_values(x, scheme, out=w), gauss_point_values(x, scheme))
 
 
 def test_one_operator_alternating_grids_of_one_shape_matches_fresh_runs():
@@ -379,9 +386,10 @@ def test_one_operator_alternating_grids_of_one_shape_matches_fresh_runs():
 
 
 def _stepping_case(label):
-    """A field, an operator for a scheme, and a function that steps the
-    field with the operator, calling ``after(step)`` after each of at least
-    seven steps."""
+    """A function that makes a field, each call on a new grid object of one
+    padded shape, as ``Problem.make_grid`` does for each solve; an operator
+    for a scheme; and a function that steps a field with the operator,
+    calling ``after(step)`` after each of at least seven steps."""
     if label == "sod-40":
         # integrate_to in CFL mode: cfl_dt bounds the wave speed every step
         sod = get_problem("sod")
@@ -389,7 +397,7 @@ def _stepping_case(label):
         def run(u, op, after):
             integrate_to(u, op, 0.6, sod.time, step_callback=lambda step, t, v: after(step))
 
-        return (sod.initial(sod.make_grid(40)),
+        return (lambda: sod.initial(sod.make_grid(40)),
                 lambda s: SemiDiscreteOp1D(EULER, s, sod.bc), run)
 
     def run(u, op, after):
@@ -398,33 +406,40 @@ def _stepping_case(label):
             after(step)
 
     if label == "1d":
-        return _fields(20, 1)[0], _op, run
+        return lambda: _fields(20, 1)[0], _op, run
     nx, ny = map(int, label[3:].split("x"))
-    u = cell_average_of(lambda x, y: 0.25 + 0.5 * np.sin(np.pi * (x + y)),
-                        Grid2D(-1.0, 1.0, -1.0, 1.0, nx, ny))
-    return u, lambda s: SemiDiscreteOp2D(FluxPair2D(BURGERS, BURGERS), s, PERIODIC), run
+    return (lambda: cell_average_of(lambda x, y: 0.25 + 0.5 * np.sin(np.pi * (x + y)),
+                                    Grid2D(-1.0, 1.0, -1.0, 1.0, nx, ny)),
+            lambda s: SemiDiscreteOp2D(FluxPair2D(BURGERS, BURGERS), s, PERIODIC), run)
 
 
 @pytest.mark.parametrize("label", ["1d", "2d-12x12", "2d-13x9", "sod-40"])
 def test_steady_stepping_binds_no_views(label, monkeypatch):
-    # after two warm-up steps every kernel meets the arrays it is bound to:
-    # on the square grid the x and y sweeps share their workspaces
-    u, make_op, run = _stepping_case(label)
+    # each scheme steps a field on a new grid of the shape, as every solve
+    # of the harness does; after two warm-up steps every kernel meets the
+    # arrays it is bound to, binds nothing and converts no weight input: on
+    # the square grid the x and y sweeps share their workspaces
+    make_field, make_op, run = _stepping_case(label)
     builds = []
-    bind = Workspace.bind
+    bind, triples = Workspace.bind, weno_module._triples
 
     def counted(self, layer, build, *args):
         builds.append(layer)
         return bind(self, layer, build, *args)
 
+    def converted(beta, axis):
+        builds.append("triples")
+        return triples(beta, axis)
+
     monkeypatch.setattr(Workspace, "bind", counted)
+    monkeypatch.setattr(weno_module, "_triples", converted)
     counts = {}
 
     def work():                     # a new thread: its workspaces start empty
         for s in SCHEMES:
             del builds[:]
-            marks = {}              # binds made by the end of each step
-            run(u, make_op(s), lambda step: marks.setdefault(step, len(builds)))
+            marks = {}              # binds and conversions by the end of each step
+            run(make_field(), make_op(s), lambda step: marks.setdefault(step, len(builds)))
             counts[s.label] = (len(marks), marks[2], builds[marks[2]:])
 
     worker = threading.Thread(target=work)
