@@ -24,32 +24,22 @@ from .harness.runs import RunConfig, convergence_study, run_problem
 from .weno import FAMILIES, WeightScheme
 
 
-def build_scheme(family, p=None, q=None, eps=None):
-    """A scheme of ``family``; a parameter not given takes the family's
-    default from :class:`WeightScheme`, and a ``p`` or ``q`` the family does
-    not read (zr reads p, zl p and q, the others neither) is a configuration
-    error."""
-    family = family.lower()
-    for name, value in (("p", p), ("q", q)):
-        if value is not None and family in FAMILIES and name not in FAMILIES[family][1]:
-            raise ConfigurationError(f"{family} does not read {name}")
-    return WeightScheme(family, eps=eps, p=p, q=q)
-
-
 def parse_scheme_list(text):
     """Parse 'js,m,z,zr:3,zl:2:1' into WeightScheme tuples, each token
-    ``family[:p[:q]]`` built by :func:`build_scheme`; an error names its token.
+    ``family[:p[:q]]`` with the family's name in any case; an error names
+    its token.
 
     Inside the dissection the js denominator guard defaults to 1e-12.
     """
     out = []
     for token in map(str.strip, text.split(",")):
         family, *fields = token.split(":")
-        eps = JS_DISSECT_EPS if family.lower() == "js" else None
+        family = family.lower()
+        eps = JS_DISSECT_EPS if family == "js" else None
         try:
             if len(fields) > 2:
                 raise ConfigurationError("at most two parameters, p and q")
-            out.append(build_scheme(family, *map(float, fields), eps=eps))
+            out.append(WeightScheme(family, eps, *map(float, fields)))
         except ConfigurationError as exc:
             raise ConfigurationError(f"{token!r}: {exc}") from None
         except ValueError:
@@ -123,7 +113,7 @@ def make_parser():
 
 
 def cmd_run(args):
-    scheme = build_scheme(args.scheme, args.p, args.q, args.eps)
+    scheme = WeightScheme(args.scheme, eps=args.eps, p=args.p, q=args.q)
     cfg = RunConfig(
         problem=args.problem,
         scheme=scheme,
@@ -146,7 +136,7 @@ def cmd_run(args):
 
 
 def cmd_converge(args):
-    scheme = build_scheme(args.scheme, args.p, args.q, args.eps)
+    scheme = WeightScheme(args.scheme, eps=args.eps, p=args.p, q=args.q)
     n_list = [_parse_n(tok) for tok in args.n_list.split(",")]
     _, _, time, tfinal = RunConfig(args.problem, scheme, cfl=args.cfl,
                                    dt_scale=args.dt_scale, tfinal=args.tfinal).resolve()

@@ -78,7 +78,8 @@ NU_MIN = 1e-307
 class RiemannSetup:
     """Jump from ``delta`` down to 0 advected one step at Courant number
     ``nu`` = dt/DX; the analysis assumes NU_MIN <= nu <= 0.5 and
-    0 < delta <= DELTA_MAX."""
+    0 < delta <= DELTA_MAX.  The reports are keyed by scheme label, so two
+    schemes that share a label are refused."""
 
     delta: float = 1.0
     nu: float = 0.5
@@ -89,6 +90,10 @@ class RiemannSetup:
             raise ConfigurationError(f"the dissection assumes {NU_MIN:g} <= nu <= 0.5")
         if not (0.0 < self.delta <= DELTA_MAX):
             raise ConfigurationError(f"the dissection assumes 0 < delta <= {DELTA_MAX:g}")
+        labels = [s.label for s in self.schemes]
+        for label in labels:
+            if labels.count(label) > 1:
+                raise ConfigurationError(f"two schemes of the dissection share the label {label}")
 
 
 @dataclass

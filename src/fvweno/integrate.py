@@ -46,9 +46,9 @@ def _check_cfl(cfl):
 
 def _rk3_buffers(ws, shape):
     # a stage's term, a 0-d buffer of a multiple of dt, filled right before
-    # each use, and the weights 0.5/n a stage is dotted with
+    # each use, the weights 0.5/n a stage is dotted with, and the field shape
     n = math.prod(shape)
-    return np.empty(shape), np.empty(()), np.full(n, 0.5 / n)
+    return np.empty(shape), np.empty(()), np.full(n, 0.5 / n), shape
 
 
 def rk3_step(u: CellField, L, dt, observer=None, *, alpha=None) -> CellField:
@@ -77,8 +77,11 @@ def rk3_step(u: CellField, L, dt, observer=None, *, alpha=None) -> CellField:
     recorded = observer is not None and hasattr(L, "tendency_recorded")
     grid = u.grid
     u0 = u.data
-    ws = workspace(u0.shape)
-    term, scaled_dt, halves = getattr(ws, "rk3", None) or ws.bind("rk3", _rk3_buffers, u0.shape)
+    ws = workspace()
+    b = getattr(ws, "rk3", None)
+    if b is None or b[-1] != u0.shape:
+        b = ws.bind("rk3", _rk3_buffers, u0.shape)
+    term, scaled_dt, halves, _ = b
     rec = None
     for stage, (scale, c, c_prev, c_dt) in enumerate(_STAGES, 1):
         try:
@@ -115,8 +118,8 @@ def cfl_dt(field: CellField, model, cfl, remaining=None, *, alpha=None):
     ``cfl`` obeys the rule of :class:`TimeControl`: 0 < cfl <= 1.
     """
     _check_cfl(cfl)
-    if alpha is None:  # the bound's scratch is shared with the operators on this shape
-        alpha = max_wave_speed(field, model, out=workspace(field.data.shape))
+    if alpha is None:  # the bound's scratch is shared with the operators in this thread
+        alpha = max_wave_speed(field, model, out=workspace())
     if isinstance(field.grid, Grid1D):
         dt = cfl * field.grid.dx / alpha if alpha > 0.0 else np.inf
     else:
@@ -150,7 +153,7 @@ def integrate_to(u: CellField, op, t_final, time: TimeControl, step_callback=Non
             dt, alpha = min(time.value * dx, remaining), None
         else:
             try:
-                alpha = max_wave_speed(u, op.model, out=workspace(u.data.shape))  # dt, stage 1
+                alpha = max_wave_speed(u, op.model, out=workspace())  # dt, stage 1
                 dt = cfl_dt(u, op.model, time.value, remaining=remaining, alpha=alpha)
             except StateError as exc:
                 # the state turned inadmissible in the last stage of the

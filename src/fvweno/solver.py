@@ -59,7 +59,7 @@ class SemiDiscreteOp1D:
 
     def _tendency(self, field: CellField, record, alpha):
         grid, shape = field.grid, field.data.shape
-        ws = workspace(shape)
+        ws = workspace()
         b = getattr(ws, "tendency", None)
         if b is None or b[-1] is not grid:
             b = ws.bind("tendency", _tendency_views, grid, None)
@@ -164,7 +164,7 @@ class SemiDiscreteOp2D:
             raise ConfigurationError("SemiDiscreteOp2D requires a 2D field")
         if field.ncomp != 1:
             raise ConfigurationError("2D solver is scalar only")
-        ws = workspace(field.data.shape)
+        ws = workspace()
         filled = fill_ghosts(field, self._sides, out=ws)
         nx, ny = grid.nx, grid.ny
         stack = nx == ny and self.model.fx is self.model.fy and 2 * (nx + 1) * nx <= STACK_FACES

@@ -182,7 +182,9 @@ class WeightScheme:
     ``zr`` family and the logarithm tuner of ``zl``; ``q`` is the power
     applied to the ``zl`` indicator ratio.  A parameter left at None takes
     the family's default: eps is 1e-6 for ``js`` and 1e-40 for the other
-    families, p is 2 for ``zr`` and 1 for ``zl``, and q is 1.
+    families, p is 2 for ``zr`` and 1 for ``zl``, and q is 1.  A ``p`` or
+    ``q`` given to a family that does not read it is a configuration error,
+    so two schemes that compute the same weights compare equal.
     """
 
     family: str
@@ -193,7 +195,11 @@ class WeightScheme:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ConfigurationError(f"unknown weight family {self.family!r}")
-        for name, default in {"p": 1.0, "q": 1.0, **FAMILIES[self.family][1]}.items():
+        defaults = FAMILIES[self.family][1]
+        for name in ("p", "q"):
+            if getattr(self, name) is not None and name not in defaults:
+                raise ConfigurationError(f"{self.family} does not read {name}")
+        for name, default in {"p": 1.0, "q": 1.0, **defaults}.items():
             if getattr(self, name) is None:
                 object.__setattr__(self, name, default)
         for name in ("eps", "p", "q"):

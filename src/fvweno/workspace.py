@@ -71,13 +71,12 @@ kernels on the step path keep the cost of each call down:
 A float64 0-d operand runs the ufunc loop of the Python float it stands
 for, on the same value, so it keeps every bit.
 
-The semi-discrete operators and ``rk3_step`` fetch the calling thread's
-workspace for the padded field shape once per call, with
-:func:`workspace`, which returns the last one fetched at once when the
-shape repeats.  Every operator on that shape shares it, so an array
-read out of it holds only until the next call on that shape in that
-thread; the operators copy what they hand out.  A thread keeps the
-workspaces of its :data:`SHAPES` most recently used shapes.
+The semi-discrete operators, ``rk3_step`` and ``cfl_dt`` fetch the calling
+thread's one workspace with :func:`workspace`.  Its regions are as large as
+the largest shape the thread has run, and a smaller one carves from them; a
+new shape binds each layer anew.  Every operator in the thread shares it, so
+an array read out of it holds only until the next kernel call in that
+thread; the operators copy what they hand out.
 """
 
 from __future__ import annotations
@@ -85,13 +84,8 @@ from __future__ import annotations
 import math
 import threading
 import weakref
-from collections import OrderedDict
 
 import numpy as np
-
-# Workspaces a thread keeps, one per padded field shape, least recently
-# used dropped first.
-SHAPES = 8
 
 # The region of each temporary of a layer, in the order the layer takes
 # them.  A reconstruction runs the layers in this order:
@@ -181,26 +175,12 @@ def const(value):
 
 class _Store(threading.local):
     def __init__(self):
-        self.spaces = OrderedDict()
-        self.last = (None, None)        # the shape and workspace last fetched
+        self.ws = Workspace()
 
 
 _STORE = _Store()
 
 
-def workspace(shape):
-    """The calling thread's workspace for padded fields of ``shape``."""
-    store = _STORE
-    last = store.last
-    if last[0] == shape:                # the newest already: the order holds
-        return last[1]
-    spaces = store.spaces
-    ws = spaces.get(shape)
-    if ws is None:
-        ws = spaces[shape] = Workspace()
-        if len(spaces) > SHAPES:
-            spaces.popitem(last=False)
-    else:
-        spaces.move_to_end(shape)
-    store.last = (shape, ws)
-    return ws
+def workspace():
+    """The calling thread's workspace."""
+    return _STORE.ws

@@ -2,7 +2,7 @@
 
 import pytest
 
-from fvweno.cli import build_scheme, main, parse_scheme_list
+from fvweno.cli import main, parse_scheme_list
 from fvweno.errors import ConfigurationError
 from fvweno.harness import golden as golden_mod
 from fvweno.harness.runs import convergence_study
@@ -10,21 +10,21 @@ from fvweno.integrate import TimeControl
 from fvweno.weno import WeightScheme
 
 
-def test_build_scheme_defaults():
-    assert build_scheme("js").eps == 1e-6
-    assert build_scheme("z").eps == 1e-40
-    assert build_scheme("zr").p == 2.0
-    zl = build_scheme("zl", p=5, q=1)
-    assert (zl.p, zl.q) == (5.0, 1.0)
-
-
 def test_parse_scheme_list():
-    schemes = parse_scheme_list("js,m,z,zr:3,zl:2:1")
+    schemes = parse_scheme_list("JS,m,z,zr:3,zl:2:1")
     labels = [s.label for s in schemes]
     assert labels == ["JS", "M", "Z", "ZR(p=3)", "ZL(p=2,q=1)"]
-    assert schemes[0].eps == 1e-12  # dissection default for js
+    assert schemes[0].eps == 1e-12  # dissection default for js, in any case
     with pytest.raises(ConfigurationError):
         parse_scheme_list("weno9000")
+    with pytest.raises(ConfigurationError, match="'z:3': z does not read p"):
+        parse_scheme_list("js,z:3")
+
+
+def test_dissect_refuses_two_schemes_of_one_label(capsys):
+    # the stage reports are keyed by label: the second z would replace the first
+    assert main(["dissect", "--schemes", "z,z", "--stage", "1", "--table", "weights"]) == 2
+    assert capsys.readouterr().err.startswith("error: two schemes of the dissection share")
 
 
 def test_run_command_writes_outputs(tmp_path, capsys):

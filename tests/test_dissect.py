@@ -63,6 +63,14 @@ def test_setup_validation():
             final_time_comparison(RiemannSetup(schemes=(WeightScheme.z(),)), t_final)
 
 
+def test_setup_refuses_two_schemes_of_one_label():
+    # analyze_step keys its reports by label, so the second would replace the first
+    with pytest.raises(ConfigurationError, match="share the label Z"):
+        RiemannSetup(schemes=(WeightScheme.z(), WeightScheme.z(eps=1e-6)))
+    with pytest.raises(ConfigurationError, match="share the label ZL"):
+        RiemannSetup(schemes=(*zl_schemes(), WeightScheme.zl(p=2, q=2)))
+
+
 def test_smallest_courant_number_gives_finite_unflagged_formulas():
     # the carried terms scale by 6/nu, which overflows below 3.3e-308
     with pytest.raises(ConfigurationError):

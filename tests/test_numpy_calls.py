@@ -62,7 +62,7 @@ def _cfl(pid, scheme, n):
     op = SemiDiscreteOp1D(problem.model, scheme, problem.bc)
 
     def step(u):
-        alpha = max_wave_speed(u, problem.model, out=workspace(u.data.shape))
+        alpha = max_wave_speed(u, problem.model, out=workspace())
         return rk3_step(u, op, cfl_dt(u, problem.model, 0.4, alpha=alpha), alpha=alpha)
 
     return u, step

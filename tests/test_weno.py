@@ -505,6 +505,22 @@ def test_scheme_validation():
         WeightScheme.js(eps=0.0)
 
 
+@pytest.mark.parametrize("family, param", [
+    ("js", "p"), ("js", "q"), ("m", "p"), ("m", "q"), ("z", "p"), ("z", "q"), ("zr", "q"),
+    ("linear", "p"), ("linear", "q")])
+def test_scheme_refuses_a_parameter_its_family_does_not_read(family, param):
+    # such a scheme would compute the family's default weights yet compare
+    # unequal to the default scheme
+    with pytest.raises(ConfigurationError, match=f"^{family} does not read {param}$"):
+        WeightScheme(family, **{param: 3.0})
+
+
+def test_scheme_keeps_the_parameters_its_family_reads():
+    assert WeightScheme("zr", p=3.0) == WeightScheme.zr(p=3.0)
+    zl = WeightScheme("zl", p=5, q=1)
+    assert (zl.p, zl.q) == (5.0, 1.0)
+
+
 # --- the shapes the single-window helpers and the kernels take ----------------
 
 @pytest.mark.parametrize("window", [np.arange(7.0), [1.0, 2.0, 3.0], np.ones((2, 4))])

@@ -1,8 +1,8 @@
 """Reused buffers: what the solver hands out never aliases a workspace.
 
-The operators write every temporary into the calling thread's workspace
-for the field shape, shared by all operators on that shape.  These tests
-keep what a call hands out, make further calls on the same shape, and
+The operators write every temporary into the calling thread's one
+workspace, shared by all operators and shapes.  These tests keep what a
+call hands out, make further calls in the same thread, and
 require the kept arrays to be unchanged and every result to match a run
 with nothing else interleaved.  The views a workspace keeps are bound to
 the arrays a kernel is called with: other arrays bind them anew, steady
@@ -30,7 +30,7 @@ from fvweno.mesh import (
     cell_average_of,
     fill_ghosts,
 )
-from fvweno.physics import BURGERS, EULER, FluxPair2D, lf_flux
+from fvweno.physics import ADVECTION, BURGERS, EULER, FluxPair2D, lf_flux
 from fvweno.solver import SemiDiscreteOp1D, SemiDiscreteOp2D
 from fvweno.weno import (
     _D_EDGE_PAIR,
@@ -57,6 +57,9 @@ def _fields(n=N, count=2):
 
 def _op(scheme, model=BURGERS):
     return SemiDiscreteOp1D(model, scheme, PERIODIC)
+
+
+_BURGERS_2D = SemiDiscreteOp2D(FluxPair2D(BURGERS, BURGERS), WeightScheme.z(), PERIODIC)
 
 
 def test_recorded_arrays_and_tendency_survive_later_tendencies():
@@ -187,14 +190,73 @@ def test_threads_stepping_one_shape_match_serial_runs():
         assert same_bits(got.data, want.data)
 
 
-def test_one_workspace_per_shape_and_thread():
-    assert workspace((1, 17)) is workspace((1, 17))
-    assert workspace((1, 17)) is not workspace((3, 17))
-    other = []
-    t = threading.Thread(target=lambda: other.append(workspace((1, 17))))
-    t.start()
-    t.join(timeout=10)
-    assert other and other[0] is not workspace((1, 17))
+def test_one_workspace_per_thread():
+    u, = _fields(20, 1)
+    mine = workspace()
+    rk3_step(u, _op(WeightScheme.z()), 0.01)
+    rk3_step(_fields_2d()[0], _BURGERS_2D, 0.01)
+    assert workspace() is mine
+    assert _in_new_thread(workspace) is not mine
+
+
+def _shape_cases():
+    """Fields of four padded shapes with their operators and steps: 1D
+    advection at N = 20 and 40, Sod at N = 40 and 12² 2D Burgers."""
+    sod = get_problem("sod")
+    cases = [(cell_average_of(lambda x: np.sin(np.pi * x) + 0.5, Grid1D(-1.0, 1.0, n)),
+              _op(WeightScheme.z(), ADVECTION), 0.02) for n in (20, 40)]
+    u = sod.initial(sod.make_grid(40))
+    cases.append((u, SemiDiscreteOp1D(EULER, WeightScheme.zl(p=2, q=2), sod.bc),
+                  cfl_dt(u, EULER, 0.4)))
+    cases.append((CellField.from_interior(Grid2D(-1.0, 1.0, -1.0, 1.0, 12, 12),
+                                          np.sin(np.arange(144.0)).reshape(12, 12)),
+                  SemiDiscreteOp2D(FluxPair2D(BURGERS, BURGERS), WeightScheme.m(), PERIODIC),
+                  0.01))
+    return cases
+
+
+def test_shapes_stepped_alternately_in_one_thread_match_solo_runs():
+    # the thread's one workspace binds each layer anew on each new shape,
+    # and a small shape after a large one carves from the grown regions
+    cases = _shape_cases()
+    solo = [_in_new_thread(lambda c=c: _steps(*c, 3)) for c in cases]
+    order = (3, 0, 2, 1, 0, 3, 2, 1, 0, 3, 1, 2)         # each case three times
+
+    def alternate():
+        fields = [u for u, _, _ in cases]
+        for k in order:
+            _, op, dt = cases[k]
+            fields[k] = rk3_step(fields[k], op, dt)
+        return fields
+
+    for got, want in zip(_in_new_thread(alternate), solo):
+        assert np.array_equal(got.data, want.data)
+
+
+def _steps(u, op, dt, steps):
+    for _ in range(steps):
+        u = rk3_step(u, op, dt)
+    return u
+
+
+@pytest.mark.parametrize("op, valid, field, message", [
+    (_op(WeightScheme.z()), _fields(20, 1)[0], _fields_2d()[0],
+     "SemiDiscreteOp1D requires a 1D field"),
+    (_BURGERS_2D, _fields_2d()[0], _fields(20, 1)[0], "SemiDiscreteOp2D requires a 2D field"),
+    (_BURGERS_2D, _fields_2d()[0], CellField.zeros(Grid2D(-1.0, 1.0, -1.0, 1.0, 12, 9), ncomp=3),
+     "2D solver is scalar only"),
+], ids=("1d-op-2d-field", "2d-op-1d-field", "2d-op-3-components"))
+def test_operators_refuse_a_field_after_a_steady_step(op, valid, field, message):
+    # two steps of a valid field leave the thread's one workspace holding
+    # the operator's bindings to it; the refusal leaves them usable
+    def work():
+        u = _steps(valid, op, 0.01, 2)
+        with pytest.raises(ConfigurationError, match=message):
+            op(field)
+        return _steps(u, op, 0.01, 1).data
+
+    assert np.array_equal(_in_new_thread(work),
+                          _in_new_thread(lambda: _steps(valid, op, 0.01, 3).data))
 
 
 def test_sibling_workspaces_share_temporaries_not_results():
@@ -247,7 +309,7 @@ def test_a_grown_region_drops_the_layers_carved_from_it():
 
 def _step_peak_per_cell(scheme, n=96):
     """``tracemalloc`` peak of one RK3 step of 2D Burgers on n² cells, in a
-    new thread whose workspaces start empty, per padded cell (bytes)."""
+    new thread whose workspace starts empty, per padded cell (bytes)."""
     grid = Grid2D(-1.0, 1.0, -1.0, 1.0, n, n)
     u = cell_average_of(lambda x, y: 0.25 + 0.5 * np.sin(np.pi * (x + y)), grid)
     model = FluxPair2D(BURGERS, BURGERS)
@@ -334,7 +396,7 @@ def test_arguments_that_may_change_are_read_anew_on_every_call():
 
 
 def _in_new_thread(fn):
-    """``fn()`` in a new thread, whose workspaces start empty."""
+    """``fn()`` in a new thread, whose workspace starts empty."""
     out = []
     worker = threading.Thread(target=lambda: out.append(fn()))
     worker.start()
@@ -435,7 +497,7 @@ def test_steady_stepping_binds_no_views(label, monkeypatch):
     monkeypatch.setattr(weno_module, "_triples", converted)
     counts = {}
 
-    def work():                     # a new thread: its workspaces start empty
+    def work():                     # a new thread: its workspace starts empty
         for s in SCHEMES:
             del builds[:]
             marks = {}              # binds and conversions by the end of each step
@@ -478,7 +540,7 @@ def _plan_outputs():
 
 
 def _under_plan(monkeypatch, layout):
-    """``_plan_outputs`` in a new thread, whose workspaces start empty, with
+    """``_plan_outputs`` in a new thread, whose workspace starts empty, with
     the temporaries carved by ``layout`` in place of the package's plan;
     what it raises is returned."""
     with monkeypatch.context() as patch:

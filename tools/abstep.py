@@ -24,20 +24,21 @@ A target is ``KIND:FAMILY[:P[:Q]]:N``:
 FAMILY is js, m, z, zr, zl or linear; P and Q are ZR's p and ZL's p and q
 (``2d:zl:5:1:20`` is the accuracy-2d ZL).  Each tree builds its inputs
 twice, on two equal grid objects.  A round times, for every target, a
-pass on each side: in a new thread, whose workspaces start empty (so each
+pass on each side: in a new thread, whose workspace starts empty (so each
 pass places its buffers anew), two untimed steps from the initial data on
 the second grid, then ``--steps`` timed ones from the initial data on the
 first, of which it keeps the fastest.  The timed steps thus meet the
-workspaces as every solve of the harness after the first on a shape does:
+workspace as every solve of the harness after the first of a shape does:
 bound to another grid object and to other arrays of the same shape.  The
 order of the three sides runs through their six permutations, one a
-round.  Per target the script prints the fastest step of each side over
-all rounds, the median over rounds of the ratio head / base of the
-round's fastest steps, a bootstrap 95 % interval of that median, and in
-how many rounds the head was faster; then the median and interval of
-A'/A.  The last line is the same as JSON, the null under ``"null"``.  A
-claim needs B/A's interval to exclude 1 while A'/A's contains 1 in the
-same run.
+round.  A run takes ``--rounds`` rounds, 64 by default: at 32, two runs
+of one tree against itself gave intervals that exclude 1.  Per target the
+script prints the fastest step of each side over all rounds, the median
+over rounds of the ratio head / base of the round's fastest steps, a
+bootstrap 95 % interval of that median, and in how many rounds the head
+was faster; then the median and interval of A'/A.  The last line is the
+same as JSON, the null under ``"null"``.  A claim needs B/A's interval to
+exclude 1 while A'/A's contains 1 in the same run.
 
 ``--json PATH`` also appends the run (its rounds, steps, seed, printed
 lines and results) to the list under the ``interleaved`` key of the JSON
@@ -45,7 +46,7 @@ file ``PATH``, a ``BENCH_<label>.json``, keeping its other keys; the file is
 made if it does not exist:
 
     python tools/abstep.py --base PARENT --head CHANGE --target 1d:z:20 \
-        --rounds 64 --steps 10 --json BENCH_pr27.json
+        --steps 10 --json BENCH_pr27.json
 
 A busy phase of the host spans several adjacent rounds, so the bootstrap
 resamples blocks of ceil(sqrt(R)) adjacent rounds of the R (a moving-block
@@ -146,7 +147,7 @@ def build_case(pkg, target):
         times.append(best)
 
     def run(steps):
-        # a new thread: the workspaces start empty, so the buffers of each
+        # a new thread: the workspace starts empty, so the buffers of each
         # pass are placed anew and no side keeps a lucky alignment
         worker = threading.Thread(target=steps_from_u0, args=(steps,))
         worker.start()
@@ -180,7 +181,7 @@ def main(argv=None):
     parser.add_argument("--head", required=True, help="checkout timed against it (B)")
     parser.add_argument("--target", action="append", required=True,
                         help="KIND:FAMILY[:P[:Q]]:N, repeatable")
-    parser.add_argument("--rounds", type=int, default=24)
+    parser.add_argument("--rounds", type=int, default=64)
     parser.add_argument("--steps", type=int, default=20, help="timed steps a pass")
     parser.add_argument("--seed", type=int, default=0, help="seed of the bootstrap")
     parser.add_argument("--json", metavar="PATH",
