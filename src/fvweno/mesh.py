@@ -53,7 +53,7 @@ def _padded_shape(grid, m):
 def _cells(a, b, n):
     """The cell count ``n`` of an axis from ``a`` to ``b`` > ``a`` as an int,
     if ``n`` is one, the bounds are finite and the cell width is finite and
-    positive; else a :class:`ConfigurationError`."""
+    positive; else a :class:`ConfigurationError`: the one rule for an axis."""
     try:
         n = operator.index(n)
     except TypeError:
@@ -76,8 +76,6 @@ class Grid1D:
     n: int
 
     def __post_init__(self):
-        if not self.b > self.a:
-            raise ConfigurationError("grid requires b > a")
         object.__setattr__(self, "n", _cells(self.a, self.b, self.n))
 
     @property
@@ -102,8 +100,6 @@ class Grid2D:
     ny: int
 
     def __post_init__(self):
-        if not (self.bx > self.ax and self.by > self.ay):
-            raise ConfigurationError("grid requires bx > ax and by > ay")
         object.__setattr__(self, "nx", _cells(self.ax, self.bx, self.nx))
         object.__setattr__(self, "ny", _cells(self.ay, self.by, self.ny))
 
@@ -200,13 +196,7 @@ class CellField:
         return field
 
 
-class _Sides(tuple):
-    """Boundary conditions, one per side, as checked by :func:`_normalize_bc`."""
-
-
 def _normalize_bc(bc, nsides):
-    if type(bc) is _Sides and len(bc) == nsides:
-        return bc
     if isinstance(bc, BoundaryCondition):
         bc = (bc,) * nsides
     bc = tuple(bc)
@@ -221,7 +211,7 @@ def _normalize_bc(bc, nsides):
         if side.kind == "reflective" or (side.kind == "inflow" and k < 2):
             raise ConfigurationError(f"{side.kind!r} boundaries are not supported "
                                      f"on {'xy'[k // 2]} sides of 2D grids")
-    return _Sides(bc)
+    return bc
 
 
 def gauss_average(fn, centers, dx):

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import StateError
+from .errors import ConfigurationError, StateError
 from .mesh import _INTERIOR, CellField
 from .workspace import Workspace, const
 
@@ -356,13 +356,20 @@ def exact_riemann(left, right) -> RiemannFan:
     """Solve the Riemann problem for primitive states (rho, u, P).
 
     Newton iteration on the pressure function with a two-rarefaction
-    initial guess; falls back to bisection if Newton stalls.
+    initial guess; falls back to bisection if Newton stalls.  States that
+    open a vacuum, 2 (c_L + c_R) / (gamma - 1) <= u_R - u_L (Toro, *Riemann
+    Solvers and Numerical Methods for Fluid Dynamics*, ch. 4), have no
+    positive star pressure and are a configuration error.
     """
     rl, ul, pl = left
     rr, ur, pr = right
     cl = np.sqrt(GAMMA * pl / rl)
     cr = np.sqrt(GAMMA * pr / rr)
     du = ur - ul
+    du_vacuum = 2.0 * (cl + cr) / (GAMMA - 1.0)
+    if not du < du_vacuum:
+        raise ConfigurationError(f"the states open a vacuum: u_R - u_L = {du:g} >= "
+                                 f"2 (c_L + c_R) / (gamma - 1) = {du_vacuum:g}")
 
     # two-rarefaction guess
     z = (GAMMA - 1.0) / (2.0 * GAMMA)

@@ -41,7 +41,7 @@ class InterfaceRecord:
 class SemiDiscreteOp1D:
     """d(ubar)/dt = -(fhat_{i+1/2} - fhat_{i-1/2}) / dx on a 1D grid.
 
-    ``bc`` is checked once, when the operator is built; ``alpha`` spares the bound.
+    ``bc`` is checked when the operator is built; ``alpha`` spares the bound.
     """
 
     model: ScalarFluxModel | EulerModel
@@ -120,15 +120,16 @@ class _Sweep:
         self.pair = np.empty((2, k, shape[1] - 5, shape[0]))
 
 
-def _sweeps(ws, data, stack):
-    """The groups of axes of a padded 2D field buffer ``data`` (1, nx+6,
-    ny+6), one pass each: both axes if ``stack``, else one per axis, and
-    groups of equal k and row shape share a sweep.  A group is its sweep,
-    the copies of its axes' padded transverse rows 1..n_trans+4 into it,
-    the slice of its axes and its face fluxes, (k, n+1, n_trans); then the
-    x and y face fluxes, (nx+1, ny) and (nx, ny+1), the y-term, and
-    the buffers of the two alphas, broadcast over a group's jump, and of
-    -dx and dy, filled on each call."""
+def _sweeps(ws, filled, stack):
+    """The groups of axes of the padded 2D field ``filled`` (1, nx+6, ny+6),
+    one pass each: both axes if ``stack``, else one per axis, and groups of
+    equal k and row shape share a sweep.  A group is its sweep, the copies
+    of its axes' padded transverse rows 1..n_trans+4 into it, the slice of
+    its axes and its face fluxes, (k, n+1, n_trans); then the x and y face
+    fluxes, (nx+1, ny) and (nx, ny+1), the y-term, the buffer of the two
+    alphas, filled on each call, broadcast over a group's jump, and -dx and
+    dy, made here: the fill layer binds ``filled`` to one grid."""
+    data, grid = filled.data, filled.grid
     d = data[0]
     rows = (d.T[1:-1], d[1:-1])
     shared, groups = {}, []
@@ -141,14 +142,14 @@ def _sweeps(ws, data, stack):
     fx, fy = [block for *_, face in groups for block in face]
     speeds = np.empty(2)
     return (groups, fx, fy.T, np.empty_like(fx[1:]), speeds, speeds.reshape(2, 1, 1, 1),
-            np.empty(()), np.empty(()), stack, data)
+            const(-grid.dx), const(grid.dy), stack, data)
 
 
 @dataclass(frozen=True)
 class SemiDiscreteOp2D:
     """2D scalar tendency with 3-point Gauss quadrature of the face fluxes.
 
-    ``bc`` is checked once, when the operator is built; ``alpha`` spares the bound.
+    ``bc`` is checked when the operator is built; ``alpha`` spares the bound.
     """
 
     model: FluxPair2D
@@ -170,12 +171,11 @@ class SemiDiscreteOp2D:
         stack = nx == ny and self.model.fx is self.model.fy and 2 * (nx + 1) * nx <= STACK_FACES
         b = getattr(ws, "sweeps", None)
         if b is None or b[-1] is not filled.data or b[-2] is not stack:
-            b = ws.bind("sweeps", _sweeps, filled.data, stack)
+            b = ws.bind("sweeps", _sweeps, filled, stack)
         groups, fx, fy, dy_term, speeds, alphas, neg_dx, dy = b[:8]
         if alpha is None:
             alpha = max_wave_speed(filled, self.model, out=ws)
         speeds[0], speeds[1] = alpha
-        neg_dx[()], dy[()] = -grid.dx, grid.dy
         for sweep, copies, axes, face in groups:
             flux = (self.model.fx, self.model.fy)[axes.start]
             self._face_flux(flux, alphas[axes], sweep, copies, face)

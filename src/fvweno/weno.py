@@ -163,7 +163,7 @@ GAUSS_XI = math.sqrt(3.0 / 5.0)
 GAUSS_WEIGHTS = np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
 
 # Per family: the label format, and the defaults of eps and of the
-# parameters the family reads; p and q are 1.0 where unread.
+# parameters the family reads; p and q stay None where unread.
 FAMILIES = {
     "js": ("JS", {"eps": 1e-6}),
     "m": ("M", {"eps": 1e-40}),
@@ -182,9 +182,10 @@ class WeightScheme:
     ``zr`` family and the logarithm tuner of ``zl``; ``q`` is the power
     applied to the ``zl`` indicator ratio.  A parameter left at None takes
     the family's default: eps is 1e-6 for ``js`` and 1e-40 for the other
-    families, p is 2 for ``zr`` and 1 for ``zl``, and q is 1.  A ``p`` or
-    ``q`` given to a family that does not read it is a configuration error,
-    so two schemes that compute the same weights compare equal.
+    families, p is 2 for ``zr`` and 1 for ``zl``, and q is 1 for ``zl``;
+    the others stay None.  A ``p`` or ``q`` given to a family that does not
+    read it is a configuration error, so two schemes that compute the same
+    weights compare equal.
     """
 
     family: str
@@ -199,10 +200,9 @@ class WeightScheme:
         for name in ("p", "q"):
             if getattr(self, name) is not None and name not in defaults:
                 raise ConfigurationError(f"{self.family} does not read {name}")
-        for name, default in {"p": 1.0, "q": 1.0, **defaults}.items():
+        for name, default in defaults.items():
             if getattr(self, name) is None:
                 object.__setattr__(self, name, default)
-        for name in ("eps", "p", "q"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigurationError(f"{name} must be finite")
         if self.family != "linear" and not self.eps > 0.0:
@@ -214,10 +214,11 @@ class WeightScheme:
                 raise ConfigurationError("zl requires p > 0")
             if not self.q >= 1.0:
                 raise ConfigurationError("zl requires q >= 1")
-        # eps, p, q and zr's 1/p as the kernels' 0-d operands; not fields,
-        # so equality, hashing and repr do not see them
-        root = const(1.0 / self.p) if self.family == "zr" else None
-        object.__setattr__(self, "_operands", (*map(const, (self.eps, self.p, self.q)), root))
+        # eps, p, q and zr's 1/p as the kernels' 0-d operands (None where
+        # unread); not fields, so equality, hashing and repr do not see them
+        root = 1.0 / self.p if self.family == "zr" else None
+        object.__setattr__(self, "_operands", tuple(
+            None if v is None else const(v) for v in (self.eps, self.p, self.q, root)))
 
     @classmethod
     def js(cls, eps=None):
@@ -255,7 +256,7 @@ def smoothness_indicators(window):
     broadcast.  Constant substencils give exactly zero.
     """
     beta = _indicators(_window(window), Workspace())[..., 0]
-    return np.ascontiguousarray(_to_back(beta))
+    return np.ascontiguousarray(np.moveaxis(beta, 0, -1))
 
 
 # The array kernels keep a triple (one value per substencil) on axis 0 and
@@ -523,14 +524,14 @@ def _window(window):
 def reconstruct_interface(window, scheme: WeightScheme, orientation="left"):
     """Interface value from one five-cell window: ``orientation='left'``
     gives the left-biased value at the right edge of the center cell (v-),
-    ``'right'`` the right-biased value at its left edge (v+).
+    ``'right'`` the right-biased value at its left edge (v+): the array
+    kernel's value, bit for bit, on the window extended by edge copies.
     """
     if orientation not in ("left", "right"):
         raise ConfigurationError(f"unknown orientation {orientation!r}")
-    u, w = _window(window), Workspace()
-    omega = nonlinear_weights(_indicators(u, w), scheme, d=_D_EDGE_PAIR, axis=0, out=w)
-    v = _combine(u, _CAND_PAIR, omega, w, np.empty((2,) + u.shape[:-1] + (1,)))
-    return v[int(orientation == "right"), ..., 0]
+    # the center cell is cell 3 of the seven: interfaces 0 and 1 are its edges
+    u_minus, u_plus = interface_states(_window(window)[..., [0, 0, 1, 2, 3, 4, 4]], scheme)
+    return u_plus[..., 0] if orientation == "right" else u_minus[..., 1]
 
 
 # Linear weights of the Gauss nodes for one weight call: minus, gamma+,
@@ -557,21 +558,19 @@ def _gauss_weights(beta, scheme: WeightScheme, out=None):
 def reconstruct_gauss_point(window, scheme: WeightScheme, node):
     """Value at a Gauss node inside the center cell from one window:
     ``node`` is ``'minus'``, ``'center'`` or ``'plus'`` for
-    ``x_i - xi*dx/2``, ``x_i``, ``x_i + xi*dx/2`` with ``xi = sqrt(3/5)``.
+    ``x_i - xi*dx/2``, ``x_i``, ``x_i + xi*dx/2`` with ``xi = sqrt(3/5)``:
+    the array kernel's value, bit for bit, on the window extended by an
+    edge copy.
     """
     if node not in GAUSS_NODES:
         raise ConfigurationError(f"unknown gauss node {node!r}")
-    return gauss_point_values(_window(window), scheme)[..., 0, GAUSS_NODES.index(node)]
+    values = gauss_point_values(_window(window)[..., [0, 1, 2, 3, 4, 4]], scheme)
+    return values[..., 0, GAUSS_NODES.index(node)]
 
 
 # ---------------------------------------------------------------------------
 # Array kernels used by the semi-discrete operators.
 # ---------------------------------------------------------------------------
-
-
-def _to_back(a):
-    """``a`` with its first axis moved to the end."""
-    return a.transpose(tuple(range(1, a.ndim)) + (0,))
 
 
 # Candidate tables of the array kernels, row k*s + j for candidate s at point
@@ -648,7 +647,8 @@ def interface_states(upad, scheme: WeightScheme, record=False, *, out=None):
     omega = nonlinear_weights(_indicators(u, w), scheme, d=_D_EDGE_PAIR, axis=0, out=w)
     _combine(u, _CAND_PAIR, omega, w, b[0])
     if record:
-        return (*b[1], (_to_back(omega[:, 0, ..., :-1]), _to_back(omega[::-1, 1, ..., 1:])))
+        return (*b[1], (np.moveaxis(omega[:, 0, ..., :-1], 0, -1),
+                        np.moveaxis(omega[::-1, 1, ..., 1:], 0, -1)))
     return b[1]
 
 

@@ -56,7 +56,7 @@ kernels on the step path keep the cost of each call down:
   50) convert on every call: ``np.multiply(c, a, o)`` on a (1, 26) array
   took 619 ns with a float ``c`` and 399 ns with a 0-d one (numpy 2.4.6,
   one core of a Xeon with AVX-512);
-- an operand that changes from call to call (dt, alpha, -dx) is written
+- an operand that changes from call to call (dt, alpha) is written
   into a 0-d buffer of the workspace right before its use: ``b[()] = x``
   took 43 ns, ``np.array(x)`` 279 ns;
 - outputs are passed positionally: ``out=o`` took 30-40 ns more;

@@ -89,7 +89,7 @@ def oracle_weights(beta, d, scheme):
     with localcontext() as ctx:
         ctx.prec = 60
         b, d = [Decimal(float(v)) for v in beta], [Decimal(float(v)) for v in d]
-        eps, p, q = (Decimal(float(v)) for v in (scheme.eps, scheme.p, scheme.q))
+        eps = Decimal(float(scheme.eps))
         normalise = lambda a: [x / sum(a) for x in a]
         if scheme.family in ("js", "m"):
             omega = normalise([dk / (bk + eps) ** 2 for dk, bk in zip(d, b)])
@@ -98,10 +98,12 @@ def oracle_weights(beta, d, scheme):
                                    / (dk * dk + (1 - 2 * dk) * w) for dk, w in zip(d, omega)])
             return omega
         if scheme.family == "zr":
-            b = [bk ** (1 / p) for bk in b]
-            tau, q = abs(b[0] - b[2]), p
+            q = Decimal(float(scheme.p))
+            b = [bk ** (1 / q) for bk in b]
+            tau = abs(b[0] - b[2])
         elif scheme.family == "zl":
-            tau = abs((1 + b[0]).ln() - (1 + b[2]).ln()) / p
+            q = Decimal(float(scheme.q))
+            tau = abs((1 + b[0]).ln() - (1 + b[2]).ln()) / Decimal(float(scheme.p))
         else:
             tau, q = abs(b[0] - b[2]), 1
         return normalise([dk * (1 + (tau / (bk + eps)) ** q) for dk, bk in zip(d, b)])

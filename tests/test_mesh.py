@@ -356,6 +356,8 @@ def test_field_shape_validation():
 
 
 @pytest.mark.parametrize("a, b, n", [
+    (1.0, -1.0, 10),                    # b < a: a negative width
+    (1.0, 1.0, 10),                     # b == a: no width
     (0.0, np.inf, 10),                  # non-finite bound
     (-np.inf, 0.0, 10),
     (0.0, 1.0, 10.5),                   # cell counts that are not integers

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fvweno.errors import StateError
+from fvweno.errors import ConfigurationError, StateError
 from fvweno.mesh import CellField, Grid1D, Grid2D
 from fvweno.physics import (
     ADVECTION,
@@ -341,6 +341,17 @@ def test_exact_riemann_symmetric_double_rarefaction():
     fan = exact_riemann((1.0, -0.5, 1.0), (1.0, 0.5, 1.0))
     assert fan.u_star == pytest.approx(0.0, abs=1e-12)
     assert fan.p_star < 1.0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("left, right", [
+    ((1.0, -10.0, 1.0), (1.0, 10.0, 1.0)),        # the rarefactions part
+    ((1.0, -1.0, 1.4e-3), (1.0, 1.0, 1.4e-3)),    # c = 0.0443: 2 (c_L + c_R) / 0.4 = 0.443
+])
+def test_exact_riemann_refuses_states_that_open_a_vacuum(left, right):
+    # 2 (c_L + c_R) / (gamma - 1) <= u_R - u_L: no positive star pressure
+    with pytest.raises(ConfigurationError, match="open a vacuum"):
+        exact_riemann(left, right)
 
 
 def _mirror(state):

@@ -1,5 +1,6 @@
 """Smoothness indicators, nonlinear weight families, reconstruction."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -389,6 +390,61 @@ def test_gauss_point_values_equal_per_node_reconstructions(scheme):
         assert np.all(np.abs(vals[..., k] - expected) <= 4 * EPS * scale), k
 
 
+@pytest.mark.parametrize("scheme", SIX_SCHEMES, ids=lambda s: s.label)
+def test_single_window_helpers_return_the_kernels_bits(scheme):
+    # the helpers run the array kernels on their window extended by edge
+    # copies, so each value is the kernels' value at that window of a row
+    rng = np.random.default_rng(41)
+    upad = rng.normal(size=(3, 40))
+    upad[:, 5:12] = 0.7                                   # flat: zero indicators
+    upad[:, 24:] += rng.uniform(1.0, 5.0, size=(3, 1))    # one jump per row
+    u_minus, u_plus = weno.interface_states(upad, scheme)
+    values = weno.gauss_point_values(upad, scheme)
+    windows = np.lib.stride_tricks.sliding_window_view(upad, 5, axis=-1)
+    for (row, k) in np.ndindex(windows.shape[:-1]):
+        window = windows[row, k]
+        if k < u_minus.shape[-1]:
+            assert reconstruct_interface(window, scheme, "left") == u_minus[row, k]
+        if k > 0:
+            assert reconstruct_interface(window, scheme, "right") == u_plus[row, k - 1]
+        for j, node in enumerate(weno.GAUSS_NODES):
+            assert reconstruct_gauss_point(window, scheme, node) == values[row, k, j]
+    # a stack of windows in one call
+    assert np.array_equal(reconstruct_interface(windows, scheme, "left")[:, :-1], u_minus)
+    assert np.array_equal(reconstruct_interface(windows, scheme, "right")[:, 1:], u_plus)
+    for j, node in enumerate(weno.GAUSS_NODES):
+        assert np.array_equal(reconstruct_gauss_point(windows, scheme, node), values[..., j])
+
+
+@st.composite
+def _rows_and_cut(draw):
+    """1-3 rows of 8-64 cells at one of three scales, with a jump and a
+    flat run, and the bounds lo < hi of a sub-row of at least six cells."""
+    rows, n = draw(st.integers(1, 3)), draw(st.integers(8, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u = rng.normal(size=(rows, n)) * draw(st.sampled_from([1e-8, 1.0, 1e3]))
+    u[:, draw(st.integers(0, n - 1)):] += draw(st.sampled_from([0.0, 1.0, -50.0]))
+    flat = draw(st.integers(0, n - 1))
+    u[:, flat:flat + draw(st.integers(0, 8))] = u[:, flat:flat + 1]
+    lo = draw(st.integers(0, n - 6))
+    return u, lo, draw(st.integers(lo + 6, n))
+
+
+@pytest.mark.parametrize("scheme", SIX_SCHEMES, ids=lambda s: s.label)
+@settings(deadline=None, derandomize=True, max_examples=50)
+@given(case=_rows_and_cut())
+def test_kernels_are_local_to_each_window(scheme, case):
+    # a value depends on its window alone, not on how many windows a call
+    # takes: the values of a sub-row are the full row's at those windows
+    u, lo, hi = case
+    u_minus, u_plus = weno.interface_states(u, scheme)
+    sub_minus, sub_plus = weno.interface_states(u[:, lo:hi], scheme)
+    assert np.array_equal(sub_minus, u_minus[:, lo:hi - 5])
+    assert np.array_equal(sub_plus, u_plus[:, lo:hi - 5])
+    assert np.array_equal(weno.gauss_point_values(u[:, lo:hi], scheme),
+                          weno.gauss_point_values(u, scheme)[:, lo:hi - 4])
+
+
 def test_interface_linear_weights_equal_big_stencil():
     rng = np.random.default_rng(7)
     scheme = WeightScheme.linear()
@@ -556,6 +612,16 @@ def test_family_name_takes_the_family_defaults(family, label):
     assert scheme == getattr(WeightScheme, family)()
     assert scheme.label == label
     assert scheme.eps == (1e-6 if family == "js" else 1e-40)
+
+
+@pytest.mark.parametrize("family", list(weno.FAMILIES))
+def test_a_scheme_holds_only_the_parameters_its_family_reads(family):
+    # unread parameters stay None, so replace() passes none of them back in
+    scheme = WeightScheme(family)
+    unread = {"p", "q"} - set(weno.FAMILIES[family][1])
+    assert {name for name in ("p", "q") if getattr(scheme, name) is None} == unread
+    assert replace(scheme, eps=1e-12) == WeightScheme(family, eps=1e-12)
+    assert hash(scheme) == hash(getattr(WeightScheme, family)())
 
 
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])

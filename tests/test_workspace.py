@@ -437,14 +437,17 @@ def test_bound_layers_still_check_what_they_are_not_bound_to(scheme):
 
 
 def test_one_operator_alternating_grids_of_one_shape_matches_fresh_runs():
-    # the tendency binds -dx to the grid object: another grid of the same
-    # padded shape and another dx binds anew
-    fields = [cell_average_of(lambda x: np.sin(np.pi * x) + 0.5, grid)
-              for grid in (Grid1D(-1.0, 1.0, 20), Grid1D(0.0, 3.0, 20))]
-    op = _op(WeightScheme.z())
-    wants = [_in_new_thread(lambda f=f: op(f).data) for f in fields]
-    gots = _in_new_thread(lambda: [op(fields[k % 2]).data for k in range(6)])
-    assert all(same_bits(got, wants[k % 2]) for k, got in enumerate(gots))
+    # the tendencies bind -dx (and dy in 2D) to the grid: another grid of the
+    # same padded shape and another dx and dy binds anew
+    cases = [([cell_average_of(lambda x: np.sin(np.pi * x) + 0.5, grid)
+               for grid in (Grid1D(-1.0, 1.0, 20), Grid1D(0.0, 3.0, 20))], _op(WeightScheme.z())),
+             ([cell_average_of(lambda x, y: np.sin(np.pi * (x + y)) + 0.5, grid)
+               for grid in (Grid2D(-1.0, 1.0, -1.0, 1.0, 12, 12),
+                            Grid2D(0.0, 3.0, 0.0, 0.5, 12, 12))], _BURGERS_2D)]
+    for fields, op in cases:
+        wants = [_in_new_thread(lambda f=f: op(f).data) for f in fields]
+        gots = _in_new_thread(lambda: [op(fields[k % 2]).data for k in range(6)])
+        assert all(same_bits(got, wants[k % 2]) for k, got in enumerate(gots))
 
 
 def _stepping_case(label):
